@@ -38,6 +38,7 @@ from .ranking import (
     write_report_json,
     write_report_tsv,
 )
+from .tsv import read_tsv, write_tsv
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -108,11 +109,12 @@ _FORMATS_EPILOG = """\
 file formats (all TSV files are UTF-8 with '#' comment lines):
   reactions:   reaction_id  ec_numbers(';')  reactant_smiles('.')  product_smiles('.')
   compounds:   compound_id  raw_smiles|UNRESOLVED
-  templates:   template_id  direction(fwd|bwd)  diameter  ec_numbers(';')  smarts
+  templates:   template_id  direction(bwd)  diameter  ec_numbers(';')  smarts
   pathways:    pathway_id   reaction_ids(';', ordered from the final target)
   datasets:    label  group_key  target  precursors(steps ';', molecules '.')  weight
   stop set:    one SMILES per line
   gold:        product_smiles  precursor_smiles('.')  -- one row per backward step
+a malformed row in any input file exits 1 with an error naming file:line.
 
 weight files are little-endian binary: magic "NNPR", u32 version=1,
 u32 layer_count, then per layer u32 in_dim, u32 out_dim, u8 activation
@@ -184,13 +186,14 @@ def _require_file(path: str, what: str) -> Path:
 def _write_mono_tsv(path: Path, monos: list[ds.MonoProductReaction]) -> None:
     # The parent reaction id is kept verbatim (children of one parent share
     # it) so pathway files can still reference their reactions.
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# reaction_id\tec_numbers\treactant_smiles\tproduct_smiles\n")
-        for mono in monos:
-            fh.write(
-                f"{mono.parent_id}\t{';'.join(mono.ec_numbers)}\t"
-                f"{'.'.join(mono.reactant_keys)}\t{mono.product_key}\n"
-            )
+    write_tsv(
+        path,
+        ("reaction_id", "ec_numbers", "reactant_smiles", "product_smiles"),
+        (
+            (m.parent_id, ";".join(m.ec_numbers), ".".join(m.reactant_keys), m.product_key)
+            for m in monos
+        ),
+    )
 
 
 def cmd_ingest(options: dict) -> int:
@@ -365,25 +368,16 @@ def cmd_eval(options: dict) -> int:
 
 
 def _read_stop_set(path: str) -> frozenset[str]:
-    keys = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                keys.add(canonicalize(parse_smiles(line)))
+    keys = read_tsv(
+        path, 1, lambda smiles: canonicalize(parse_smiles(smiles)), strip=True
+    )
     return frozenset(keys)
 
 
 def _read_gold_tsv(path: str) -> list[tuple[str, tuple[str, ...]]]:
-    steps = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            product, precursors = line.split("\t")
-            steps.append((product, tuple(precursors.split("."))))
-    return steps
+    return read_tsv(
+        path, 2, lambda product, precursors: (product, tuple(precursors.split(".")))
+    )
 
 
 def cmd_retro(options: dict) -> int:
@@ -428,14 +422,21 @@ def cmd_retro(options: dict) -> int:
         raise CliError(str(exc)) from exc
     report.save_json(options["out"])
     if options["pathways_tsv"]:
-        with open(options["pathways_tsv"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# rank\taggregate_score\tsteps\n")
-            for p in report.pathways:
-                steps = ";".join(
-                    f"{s.product_key}>{'.'.join(s.precursor_keys)}"
-                    for s in p.steps
+        write_tsv(
+            options["pathways_tsv"],
+            ("rank", "aggregate_score", "steps"),
+            (
+                (
+                    str(p.aggregate_rank),
+                    f"{p.aggregate_score:.6f}",
+                    ";".join(
+                        f"{s.product_key}>{'.'.join(s.precursor_keys)}"
+                        for s in p.steps
+                    ),
                 )
-                fh.write(f"{p.aggregate_rank}\t{p.aggregate_score:.6f}\t{steps}\n")
+                for p in report.pathways
+            ),
+        )
     print(
         f"retro: {len(report.pathways)} pathways, "
         f"{sum(level['generated'] for level in report.levels)} candidates "

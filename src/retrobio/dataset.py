@@ -18,9 +18,6 @@ files.
 
 from __future__ import annotations
 
-import time
-import urllib.error
-import urllib.request
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -30,10 +27,10 @@ import numpy as np
 from .fingerprint import Fingerprinter, reaction_feature
 from .molgraph import parse_smiles, canonicalize
 from .pattern import ReactionTemplate, enumerate_precursors
+from .tsv import read_tsv, write_tsv
 
 __all__ = [
     "Unfixable",
-    "OfflineMode",
     "CleanedCompound",
     "RawReaction",
     "ReactionRecord",
@@ -50,7 +47,6 @@ __all__ = [
     "make_pathway_pairs",
     "split_train_test",
     "subsample_negatives",
-    "CompoundFetcher",
     "read_reactions_tsv",
     "read_compounds_tsv",
     "read_pathways_tsv",
@@ -65,10 +61,6 @@ NEGATIVE = "negative"
 
 class Unfixable(ValueError):
     """A compound string that still fails to parse after the repairs."""
-
-
-class OfflineMode(RuntimeError):
-    """Network fetch attempted without a configured endpoint."""
 
 
 @dataclass(frozen=True)
@@ -495,118 +487,38 @@ def subsample_negatives(examples: list, fraction: float, seed: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Fetching
-
-
-class CompoundFetcher:
-    """Sequential compound fetcher with a minimum inter-request delay.
-
-    ``fetch_fn(compound_id) -> str`` may be injected for tests; the default
-    performs an HTTP GET of ``endpoint`` with the id appended. Failures are
-    recorded as unresolved (None), never raised, except OfflineMode when no
-    endpoint is configured.
-    """
-
-    def __init__(
-        self,
-        endpoint: str | None = None,
-        rate_limit: float = 2.0,
-        fetch_fn=None,
-        clock=time.monotonic,
-        sleeper=time.sleep,
-        timeout: float = 10.0,
-        retries: int = 1,
-    ):
-        self.endpoint = endpoint
-        self.rate_limit = rate_limit
-        self._fetch_fn = fetch_fn
-        self._clock = clock
-        self._sleeper = sleeper
-        self.timeout = timeout
-        self.retries = retries
-        self._last_request: float | None = None
-
-    def _default_fetch(self, compound_id: str) -> str:
-        url = f"{self.endpoint.rstrip('/')}/{compound_id}"
-        with urllib.request.urlopen(url, timeout=self.timeout) as response:
-            return response.read().decode("utf-8").strip()
-
-    def _throttle(self):
-        if self._last_request is not None:
-            elapsed = self._clock() - self._last_request
-            if elapsed < self.rate_limit:
-                self._sleeper(self.rate_limit - elapsed)
-        self._last_request = self._clock()
-
-    def fetch(self, compound_id: str) -> str | None:
-        """Raw compound record, or None when unresolved."""
-        if self._fetch_fn is None and self.endpoint is None:
-            raise OfflineMode(
-                "no endpoint configured; compound fetching is offline by default"
-            )
-        fetch_fn = self._fetch_fn or self._default_fetch
-        for attempt in range(self.retries + 1):
-            self._throttle()
-            try:
-                return fetch_fn(compound_id)
-            except LookupError:
-                return None  # not found: unresolved, no retry
-            except urllib.error.HTTPError as exc:
-                if exc.code == 404:
-                    return None
-            except (urllib.error.URLError, TimeoutError, OSError):
-                continue  # timeout-ish: retry then give up
-        return None
-
-    def fetch_table(self, compound_ids: list[str]) -> dict[str, str | None]:
-        return {cid: self.fetch(cid) for cid in compound_ids}
-
-
-# ---------------------------------------------------------------------------
 # File formats
 
 
-def _data_lines(path):
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line and not line.startswith("#"):
-                yield line
+def _pieces(text: str, sep: str) -> tuple[str, ...]:
+    return tuple(piece for piece in text.split(sep) if piece)
 
 
 def read_reactions_tsv(path) -> list[RawReaction]:
     """reaction_id, ec_numbers (';'-sep), reactant_smiles ('.'-sep),
     product_smiles ('.'-sep)."""
-    out = []
-    for line in _data_lines(path):
-        reaction_id, ecs, reactants, products = line.split("\t")
-        out.append(
-            RawReaction(
-                reaction_id,
-                tuple(e for e in ecs.split(";") if e),
-                tuple(r for r in reactants.split(".") if r),
-                tuple(p for p in products.split(".") if p),
-            )
-        )
-    return out
+    return read_tsv(
+        path,
+        4,
+        lambda reaction_id, ecs, reactants, products: RawReaction(
+            reaction_id,
+            _pieces(ecs, ";"),
+            _pieces(reactants, "."),
+            _pieces(products, "."),
+        ),
+    )
 
 
 def read_compounds_tsv(path) -> list[tuple[str, str]]:
     """compound_id, raw_smiles | UNRESOLVED."""
-    out = []
-    for line in _data_lines(path):
-        compound_id, raw = line.split("\t")
-        out.append((compound_id, raw))
-    return out
+    return read_tsv(path, 2, lambda compound_id, raw: (compound_id, raw))
 
 
 def read_pathways_tsv(path) -> list[tuple[str, tuple[str, ...]]]:
     """pathway_id, ordered ';'-separated reaction ids."""
-    out = []
-    for line in _data_lines(path):
-        pathway_id, ids = line.split("\t")
-        out.append((pathway_id, tuple(i for i in ids.split(";") if i)))
-    return out
+    return read_tsv(
+        path, 2, lambda pathway_id, ids: (pathway_id, _pieces(ids, ";"))
+    )
 
 
 def _steps_of(example) -> list[tuple[str, ...]]:
@@ -618,17 +530,20 @@ def _steps_of(example) -> list[tuple[str, ...]]:
 def write_examples_tsv(path, examples: list) -> None:
     """label, group_key, target, precursors (steps ';'-sep, molecules
     '.'-sep), weight."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# label\tgroup_key\ttarget\tprecursors\tweight\n")
-        for ex in examples:
-            target = (
-                ex.target_key if isinstance(ex, PathwayChain) else ex.product_key
+    write_tsv(
+        path,
+        ("label", "group_key", "target", "precursors", "weight"),
+        (
+            (
+                ex.label,
+                ex.group_key,
+                ex.target_key if isinstance(ex, PathwayChain) else ex.product_key,
+                ";".join(".".join(step) for step in _steps_of(ex)),
+                f"{ex.weight:g}",
             )
-            precursors = ";".join(".".join(step) for step in _steps_of(ex))
-            fh.write(
-                f"{ex.label}\t{ex.group_key}\t{target}\t{precursors}"
-                f"\t{ex.weight:g}\n"
-            )
+            for ex in examples
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -645,15 +560,17 @@ class DatasetRow:
 
 
 def read_examples_tsv(path) -> list[DatasetRow]:
-    rows = []
-    for line in _data_lines(path):
-        label, group_key, target, precursors, weight = line.split("\t")
-        steps = tuple(
-            tuple(m for m in step.split(".") if m)
-            for step in precursors.split(";")
-        )
-        rows.append(DatasetRow(label, group_key, target, steps, float(weight)))
-    return rows
+    return read_tsv(
+        path,
+        5,
+        lambda label, group_key, target, precursors, weight: DatasetRow(
+            label,
+            group_key,
+            target,
+            tuple(_pieces(step, ".") for step in precursors.split(";")),
+            float(weight),
+        ),
+    )
 
 
 def features_for(

@@ -36,6 +36,7 @@ from .molgraph import (
     TRIPLE,
     parse_smiles,
 )
+from .tsv import read_tsv, write_tsv
 
 __all__ = [
     "Fingerprint",
@@ -292,33 +293,30 @@ class Fingerprinter:
         """OR-combined block for a molecule set."""
         return combine_fingerprints([self.of_key(k) for k in keys])
 
+    def _cache_header(self) -> str:
+        return f"width={self.width} radius={self.radius} hash={HASH_VERSION}"
+
     def save_cache(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                f"# width={self.width} radius={self.radius} "
-                f"hash={HASH_VERSION}\n"
-            )
-            for key in sorted(self._cache):
-                fh.write(f"{key}\t{self._cache[key].to_hex()}\n")
+        write_tsv(
+            path,
+            (self._cache_header(),),
+            ((key, self._cache[key].to_hex()) for key in sorted(self._cache)),
+        )
 
     def load_cache(self, path) -> int:
         """Load entries; raises ValueError on a header mismatch."""
-        expected = (
-            f"# width={self.width} radius={self.radius} hash={HASH_VERSION}"
-        )
-        count = 0
+        expected = f"# {self._cache_header()}"
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
-            if header != expected:
-                raise ValueError(
-                    f"fingerprint cache header mismatch: {header!r} != "
-                    f"{expected!r}"
-                )
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                key, hexbits = line.split("\t")
-                self._cache[key] = Fingerprint.from_hex(hexbits, self.width)
-                count += 1
-        return count
+        if header != expected:
+            raise ValueError(
+                f"{path}:1: fingerprint cache header mismatch: {header!r} != "
+                f"{expected!r}"
+            )
+        entries = read_tsv(
+            path,
+            2,
+            lambda key, hexbits: (key, Fingerprint.from_hex(hexbits, self.width)),
+        )
+        self._cache.update(entries)
+        return len(entries)

@@ -43,6 +43,7 @@ from .molgraph import (
     lowest_feasible_valence,
     remove_explicit_hydrogens,
 )
+from .tsv import read_tsv
 
 __all__ = [
     "PatternAtom",
@@ -305,36 +306,32 @@ def parse_smarts_template(
     )
 
 
+def _template_row(template_id, direction, diameter, ecs, smarts):
+    if direction != "bwd":
+        raise TemplateError(
+            f"direction must be bwd, got {direction!r}; "
+            "templates are applied backward only"
+        )
+    try:
+        diameter = int(diameter)
+    except ValueError:
+        raise TemplateError(
+            f"diameter must be an integer, got {diameter!r}"
+        ) from None
+    return parse_smarts_template(
+        smarts,
+        template_id=template_id,
+        direction=direction,
+        diameter=diameter,
+        ec_numbers=tuple(e for e in ecs.split(";") if e),
+    )
+
+
 def load_templates(path) -> list[ReactionTemplate]:
     """Read the template TSV: template_id, direction, diameter, ec_numbers,
-    smarts. '#'-prefixed lines are comments."""
-    templates = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise TemplateError(
-                    f"{path}:{line_no}: expected 5 tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            template_id, direction, diameter, ecs, smarts = fields
-            if direction not in ("fwd", "bwd"):
-                raise TemplateError(
-                    f"{path}:{line_no}: direction must be fwd|bwd"
-                )
-            templates.append(
-                parse_smarts_template(
-                    smarts,
-                    template_id=template_id,
-                    direction=direction,
-                    diameter=int(diameter),
-                    ec_numbers=tuple(e for e in ecs.split(";") if e),
-                )
-            )
-    return templates
+    smarts. '#'-prefixed lines are comments. Only 'bwd' templates are
+    accepted; every malformed row raises TemplateError naming path:line."""
+    return read_tsv(path, 5, _template_row, error=TemplateError)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .fingerprint import (
     tanimoto,
 )
 from .neural import MlpModel, forward
+from .tsv import write_tsv
 
 __all__ = [
     "RankedCandidate",
@@ -246,22 +247,27 @@ def evaluate_ranking(
 
 
 def write_report_tsv(path, report: EvaluationReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# group_key\trank\ttotal\trank_percent\tscore\n")
-        for row in report.rows:
-            fh.write(
-                f"{row['group_key']}\t{row['rank']}\t{row['total']}\t"
-                f"{row['rank_percent']:.4f}\t{row['score']:.6f}\n"
+    write_tsv(
+        path,
+        ("group_key", "rank", "total", "rank_percent", "score"),
+        (
+            (
+                row["group_key"],
+                str(row["rank"]),
+                str(row["total"]),
+                f"{row['rank_percent']:.4f}",
+                f"{row['score']:.6f}",
             )
+            for row in report.rows
+        ),
+    )
 
 
-def write_report_json(path, reports: list[EvaluationReport], extra: dict | None = None) -> None:
+def write_report_json(path, reports: list[EvaluationReport]) -> None:
     payload = {
         "schema_version": 1,
         "reports": [r.to_dict() for r in reports],
     }
-    if extra:
-        payload.update(extra)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -81,6 +81,22 @@ class TestIngest:
             "--out-dir", str(tmp_path / "out"),
         ]) == EXIT_INPUT
 
+    def test_short_row_exits_1_naming_file_and_line(self, tmp_path, capsys):
+        reactions = tmp_path / "reactions.tsv"
+        reactions.write_text(
+            "# reaction_id\tecs\treactants\tproducts\n"
+            "r1\t1.1.1.1\tCCO\tCC=O\n"
+            "r2\t1.1.1.1\tCCO\n",
+            encoding="utf-8",
+        )
+        assert main([
+            "ingest", "--reactions", str(reactions),
+            "--out-dir", str(tmp_path / "out"),
+        ]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{reactions}:3: expected 4 tab-separated fields, got 3" in err
+        assert "internal error" not in err
+
     def test_rerun_byte_identical(self, corpus_files, tmp_path):
         _, reactions, _, _ = corpus_files
         outs = []
@@ -249,6 +265,23 @@ class TestRetro:
             "--nn1", str(staged / "nn1.weights"),
             "--out", str(tmp_path / "r.json"),
         ]) == EXIT_INPUT
+
+    def test_bad_stop_set_smiles_exits_1_naming_file_and_line(
+        self, corpus_files, staged, tmp_path, capsys
+    ):
+        _, _, _, templates = corpus_files
+        stop = tmp_path / "stop.txt"
+        stop.write_text("# stop set\nOC(=O)CCO\nC((\n", encoding="utf-8")
+        assert main([
+            "retro", "--target", "OCCCO",
+            "--templates", str(templates),
+            "--nn1", str(staged / "nn1.weights"),
+            "--out", str(tmp_path / "r.json"),
+            "--stop-set", str(stop),
+        ]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{stop}:3: " in err
+        assert "internal error" not in err
 
     def test_thread_count_invariant(self, corpus_files, staged, tmp_path):
         _, _, _, templates = corpus_files

@@ -251,63 +251,6 @@ class TestSplits:
         assert ds.subsample_negatives(examples, 0.3, seed=2) == kept
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-        self.slept = []
-
-    def clock(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.slept.append(seconds)
-        self.now += seconds
-
-
-class TestFetcher:
-    def test_offline_by_default(self):
-        fetcher = ds.CompoundFetcher()
-        with pytest.raises(ds.OfflineMode):
-            fetcher.fetch("C00001")
-
-    def test_not_found_is_unresolved(self):
-        def fetch_fn(cid):
-            raise LookupError(cid)
-
-        fetcher = ds.CompoundFetcher(fetch_fn=fetch_fn, rate_limit=0.0)
-        assert fetcher.fetch("C00001") is None
-
-    def test_timeout_retries_then_unresolved(self):
-        calls = []
-
-        def fetch_fn(cid):
-            calls.append(cid)
-            raise TimeoutError
-
-        fetcher = ds.CompoundFetcher(fetch_fn=fetch_fn, rate_limit=0.0, retries=1)
-        assert fetcher.fetch("C00002") is None
-        assert len(calls) == 2
-
-    def test_rate_limit_arithmetic(self):
-        # 10 back-to-back fetches at a 2 s limit: at least 18 s spent waiting
-        fake = FakeClock()
-
-        def fetch_fn(cid):
-            return "C"
-
-        fetcher = ds.CompoundFetcher(
-            fetch_fn=fetch_fn, rate_limit=2.0,
-            clock=fake.clock, sleeper=fake.sleep,
-        )
-        table = fetcher.fetch_table([f"C{i:05d}" for i in range(10)])
-        assert len(table) == 10
-        assert sum(fake.slept) >= 18.0
-
-    def test_success(self):
-        fetcher = ds.CompoundFetcher(fetch_fn=lambda cid: "CCO", rate_limit=0.0)
-        assert fetcher.fetch("C00469") == "CCO"
-
-
 class TestFileFormats:
     def test_reaction_and_pathway_round_trip(self, tmp_path):
         reactions = tmp_path / "reactions.tsv"

@@ -339,3 +339,22 @@ class TestTemplateFile:
         path.write_text("T01\tsideways\t2\t-\t[C:1]>>[C:1]\n", encoding="utf-8")
         with pytest.raises(TemplateError):
             load_templates(path)
+
+    def test_forward_direction_rejected(self, tmp_path):
+        # only backward templates are applied; a 'fwd' row would otherwise
+        # be matched against the target as if it were 'bwd'
+        path = tmp_path / "templates.tsv"
+        path.write_text(
+            "# template_id\tdirection\tdiameter\tec_numbers\tsmarts\n"
+            f"T01\tbwd\t2\t-\t{LOOSE_SMARTS}\n"
+            f"T02\tfwd\t2\t-\t{LOOSE_SMARTS}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(TemplateError, match=r"templates\.tsv:3: direction"):
+            load_templates(path)
+
+    def test_bad_diameter_is_template_error(self, tmp_path):
+        path = tmp_path / "templates.tsv"
+        path.write_text(f"T01\tbwd\ttwo\t-\t{LOOSE_SMARTS}\n", encoding="utf-8")
+        with pytest.raises(TemplateError, match=r"templates\.tsv:1: diameter"):
+            load_templates(path)

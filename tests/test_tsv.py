@@ -1,0 +1,101 @@
+"""The shared TSV reader/writer and the formats built on it."""
+
+import pytest
+
+from retrobio import dataset as ds
+from retrobio.cli import _read_gold_tsv, _read_stop_set
+from retrobio.fingerprint import HASH_VERSION, Fingerprinter
+from retrobio.molgraph import SmilesSyntaxError
+from retrobio.pattern import load_templates
+from retrobio.tsv import read_tsv, write_tsv
+
+SMARTS = "[C:1][O:2]>>[C:1][S:2]"
+
+# format -> (reader, good row, short or unparsable row); each file gets a
+# comment line first, so the bad row is always line 3.
+READERS = {
+    "reactions": (
+        ds.read_reactions_tsv, "r1\t1.1.1.1\tCCO\tCC=O", "r2\t1.1.1.1\tCCO",
+    ),
+    "compounds": (ds.read_compounds_tsv, "C1\tCCO", "C2"),
+    "pathways": (ds.read_pathways_tsv, "p1\tr1;r2", "p2"),
+    "dataset": (
+        ds.read_examples_tsv, "positive\tg\tCCO\tCC=O\t1", "positive\tg\tCCO\tCC=O\tone",
+    ),
+    "templates": (load_templates, f"T01\tbwd\t2\t-\t{SMARTS}", f"T02\tbwd\ttwo\t-\t{SMARTS}"),
+    "stop set": (_read_stop_set, "OC(=O)CCO", "C(("),
+    "gold": (_read_gold_tsv, "OCCCO\tO=CCCO", "O=CCCO"),
+    "fingerprint cache": (
+        lambda path: Fingerprinter().load_cache(path), "CCO\t" + "0" * 128, "CC\tzz",
+    ),
+}
+
+
+def _header(name):
+    if name == "fingerprint cache":
+        return f"# width=512 radius=2 hash={HASH_VERSION}"
+    return "# a comment"
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_bad_row_names_path_and_line(tmp_path, name):
+    reader, good, bad = READERS[name]
+    path = tmp_path / "input.tsv"
+    path.write_text(f"{_header(name)}\n{good}\n{bad}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_good_rows_parse(tmp_path, name):
+    reader, good, _ = READERS[name]
+    path = tmp_path / "input.tsv"
+    path.write_text(f"{_header(name)}\n\n{good}\n", encoding="utf-8")
+    result = reader(path)  # load_cache returns its entry count
+    assert (result if isinstance(result, int) else len(result)) == 1
+
+
+def test_row_error_keeps_class_and_attributes(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("C((\n", encoding="utf-8")
+    with pytest.raises(SmilesSyntaxError) as info:
+        _read_stop_set(path)
+    assert str(info.value).startswith(f"{path}:1: ")
+    assert info.value.offset >= 0
+
+
+def test_field_count_error_class(tmp_path):
+    class RowError(ValueError):
+        pass
+
+    path = tmp_path / "rows.tsv"
+    path.write_text("a\tb\tc\n", encoding="utf-8")
+    with pytest.raises(RowError, match=r"rows\.tsv:1: expected 2 tab-separated fields, got 3"):
+        read_tsv(path, 2, lambda a, b: (a, b), error=RowError)
+
+
+def test_reader_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("# h\n\na\tb\n#x\ty\nc\td\n", encoding="utf-8")
+    assert read_tsv(path, 2, lambda a, b: (a, b)) == [("a", "b"), ("c", "d")]
+
+
+def test_strip_keeps_stop_set_whitespace_rules(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("  CCO  \n   \n  # indented comment\n", encoding="utf-8")
+    assert read_tsv(path, 1, str, strip=True) == ["CCO"]
+    assert read_tsv(path, 1, str) == ["  CCO  ", "   ", "  # indented comment"]
+
+
+def test_gold_keeps_empty_precursor_pieces(tmp_path):
+    path = tmp_path / "gold.tsv"
+    path.write_text("CCO\tCC=O..O\n", encoding="utf-8")
+    assert _read_gold_tsv(path) == [("CCO", ("CC=O", "", "O"))]
+
+
+def test_writer_layout(tmp_path):
+    path = tmp_path / "out.tsv"
+    write_tsv(path, ("a", "b"), [("1", "2"), ("x", "")])
+    assert path.read_bytes() == b"# a\tb\n1\t2\nx\t\n"
+    assert read_tsv(path, 2, lambda a, b: (a, b)) == [("1", "2"), ("x", "")]
