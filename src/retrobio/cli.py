@@ -22,6 +22,7 @@ from . import dataset as ds
 from .fingerprint import Fingerprinter
 from .molgraph import canonicalize, parse_smiles
 from .neural import (
+    MlpModel,
     TrainConfig,
     load_weights,
     nn1pr_spec,
@@ -111,15 +112,17 @@ file formats (all TSV files are UTF-8 with '#' comment lines):
   compounds:   compound_id  raw_smiles|UNRESOLVED
   templates:   template_id  direction(bwd)  diameter  ec_numbers(';')  smarts
   pathways:    pathway_id   reaction_ids(';', ordered from the final target)
-  datasets:    label  group_key  target  precursors(steps ';', molecules '.')  weight
+  datasets:    label(positive|negative)  group_key  target  precursors(steps ';',
+               molecules '.')  weight(finite, >= 0)
   stop set:    one SMILES per line
   gold:        product_smiles  precursor_smiles('.')  -- one row per backward step
 a malformed row in any input file exits 1 with an error naming file:line.
 
 weight files are little-endian binary: magic "NNPR", u32 version=1,
 u32 layer_count, then per layer u32 in_dim, u32 out_dim, u8 activation
-(0=relu 1=sigmoid 2=none), f32 dropout, f32 weights row-major (input
-index major), f32 biases.
+(0=relu 1=sigmoid 2=none), f32 dropout in [0, 1), f32 weights row-major
+(input index major), f32 biases; every parameter finite. retro takes a
+1024-wide --nn1 file and a 1536-wide --nn2 file.
 """
 
 
@@ -294,6 +297,8 @@ def cmd_train(options: dict) -> int:
     model_name = options["model"]
     if model_name not in _MODEL_SPECS:
         raise CliError(f"unknown model {model_name!r}; use nn1pr or nn2pr")
+    if not 0.0 <= options["dropout"] < 1.0:
+        raise CliError(f"--dropout must be in [0, 1), got {options['dropout']}")
     rows = ds.read_examples_tsv(_require_file(options["data"], "training data"))
     if not rows:
         print("train: empty dataset", file=sys.stderr)
@@ -340,16 +345,30 @@ def cmd_train(options: dict) -> int:
     return EXIT_OK
 
 
+def _load_model(path: str, what: str, input_dim: int | None = None) -> MlpModel:
+    """Load a weight file; every error, and an input width other than
+    ``input_dim`` when given, names the file."""
+    try:
+        model = load_weights(_require_file(path, what).read_bytes())
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    if input_dim is not None and model.input_dim != input_dim:
+        raise CliError(
+            f"{path}: {what} has input width {model.input_dim}, "
+            f"expected {input_dim}"
+        )
+    return model
+
+
 def cmd_eval(options: dict) -> int:
-    with open(_require_file(options["weights"], "weight file"), "rb") as fh:
-        model = load_weights(fh.read())
+    model = _load_model(options["weights"], "weight file")
     rows = ds.read_examples_tsv(_require_file(options["data"], "test data"))
     if not rows:
         print("eval: empty dataset", file=sys.stderr)
         return EXIT_EMPTY
     kind = {1024: "nn1pr", 1536: "nn2pr"}.get(model.input_dim)
     if kind is None:
-        raise CliError(f"weight file has unexpected input width {model.input_dim}")
+        raise CliError(f"{options['weights']}: unexpected input width {model.input_dim}")
     fingerprinter = Fingerprinter()
     units = group_rows(rows)
     model_report = evaluate_ranking(
@@ -385,12 +404,12 @@ def cmd_retro(options: dict) -> int:
     if not templates:
         print("retro: zero templates", file=sys.stderr)
         return EXIT_EMPTY
-    with open(_require_file(options["nn1"], "nn1 weight file"), "rb") as fh:
-        nn1 = load_weights(fh.read())
-    nn2 = None
-    if options["nn2"]:
-        with open(_require_file(options["nn2"], "nn2 weight file"), "rb") as fh:
-            nn2 = load_weights(fh.read())
+    nn1 = _load_model(options["nn1"], "nn1 weight file", _MODEL_WIDTHS["nn1pr"])
+    nn2 = (
+        _load_model(options["nn2"], "nn2 weight file", _MODEL_WIDTHS["nn2pr"])
+        if options["nn2"]
+        else None
+    )
     stop_set = (
         _read_stop_set(_require_file(options["stop_set"], "stop-set file"))
         if options["stop_set"]

@@ -18,6 +18,7 @@ files.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -100,6 +101,14 @@ class MonoProductReaction:
     def group_key(self) -> str:
         return self.product_key
 
+    @property
+    def target_key(self) -> str:
+        return self.product_key
+
+    @property
+    def steps(self) -> tuple[tuple[str, ...], ...]:
+        return (self.reactant_keys,)
+
 
 @dataclass(frozen=True)
 class PathwayChain:
@@ -113,6 +122,10 @@ class PathwayChain:
     label: str = POSITIVE
     group_key: str = ""
     weight: float = 1.0
+
+    @property
+    def steps(self) -> tuple[tuple[str, ...], ...]:
+        return (self.step1_keys, self.step2_keys)
 
 
 @dataclass
@@ -281,9 +294,10 @@ def split_mono_product(
 
 
 def _augment_product(args):
+    # Keys and first provenance only: the graphs are not held until the merge.
     product_key, templates = args
-    target = parse_smiles(product_key)
-    return enumerate_precursors(target, templates)
+    candidates = enumerate_precursors(parse_smiles(product_key), templates)
+    return [(c.precursor_keys, c.provenance[0]) for c in candidates]
 
 
 def flag_disjoint_products(
@@ -335,18 +349,18 @@ def augment_negatives(
     for product_key, candidates in zip(products, candidate_lists):
         true_sets = {pos.reactant_keys for pos in by_product[product_key]}
         count = 0
-        for cand in candidates:
-            if cand.precursor_keys in true_sets:
+        for keys, (template_id, ec_numbers) in candidates:
+            if keys in true_sets:
                 continue
             count += 1
             negatives.append(
                 MonoProductReaction(
                     parent_id=f"aug:{product_key}:{count}",
-                    ec_numbers=cand.provenance[0][1],
-                    reactant_keys=cand.precursor_keys,
+                    ec_numbers=ec_numbers,
+                    reactant_keys=keys,
                     product_key=product_key,
                     label=NEGATIVE,
-                    provenance=("augmented", cand.provenance[0][0]),
+                    provenance=("augmented", template_id),
                 )
             )
         histogram[count] += 1
@@ -521,15 +535,10 @@ def read_pathways_tsv(path) -> list[tuple[str, tuple[str, ...]]]:
     )
 
 
-def _steps_of(example) -> list[tuple[str, ...]]:
-    if isinstance(example, PathwayChain):
-        return [example.step1_keys, example.step2_keys]
-    return [example.reactant_keys]
-
-
 def write_examples_tsv(path, examples: list) -> None:
     """label, group_key, target, precursors (steps ';'-sep, molecules
-    '.'-sep), weight."""
+    '.'-sep), weight. Takes MonoProductReaction, PathwayChain or DatasetRow
+    examples."""
     write_tsv(
         path,
         ("label", "group_key", "target", "precursors", "weight"),
@@ -537,8 +546,8 @@ def write_examples_tsv(path, examples: list) -> None:
             (
                 ex.label,
                 ex.group_key,
-                ex.target_key if isinstance(ex, PathwayChain) else ex.product_key,
-                ";".join(".".join(step) for step in _steps_of(ex)),
+                ex.target_key,
+                ";".join(".".join(step) for step in ex.steps),
                 f"{ex.weight:g}",
             )
             for ex in examples
@@ -559,18 +568,25 @@ class DatasetRow:
         return self.label == POSITIVE
 
 
+def _dataset_row(label, group_key, target, precursors, weight) -> DatasetRow:
+    if label not in (POSITIVE, NEGATIVE):
+        raise ValueError(f"label must be {POSITIVE} or {NEGATIVE}, got {label!r}")
+    if not target:
+        raise ValueError("empty target")
+    steps = tuple(_pieces(step, ".") for step in precursors.split(";"))
+    if not all(steps):
+        raise ValueError(f"empty precursor step in {precursors!r}")
+    value = float(weight)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"weight must be finite and at least 0, got {weight!r}")
+    return DatasetRow(label, group_key, target, steps, value)
+
+
 def read_examples_tsv(path) -> list[DatasetRow]:
-    return read_tsv(
-        path,
-        5,
-        lambda label, group_key, target, precursors, weight: DatasetRow(
-            label,
-            group_key,
-            target,
-            tuple(_pieces(step, ".") for step in precursors.split(";")),
-            float(weight),
-        ),
-    )
+    """Rows as written by write_examples_tsv; a bad label, an empty target
+    or step, or a weight that is not finite or is negative raises
+    ValueError naming path:line."""
+    return read_tsv(path, 5, _dataset_row)
 
 
 def features_for(

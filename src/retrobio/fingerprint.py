@@ -24,6 +24,7 @@ a single block before concatenation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -279,19 +280,25 @@ class Fingerprinter:
         self.radius = radius
         self._cache: dict[str, Fingerprint] = {}
 
-    def of_molecule(self, mol: MolecularGraph) -> Fingerprint:
-        return molecule_fingerprint(mol, self.width, self.radius)
-
-    def of_key(self, key: str) -> Fingerprint:
+    def of_key(self, key: str, mol: MolecularGraph | None = None) -> Fingerprint:
+        """Fingerprint of a canonical key. A cache miss fingerprints ``mol``,
+        the caller's graph of that key, and parses the key only without one."""
         fp = self._cache.get(key)
         if fp is None:
-            fp = self.of_molecule(parse_smiles(key))
+            if mol is None:
+                mol = parse_smiles(key)
+            fp = molecule_fingerprint(mol, self.width, self.radius)
             self._cache[key] = fp
         return fp
 
-    def of_keys(self, keys: Sequence[str]) -> Fingerprint:
-        """OR-combined block for a molecule set."""
-        return combine_fingerprints([self.of_key(k) for k in keys])
+    def of_keys(
+        self, keys: Sequence[str], mols: Sequence[MolecularGraph] = ()
+    ) -> Fingerprint:
+        """OR-combined block for a molecule set; ``mols``, when given, are
+        the graphs of ``keys`` in the same order."""
+        return combine_fingerprints(
+            [self.of_key(k, m) for k, m in zip_longest(keys, mols)]
+        )
 
     def _cache_header(self) -> str:
         return f"width={self.width} radius={self.radius} hash={HASH_VERSION}"
@@ -306,8 +313,8 @@ class Fingerprinter:
     def load_cache(self, path) -> int:
         """Load entries; raises ValueError on a header mismatch."""
         expected = f"# {self._cache_header()}"
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("utf-8", "replace").rstrip("\r\n")
         if header != expected:
             raise ValueError(
                 f"{path}:1: fingerprint cache header mismatch: {header!r} != "

@@ -830,11 +830,6 @@ def canonicalize(mol: MolecularGraph) -> str:
     return ".".join(sorted(pieces))
 
 
-def canonical_key(smiles: str) -> str:
-    """Parse then canonicalize; convenience for one-shot identity lookups."""
-    return canonicalize(parse_smiles(smiles))
-
-
 # ---------------------------------------------------------------------------
 # Hydrogen handling
 

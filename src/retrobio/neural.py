@@ -554,7 +554,11 @@ def save_weights(model: MlpModel) -> bytes:
 
 
 def load_weights(blob: bytes) -> MlpModel:
-    """Inverse of save_weights; load(save(m)) reproduces m bit-for-bit."""
+    """Inverse of save_weights; load(save(m)) reproduces m bit-for-bit.
+
+    Rejects a file without layers, a dropout outside [0, 1) and a weight or
+    bias that is NaN or infinite.
+    """
     if len(blob) < 4 or blob[:4] != MAGIC:
         raise BadMagic("not a weight file (bad magic)")
     if len(blob) < 12:
@@ -562,9 +566,11 @@ def load_weights(blob: bytes) -> MlpModel:
     version, layer_count = struct.unpack_from("<II", blob, 4)
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"unsupported weight file version {version}")
+    if layer_count == 0:
+        raise ValueError("weight file has no layers")
     offset = 12
     layers = []
-    for _ in range(layer_count):
+    for k in range(layer_count):
         if offset + 13 > len(blob):
             raise TruncatedFile("layer header truncated")
         in_dim, out_dim, act_code, dropout = struct.unpack_from(
@@ -573,6 +579,8 @@ def load_weights(blob: bytes) -> MlpModel:
         offset += 13
         if act_code not in _ACT_NAMES:
             raise ValueError(f"unknown activation code {act_code}")
+        if not 0.0 <= dropout < 1.0:
+            raise ValueError(f"layer {k}: dropout {dropout} outside [0, 1)")
         w_bytes = 4 * in_dim * out_dim
         b_bytes = 4 * out_dim
         if offset + w_bytes + b_bytes > len(blob):
@@ -582,6 +590,11 @@ def load_weights(blob: bytes) -> MlpModel:
         offset += w_bytes
         b = np.frombuffer(blob, dtype="<f4", count=out_dim, offset=offset).copy()
         offset += b_bytes
+        # min and max propagate NaN and expose +-inf without the temporary
+        # array np.isfinite(w) would allocate; initial=0 admits empty layers.
+        extremes = [f(a, initial=0) for a in (w, b) for f in (np.min, np.max)]
+        if not np.isfinite(extremes).all():
+            raise ValueError(f"layer {k}: a weight or bias is NaN or infinite")
         layers.append(DenseLayer(w, b, _ACT_NAMES[act_code], dropout))
     if offset != len(blob):
         raise TruncatedFile("trailing bytes after final layer")

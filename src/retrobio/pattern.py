@@ -197,14 +197,12 @@ class TemplateApplication:
 
 @dataclass(frozen=True)
 class CandidatePrecursor:
-    """A deduplicated precursor set with full template/EC provenance."""
+    """A deduplicated precursor set with full template/EC provenance, and
+    the graphs of its keys from the first application that produced it."""
 
     precursor_keys: tuple[str, ...]
     provenance: tuple[tuple[str, tuple[str, ...]], ...]  # (template_id, ecs)
-
-    @property
-    def template_ids(self) -> tuple[str, ...]:
-        return tuple(p[0] for p in self.provenance)
+    precursors: tuple[MolecularGraph, ...] = field(default=(), compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +630,12 @@ def apply_template(
     return out
 
 
-def _apply_one(args):
+def _apply_one(args) -> list[TemplateApplication]:
     template, target = args
     try:
-        applications = apply_template(template, target)
+        return apply_template(template, target)
     except RewriteProducedEmptyGraph:
         return []
-    return [app.precursor_keys for app in applications]
 
 
 def enumerate_precursors(
@@ -649,7 +646,8 @@ def enumerate_precursors(
     """Union of template applications with merged provenance.
 
     Candidates are deduplicated by precursor-key multiset across templates;
-    each retains every (template_id, ec_numbers) record that produced it.
+    each retains every (template_id, ec_numbers) record that produced it,
+    and the precursor graphs of the first application that did.
     Output order is (first template_id, canonical key), independent of the
     worker count.
     """
@@ -662,16 +660,18 @@ def enumerate_precursors(
     else:
         per_template = [_apply_one((t, target)) for t in ordered]
 
-    merged: dict[tuple[str, ...], list[tuple[str, tuple[str, ...]]]] = {}
-    for template, keys_list in zip(ordered, per_template):
+    merged: dict[tuple[str, ...], tuple[tuple[MolecularGraph, ...], list]] = {}
+    for template, applications in zip(ordered, per_template):
         record = (template.template_id, template.ec_numbers)
-        for keys in keys_list:
-            provenance = merged.setdefault(keys, [])
+        for app in applications:
+            _, provenance = merged.setdefault(
+                app.precursor_keys, (app.precursors, [])
+            )
             if record not in provenance:
                 provenance.append(record)
     candidates = [
-        CandidatePrecursor(keys, tuple(provenance))
-        for keys, provenance in merged.items()
+        CandidatePrecursor(keys, tuple(provenance), precursors)
+        for keys, (precursors, provenance) in merged.items()
     ]
     candidates.sort(key=lambda c: (c.provenance[0][0], c.precursor_keys))
     return candidates

@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass, field
 
 from .fingerprint import Fingerprinter
-from .molgraph import parse_smiles, canonicalize
-from .pattern import ReactionTemplate, enumerate_precursors
+from .molgraph import MolecularGraph, parse_smiles, canonicalize
+from .pattern import CandidatePrecursor, ReactionTemplate, enumerate_precursors
 from .ranking import rank_candidates, score_nn1, score_nn2
 from .neural import MlpModel
 
@@ -84,7 +84,8 @@ class SearchConfig:
 
 @dataclass(eq=False)
 class SearchNode:
-    """One expansion: ``molecule_key`` is the main substrate carried on."""
+    """One expansion: ``molecule_key`` is the main substrate carried on, and
+    ``molecule`` its graph while the node may still be expanded."""
 
     molecule_key: str
     precursor_keys: tuple[str, ...]
@@ -94,6 +95,7 @@ class SearchNode:
     template_id: str = ""
     ec_numbers: tuple[str, ...] = ()
     nn2_score: float | None = None
+    molecule: MolecularGraph | None = field(default=None, repr=False)
 
     def ancestors_keys(self) -> set[str]:
         keys = set()
@@ -102,10 +104,6 @@ class SearchNode:
             keys.add(node.molecule_key)
             node = node.parent
         return keys
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.precursor_keys, self.template_id)
 
 
 @dataclass(frozen=True)
@@ -147,14 +145,13 @@ class Pathway:
         }
 
 
-def _main_substrate(keys: tuple[str, ...], heavy_counts: dict[str, int]) -> str:
-    """Largest heavy-atom count wins; canonical key breaks ties."""
-    def weight(key: str) -> tuple:
-        if key not in heavy_counts:
-            heavy_counts[key] = parse_smiles(key).heavy_atom_count()
-        return (-heavy_counts[key], key)
-
-    return min(keys, key=weight)
+def _main_substrate(cand: CandidatePrecursor) -> tuple[str, MolecularGraph]:
+    """(key, graph) of the precursor with the most heavy atoms; the
+    canonical key breaks ties."""
+    return min(
+        zip(cand.precursor_keys, cand.precursors),
+        key=lambda pair: (-pair[1].heavy_atom_count(), pair[0]),
+    )
 
 
 def expand_level(
@@ -163,26 +160,23 @@ def expand_level(
     nn1: MlpModel,
     config: SearchConfig,
     fingerprinter: Fingerprinter,
-    heavy_counts: dict[str, int],
-    node_budget: list[int],
+    nodes_made: int,
     max_workers: int = 1,
 ) -> tuple[list[SearchNode], dict]:
     """Enumerate, score with the one-step model, prune and cycle-guard.
 
-    ``node_budget`` is a single-element mutable counter of nodes created so
-    far; crossing config.max_nodes raises NodeBudgetExceeded.
+    ``nodes_made`` counts the nodes created before this level; crossing
+    config.max_nodes raises NodeBudgetExceeded.
     """
     children: list[SearchNode] = []
     stats = {"generated": 0, "pruned": 0, "cycle_dropped": 0}
     for node in frontier:
-        target = parse_smiles(node.molecule_key)
-        candidates = enumerate_precursors(target, templates, max_workers)
-        parent_fp = fingerprinter.of_key(node.molecule_key)
+        candidates = enumerate_precursors(node.molecule, templates, max_workers)
+        parent_fp = fingerprinter.of_key(node.molecule_key, node.molecule)
         ancestor_keys = node.ancestors_keys() | {node.molecule_key}
         for cand in candidates:
             stats["generated"] += 1
-            node_budget[0] += 1
-            if node_budget[0] > config.max_nodes:
+            if nodes_made + stats["generated"] > config.max_nodes:
                 raise NodeBudgetExceeded(
                     f"node budget {config.max_nodes} exceeded at depth "
                     f"{node.depth + 1}"
@@ -190,12 +184,12 @@ def expand_level(
             score = score_nn1(
                 nn1,
                 parent_fp,
-                [fingerprinter.of_keys(cand.precursor_keys)],
+                [fingerprinter.of_keys(cand.precursor_keys, cand.precursors)],
             )
             if score < config.prune_threshold:
                 stats["pruned"] += 1
                 continue
-            main = _main_substrate(cand.precursor_keys, heavy_counts)
+            main, graph = _main_substrate(cand)
             if main in ancestor_keys:
                 stats["cycle_dropped"] += 1
                 continue
@@ -208,6 +202,7 @@ def expand_level(
                     parent=node,
                     template_id=cand.provenance[0][0],
                     ec_numbers=cand.provenance[0][1],
+                    molecule=graph if node.depth + 1 < config.max_steps else None,
                 )
             )
     return children, stats
@@ -353,9 +348,8 @@ def gold_step_ranks(
     for step_no, (product, precursors) in enumerate(gold_steps, 1):
         product_key = canonicalize(parse_smiles(product))
         gold_key = tuple(sorted(canonicalize(parse_smiles(p)) for p in precursors))
-        candidates = enumerate_precursors(
-            parse_smiles(product_key), templates, max_workers
-        )
+        product_mol = parse_smiles(product_key)
+        candidates = enumerate_precursors(product_mol, templates, max_workers)
         entry = {
             "step": step_no,
             "product": product_key,
@@ -366,10 +360,10 @@ def gold_step_ranks(
             "ec_numbers": [],
         }
         if candidates:
-            target_fp = fingerprinter.of_key(product_key)
+            target_fp = fingerprinter.of_key(product_key, product_mol)
             scored = [
                 (c, score_nn1(nn1, target_fp,
-                              [fingerprinter.of_keys(c.precursor_keys)]))
+                              [fingerprinter.of_keys(c.precursor_keys, c.precursors)]))
                 for c in candidates
             ]
             for rc in rank_candidates(scored):
@@ -404,22 +398,24 @@ def run_retro(
         raise TargetParseError(f"cannot parse target: {exc}") from exc
 
     report = SearchReport(target_key, config, used_nn2=nn2 is not None)
-    root = SearchNode(target_key, (), 0, 1.0, None)
+    root = SearchNode(
+        target_key, (), 0, 1.0, None, molecule=parse_smiles(target_key)
+    )
     frontier = [root]
     survivors_all: list[SearchNode] = []
-    heavy_counts: dict[str, int] = {}
-    node_budget = [0]
+    nodes_made = 0
     for depth in range(1, config.max_steps + 1):
         if not frontier:
             break
         try:
             children, stats = expand_level(
                 frontier, templates, nn1, config, fingerprinter,
-                heavy_counts, node_budget, max_workers,
+                nodes_made, max_workers,
             )
         except NodeBudgetExceeded:
             report.budget_exceeded = True
             break
+        nodes_made += stats["generated"]
         survivors = rank_level(children, nn2, config, fingerprinter)
         stats["kept"] = len(survivors)
         stats["depth"] = depth

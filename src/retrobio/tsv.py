@@ -1,9 +1,10 @@
 """
 The one tab-separated reader and writer behind every retrobio file format.
 
-Files are UTF-8. Reading skips empty lines and '#'-prefixed lines, splits
-each remaining line on tabs and checks the field count; every error raised
-while parsing a row names the file and line as a ``path:line:`` prefix.
+Files are UTF-8, decoded line by line. Reading skips empty lines and
+'#'-prefixed lines, splits each remaining line on tabs and checks the field
+count; every error raised while decoding or parsing a row names the file
+and line as a ``path:line:`` prefix.
 Writing emits a '# '-prefixed header, then one tab-joined line per row,
 always with '\\n' line endings.
 """
@@ -27,15 +28,19 @@ def read_tsv(
 ) -> list[Row]:
     """``parse(*fields)`` for every data row of ``path``, in file order.
 
-    A row with other than ``n_fields`` fields raises ``error``. ``strip``
-    trims surrounding whitespace from each line instead of only the line
-    break. Any ValueError from a row keeps its class and gains the
-    ``path:line:`` prefix.
+    A line that is not UTF-8, or a row with other than ``n_fields``
+    fields, raises ``error``. ``strip`` trims surrounding whitespace from
+    each line instead of only the line break. Any ValueError from a row
+    keeps its class and gains the ``path:line:`` prefix.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip() if strip else line.rstrip("\n")
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{line_no}: {exc}") from None
+            line = line.strip() if strip else line.rstrip("\r\n")
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")

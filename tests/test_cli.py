@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from retrobio.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, main
+from retrobio.neural import initialize, nn2pr_spec, save_weights
 
 from synthdata import write_corpus_files
 
@@ -166,6 +168,35 @@ class TestAugment:
 
 
 class TestTrain:
+    @pytest.mark.parametrize(
+        "row",
+        ["positive\tg\tCCO\tCC=O\tnan", "positive\tg\t\tCC=O\t1"],
+        ids=["nan weight", "empty target"],
+    )
+    def test_bad_dataset_row_exits_1_naming_file_and_line(
+        self, tmp_path, capsys, row
+    ):
+        data = tmp_path / "data.tsv"
+        data.write_text(f"negative\tg\tCCO\tCC\t1\n{row}\n", encoding="utf-8")
+        weights = tmp_path / "out.weights"
+        assert main([
+            "train", "--model", "nn1pr", "--data", str(data),
+            "--out", str(weights), "--epochs", "1",
+        ]) == EXIT_INPUT
+        assert f"{data}:2: " in capsys.readouterr().err
+        assert not weights.exists()
+
+    @pytest.mark.parametrize("dropout", ["1.0", "-0.5"])
+    def test_dropout_outside_unit_interval_exits_1(self, staged, tmp_path, dropout):
+        # load_weights rejects such a file, so train must not write one
+        weights = tmp_path / "out.weights"
+        assert main([
+            "train", "--model", "nn1pr",
+            "--data", str(staged / "augment" / "onestep_train.tsv"),
+            "--out", str(weights), "--epochs", "1", f"--dropout={dropout}",
+        ]) == EXIT_INPUT
+        assert not weights.exists()
+
     def test_width_mismatch_exits_2(self, staged):
         assert main([
             "train", "--model", "nn2pr",
@@ -282,6 +313,32 @@ class TestRetro:
         err = capsys.readouterr().err
         assert f"{stop}:3: " in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("role", ["nn1", "nn2"])
+    def test_weight_file_of_other_model_exits_1_naming_file(
+        self, corpus_files, staged, tmp_path, capsys, role
+    ):
+        # The same file for both roles: its width is right for one of them.
+        _, _, _, templates = corpus_files
+        if role == "nn1":
+            wrong = tmp_path / "nn2.weights"
+            wrong.write_bytes(
+                save_weights(initialize(nn2pr_spec(), np.random.default_rng(0)))
+            )
+            width, expected = 1536, 1024
+        else:
+            wrong = staged / "nn1.weights"
+            width, expected = 1024, 1536
+        assert main([
+            "retro", "--target", "OCCCO",
+            "--templates", str(templates),
+            "--nn1", str(wrong), "--nn2", str(wrong),
+            "--out", str(tmp_path / "r.json"),
+        ]) == EXIT_INPUT
+        assert (
+            f"{wrong}: {role} weight file has input width {width}, "
+            f"expected {expected}"
+        ) in capsys.readouterr().err
 
     def test_thread_count_invariant(self, corpus_files, staged, tmp_path):
         _, _, _, templates = corpus_files

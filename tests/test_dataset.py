@@ -285,6 +285,22 @@ class TestFileFormats:
         assert row.steps == (("CC=O",), ("CC(=O)O", "O"))
         assert not row.is_positive
 
+    def test_read_rows_write_back_byte_identical(self, tmp_path):
+        examples = [
+            ds.MonoProductReaction("p", ("1.1.1.1",), ("CC=O",), "CCO"),
+            ds.MonoProductReaction(
+                "n", (), ("CC", "O"), "CCO", label=ds.NEGATIVE, weight=0.25
+            ),
+            ds.PathwayChain(
+                "c", "CCO", ("CC=O",), ("CC(=O)O", "O"), "CC=O",
+                label=ds.NEGATIVE, group_key="c", weight=3.5,
+            ),
+        ]
+        first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+        ds.write_examples_tsv(first, examples)
+        ds.write_examples_tsv(second, ds.read_examples_tsv(first))
+        assert second.read_bytes() == first.read_bytes()
+
     def test_features_width(self, tmp_path):
         one = ds.MonoProductReaction("p", (), ("CC=O",), "CCO")
         two = ds.PathwayChain("c", "CCO", ("CC=O",), ("CC(=O)O",), "CC=O", group_key="c")

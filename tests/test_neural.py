@@ -264,6 +264,25 @@ class TestWeightFiles:
         with pytest.raises(TruncatedFile):
             load_weights(blob + b"\x00")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["weights", "biases"])
+    def test_non_finite_parameter_rejected(self, where, value):
+        model = zero_model([2, 3, 1], [RELU, SIGMOID])
+        getattr(model.layers[1], where)[0] = value
+        with pytest.raises(ValueError, match="layer 1: .* NaN or infinite"):
+            load_weights(save_weights(model))
+
+    @pytest.mark.parametrize("dropout", [1.0, -0.1, math.nan])
+    def test_dropout_outside_unit_interval_rejected(self, dropout):
+        layer = zero_model([2, 1], [SIGMOID]).layers[0]
+        model = MlpModel((DenseLayer(layer.weights, layer.biases, SIGMOID, dropout),))
+        with pytest.raises(ValueError, match=r"layer 0: dropout .* outside \[0, 1\)"):
+            load_weights(save_weights(model))
+
+    def test_no_layers_rejected(self):
+        with pytest.raises(ValueError, match="no layers"):
+            load_weights(save_weights(MlpModel(())))
+
     def test_dropout_rate_round_trips(self):
         model = initialize(nn2pr_spec(dropout=0.35), np.random.default_rng(0))
         clone = load_weights(save_weights(model))

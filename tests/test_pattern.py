@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from retrobio.fingerprint import molecule_fingerprint
 from retrobio.molgraph import (
     Atom,
     Bond,
@@ -317,6 +318,31 @@ class TestEnumeratePrecursors:
         assert enumerate_precursors(target, templates, 1) == enumerate_precursors(
             target, templates, 4
         )
+
+    def test_candidate_graphs_stand_for_their_keys(self):
+        # The search fingerprints and expands the graphs a rewrite built
+        # instead of parsing their keys, so each must behave as the parse.
+        from synthdata import build_corpus
+
+        _, templates, positives, _ = build_corpus(max_length=5)
+        true_precursors = {}
+        for pos in positives:
+            product = parse_smiles(pos.product_key)
+            for cand in enumerate_precursors(product, templates):
+                assert len(cand.precursors) == len(cand.precursor_keys)
+                for key, graph in zip(cand.precursor_keys, cand.precursors):
+                    parsed = parse_smiles(key)
+                    assert canonicalize(graph) == key
+                    assert molecule_fingerprint(graph) == molecule_fingerprint(parsed)
+                    assert graph.heavy_atom_count() == parsed.heavy_atom_count()
+                if cand.precursor_keys == pos.reactant_keys:
+                    true_precursors.update(zip(cand.precursor_keys, cand.precursors))
+        # every aldehyde and acid of the corpus, each built by a rewrite
+        assert set(true_precursors) == {k for p in positives for k in p.reactant_keys}
+        for key, graph in true_precursors.items():
+            assert enumerate_precursors(graph, templates) == enumerate_precursors(
+                parse_smiles(key), templates
+            )
 
 
 class TestTemplateFile:

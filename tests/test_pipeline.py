@@ -46,43 +46,48 @@ def canon(smiles: str) -> str:
     return canonicalize(parse_smiles(smiles))
 
 
+def root_node(smiles: str) -> SearchNode:
+    key = canon(smiles)
+    return SearchNode(key, (), 0, 1.0, None, molecule=parse_smiles(key))
+
+
 class TestExpand:
     def test_no_matching_templates(self, models):
         nn1, _ = models
         t = parse_smarts_template("[N:1][N:2]>>[N:1].[N:2]", template_id="X")
-        root = SearchNode(canon("CCO"), (), 0, 1.0, None)
+        root = root_node("CCO")
         children, stats = expand_level(
-            [root], [t], nn1, SearchConfig(), Fingerprinter(), {}, [0]
+            [root], [t], nn1, SearchConfig(), Fingerprinter(), 0
         )
         assert children == [] and stats["generated"] == 0
 
     def test_zero_threshold_keeps_everything(self, models, diol_setup):
         nn1, _ = models
-        root = SearchNode(canon("OCCCCO"), (), 0, 1.0, None)
+        root = root_node("OCCCCO")
         config = SearchConfig(prune_threshold=0.0)
         children, stats = expand_level(
-            [root], diol_setup, nn1, config, Fingerprinter(), {}, [0]
+            [root], diol_setup, nn1, config, Fingerprinter(), 0
         )
         assert stats["pruned"] == 0
         assert len(children) == stats["generated"] - stats["cycle_dropped"]
 
     def test_impossible_threshold_prunes_everything(self, models, diol_setup):
         nn1, _ = models
-        root = SearchNode(canon("OCCCCO"), (), 0, 1.0, None)
+        root = root_node("OCCCCO")
         config = SearchConfig(prune_threshold=1.0)  # scores are always < 1
         children, stats = expand_level(
-            [root], diol_setup, nn1, config, Fingerprinter(), {}, [0]
+            [root], diol_setup, nn1, config, Fingerprinter(), 0
         )
         assert children == []
         assert stats["pruned"] == stats["generated"] > 0
 
     def test_budget_exceeded(self, models, diol_setup):
         nn1, _ = models
-        root = SearchNode(canon("OCCCCO"), (), 0, 1.0, None)
+        root = root_node("OCCCCO")
         config = SearchConfig(max_nodes=3)
         with pytest.raises(NodeBudgetExceeded):
             expand_level(
-                [root], diol_setup, nn1, config, Fingerprinter(), {}, [0]
+                [root], diol_setup, nn1, config, Fingerprinter(), 0
             )
 
     def test_cycle_guard(self, models):
@@ -91,9 +96,9 @@ class TestExpand:
         t = parse_smarts_template(
             "[C:1][O:2]>>[C:1][O:2]", template_id="ID"
         )
-        root = SearchNode(canon("CCO"), (), 0, 1.0, None)
+        root = root_node("CCO")
         children, stats = expand_level(
-            [root], [t], nn1, SearchConfig(), Fingerprinter(), {}, [0]
+            [root], [t], nn1, SearchConfig(), Fingerprinter(), 0
         )
         assert children == []
         assert stats["cycle_dropped"] == 1
@@ -102,9 +107,9 @@ class TestExpand:
 class TestRankLevel:
     def test_depth_one_uses_one_step_order(self, models, diol_setup):
         nn1, nn2 = models
-        root = SearchNode(canon("OCCCCO"), (), 0, 1.0, None)
+        root = root_node("OCCCCO")
         children, _ = expand_level(
-            [root], diol_setup, nn1, SearchConfig(), Fingerprinter(), {}, [0]
+            [root], diol_setup, nn1, SearchConfig(), Fingerprinter(), 0
         )
         with_nn2 = rank_level(children, nn2, SearchConfig(beam_width=100), Fingerprinter())
         without = rank_level(children, None, SearchConfig(beam_width=100), Fingerprinter())
@@ -114,9 +119,9 @@ class TestRankLevel:
 
     def test_beam_width_bounds_survivors(self, models, diol_setup):
         nn1, _ = models
-        root = SearchNode(canon("OCCCCO"), (), 0, 1.0, None)
+        root = root_node("OCCCCO")
         children, _ = expand_level(
-            [root], diol_setup, nn1, SearchConfig(), Fingerprinter(), {}, [0]
+            [root], diol_setup, nn1, SearchConfig(), Fingerprinter(), 0
         )
         assert len(rank_level(children, None, SearchConfig(beam_width=2), Fingerprinter())) == 2
         assert len(
@@ -222,6 +227,41 @@ class TestRunRetro:
         ]
         dicts = [r.to_dict() for r in reports]
         assert dicts[0] == dicts[1] == dicts[2]
+
+    def test_search_parses_only_the_target(self, models, diol_setup, monkeypatch):
+        # Candidates carry their graphs: neither the expansion nor the
+        # fingerprint cache parses a key the rewrite already built.
+        import retrobio.fingerprint
+        import retrobio.pipeline
+
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_smiles(text)
+
+        monkeypatch.setattr(retrobio.pipeline, "parse_smiles", counting_parse)
+        monkeypatch.setattr(retrobio.fingerprint, "parse_smiles", counting_parse)
+        nn1, nn2 = models
+        config = SearchConfig(max_steps=3, beam_width=10**6)
+        report = run_retro("OCC(O)CCO", diol_setup, nn1, nn2, config)
+        target = canon("OCC(O)CCO")
+        assert sum(level["generated"] for level in report.levels) > 100
+        assert parsed == ["OCC(O)CCO", target]
+
+    def test_only_expandable_nodes_hold_graphs(self, models, diol_setup):
+        nn1, _ = models
+        config = SearchConfig(max_steps=2)
+        children, _ = expand_level(
+            [root_node("OCCCCO")], diol_setup, nn1, config, Fingerprinter(), 0
+        )
+        assert children
+        for child in children:
+            assert canonicalize(child.molecule) == child.molecule_key
+        leaves, _ = expand_level(
+            children[:1], diol_setup, nn1, config, Fingerprinter(), 0
+        )
+        assert leaves and all(leaf.molecule is None for leaf in leaves)
 
     def test_budget_flagged_not_raised(self, models, diol_setup):
         nn1, _ = models

@@ -31,20 +31,53 @@ READERS = {
 }
 
 
+# More bad rows for some formats: a reactions row holding byte 0xe9 (Latin-1
+# 'e acute'), which is not UTF-8 and is written through surrogateescape so the
+# raw byte lands in the file, and dataset rows whose fields split but whose
+# values are wrong.
+_DATASET_GOOD = READERS["dataset"][1]
+BAD_INPUTS = {
+    **READERS,
+    "reactions, not UTF-8": (
+        ds.read_reactions_tsv, READERS["reactions"][1], "r2\t1.1.1.1\tCCO\tCC\udce9O",
+    ),
+    **{
+        f"dataset, {what}": (ds.read_examples_tsv, _DATASET_GOOD, bad)
+        for what, bad in (
+            ("label", "maybe\tg\tCCO\tCC=O\t1"),
+            ("empty target", "positive\tg\t\tCC=O\t1"),
+            ("empty step", "positive\tg\tCCO\t\t1"),
+            ("empty second step", "positive\tg\tCCO\tCC=O;\t1"),
+            ("nan weight", "positive\tg\tCCO\tCC=O\tnan"),
+            ("infinite weight", "positive\tg\tCCO\tCC=O\tinf"),
+            ("negative weight", "positive\tg\tCCO\tCC=O\t-1"),
+        )
+    },
+}
+
+
 def _header(name):
     if name == "fingerprint cache":
         return f"# width=512 radius=2 hash={HASH_VERSION}"
     return "# a comment"
 
 
-@pytest.mark.parametrize("name", sorted(READERS))
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_row_names_path_and_line(tmp_path, name):
-    reader, good, bad = READERS[name]
+    reader, good, bad = BAD_INPUTS[name]
     path = tmp_path / "input.tsv"
-    path.write_text(f"{_header(name)}\n{good}\n{bad}\n", encoding="utf-8")
+    path.write_bytes(
+        f"{_header(name)}\n{good}\n{bad}\n".encode("utf-8", "surrogateescape")
+    )
     with pytest.raises(ValueError) as info:
         reader(path)
     assert str(info.value).startswith(f"{path}:3: ")
+
+
+def test_crlf_line_endings_read_as_lf(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(b"# h\r\na\tb\r\n\r\nc\td\n")
+    assert read_tsv(path, 2, lambda a, b: (a, b)) == [("a", "b"), ("c", "d")]
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
