@@ -290,7 +290,8 @@ def cmd_augment(options: dict) -> int:
 
 
 _MODEL_SPECS = {"nn1pr": nn1pr_spec, "nn2pr": nn2pr_spec}
-_MODEL_WIDTHS = {"nn1pr": 1024, "nn2pr": 1536}
+_MODEL_WIDTHS = {name: spec()[0].in_dim for name, spec in _MODEL_SPECS.items()}
+_MODEL_OF_WIDTH = {width: name for name, width in _MODEL_WIDTHS.items()}
 
 
 def cmd_train(options: dict) -> int:
@@ -349,7 +350,8 @@ def _load_model(path: str, what: str, input_dim: int | None = None) -> MlpModel:
     """Load a weight file; every error, and an input width other than
     ``input_dim`` when given, names the file."""
     try:
-        model = load_weights(_require_file(path, what).read_bytes())
+        with open(_require_file(path, what), "rb") as fh:
+            model = load_weights(fh)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     if input_dim is not None and model.input_dim != input_dim:
@@ -366,7 +368,7 @@ def cmd_eval(options: dict) -> int:
     if not rows:
         print("eval: empty dataset", file=sys.stderr)
         return EXIT_EMPTY
-    kind = {1024: "nn1pr", 1536: "nn2pr"}.get(model.input_dim)
+    kind = _MODEL_OF_WIDTH.get(model.input_dim)
     if kind is None:
         raise CliError(f"{options['weights']}: unexpected input width {model.input_dim}")
     fingerprinter = Fingerprinter()

@@ -95,6 +95,13 @@ _ELEMENT_NUMBER = {
 _BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 
 
+def _unpack_bits(bits: int, width: int) -> np.ndarray:
+    """The low ``width`` bits of ``bits`` as a float32 0/1 vector, index i =
+    bit i."""
+    packed = np.frombuffer(bits.to_bytes((width + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(packed, count=width, bitorder="little").astype(np.float32)
+
+
 @dataclass(frozen=True, slots=True)
 class Fingerprint:
     """A bit vector stored as a Python int; bit i is ``bits >> i & 1``."""
@@ -113,13 +120,7 @@ class Fingerprint:
 
     def to_array(self) -> np.ndarray:
         """Dense float32 vector, index i = bit i."""
-        out = np.zeros(self.width, dtype=np.float32)
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out[low.bit_length() - 1] = 1.0
-            bits ^= low
-        return out
+        return _unpack_bits(self.bits, self.width)
 
     def to_hex(self) -> str:
         return format(self.bits, f"0{self.width // 4}x")
@@ -221,9 +222,7 @@ class ReactionFeature:
                            self.block_width)
 
     def to_array(self) -> np.ndarray:
-        return np.concatenate(
-            [self.block(k).to_array() for k in range(self.blocks)]
-        )
+        return _unpack_bits(self.bits, self.width)
 
 
 def reaction_feature(

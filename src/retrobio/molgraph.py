@@ -756,9 +756,7 @@ _ORDER_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 
 def _refine(mol: MolecularGraph, keys: list) -> list[int]:
     """Iteratively refine atom classes until the partition stabilizes."""
-    uniq = sorted(set(keys))
-    ranks = [uniq.index(k) for k in keys]
-    n_classes = len(uniq)
+    ranks, n_classes = _dense_ranks(keys)
     while True:
         keys2 = [
             (
@@ -771,11 +769,16 @@ def _refine(mol: MolecularGraph, keys: list) -> list[int]:
             )
             for i in range(len(mol.atoms))
         ]
-        uniq2 = sorted(set(keys2))
-        ranks = [uniq2.index(k) for k in keys2]
-        if len(uniq2) == n_classes:
+        ranks, n_classes2 = _dense_ranks(keys2)
+        if n_classes2 == n_classes:
             return ranks
-        n_classes = len(uniq2)
+        n_classes = n_classes2
+
+
+def _dense_ranks(keys: list) -> tuple[list[int], int]:
+    """Each key's index among the sorted distinct keys, and their count."""
+    rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [rank_of[k] for k in keys], len(rank_of)
 
 
 def _leaf_signature(mol: MolecularGraph, idx: int):

@@ -6,7 +6,8 @@ relu + dropout -> 1 sigmoid, 262657 parameters) and the two-step ranker
 (1536 -> 512 relu + dropout -> 128 relu + dropout -> 1 sigmoid, 852737
 parameters). Everything is plain numpy float32: dense layers, relu/sigmoid,
 inverted dropout (inference needs no rescaling), weighted binary
-cross-entropy and Adam.
+cross-entropy and Adam with the fixed constants ADAM_BETA1 = 0.9,
+ADAM_BETA2 = 0.999 and ADAM_EPSILON = 1e-8.
 
 Training is bit-reproducible given (seed, data order): initialization,
 epoch shuffles and dropout masks all derive from one seeded generator.
@@ -16,8 +17,10 @@ save/load round-trips models bit-identically.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
@@ -58,6 +61,9 @@ _ACT_CODES = {RELU: 0, SIGMOID: 1, NONE: 2}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 LOSS_EPS = 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class DimensionMismatch(ValueError):
@@ -269,9 +275,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 128
     epochs: int = 30
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
     positive_weight: float | None = None  # per-example weight on label 1
 
@@ -339,26 +342,18 @@ def _backward(
 
 
 def train(
-    model_spec: tuple[LayerSpec, ...] | MlpModel,
+    spec: tuple[LayerSpec, ...],
     features: np.ndarray,
     labels: np.ndarray,
     config: TrainConfig,
     sample_weights: np.ndarray | None = None,
 ) -> tuple[MlpModel, TrainingHistory]:
-    """Initialize and train; returns the trained model and epoch history.
+    """Initialize a model of layer specification ``spec`` and train it;
+    returns the trained model and epoch history.
 
-    ``model_spec`` may be a layer specification or an existing model whose
-    shape is reused (its weights are re-initialized from the seed). The run
-    is bit-reproducible for a fixed (seed, data order); epochs=0 returns the
-    bare initialization with an empty history.
+    The run is bit-reproducible for a fixed (seed, data order); epochs=0
+    returns the bare initialization with an empty history.
     """
-    if isinstance(model_spec, MlpModel):
-        spec = tuple(
-            LayerSpec(l.in_dim, l.out_dim, l.activation, l.dropout)
-            for l in model_spec.layers
-        )
-    else:
-        spec = model_spec
     if spec[-1].out_dim != 1 or spec[-1].activation != SIGMOID:
         raise ValueError(
             "binary cross-entropy training needs a single sigmoid output"
@@ -386,17 +381,11 @@ def train(
     rng = np.random.Generator(np.random.PCG64(config.seed))
     model = initialize(spec, rng)
     history = TrainingHistory()
-    if config.epochs == 0:
-        return model, history
-
-    weights = [l.weights.copy() for l in model.layers]
-    biases = [l.biases.copy() for l in model.layers]
-    m_w = [np.zeros_like(a) for a in weights]
-    v_w = [np.zeros_like(a) for a in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
-    beta1, beta2 = config.adam_beta1, config.adam_beta2
-    eps = config.adam_epsilon
+    # The layers' own arrays are the parameters, updated in place, so
+    # ``model`` is always the current model.
+    params = [a for l in model.layers for a in (l.weights, l.biases)]
+    m = [np.zeros_like(a) for a in params]
+    v = [np.zeros_like(a) for a in params]
     step = 0
     n = x.shape[0]
     for epoch in range(config.epochs):
@@ -404,49 +393,34 @@ def train(
         for lo in range(0, n, config.batch_size):
             batch = order[lo : lo + config.batch_size]
             xb, yb, wb = x[batch], y[batch], w[batch]
-            current = MlpModel(
-                tuple(
-                    DenseLayer(weights[k], biases[k], l.activation, l.dropout)
-                    for k, l in enumerate(model.layers)
-                )
-            )
-            out, acts, masks = _forward_full(current, xb, rng)
+            out, acts, masks = _forward_full(model, xb, rng)
             delta = _bce_output_delta(out[:, 0], yb, wb)[:, None] / len(batch)
-            grads = _backward(current, acts, masks, delta.astype(np.float32))
+            grads = [
+                g
+                for pair in _backward(model, acts, masks, delta.astype(np.float32))
+                for g in pair
+            ]
             step += 1
-            correction1 = 1.0 - beta1**step
-            correction2 = 1.0 - beta2**step
-            for k, (gw, gb) in enumerate(grads):
-                m_w[k] = beta1 * m_w[k] + (1 - beta1) * gw
-                v_w[k] = beta2 * v_w[k] + (1 - beta2) * gw * gw
-                m_b[k] = beta1 * m_b[k] + (1 - beta1) * gb
-                v_b[k] = beta2 * v_b[k] + (1 - beta2) * gb * gb
-                weights[k] -= (
+            correction1 = 1.0 - ADAM_BETA1**step
+            correction2 = 1.0 - ADAM_BETA2**step
+            for p, g, mk, vk in zip(params, grads, m, v):
+                mk *= ADAM_BETA1
+                mk += (1 - ADAM_BETA1) * g
+                vk *= ADAM_BETA2
+                vk += (1 - ADAM_BETA2) * g * g
+                p -= (
                     config.learning_rate
-                    * (m_w[k] / correction1)
-                    / (np.sqrt(v_w[k] / correction2) + eps)
-                ).astype(np.float32)
-                biases[k] -= (
-                    config.learning_rate
-                    * (m_b[k] / correction1)
-                    / (np.sqrt(v_b[k] / correction2) + eps)
-                ).astype(np.float32)
-        trained = MlpModel(
-            tuple(
-                DenseLayer(
-                    weights[k].copy(), biases[k].copy(), l.activation, l.dropout
+                    * (mk / correction1)
+                    / (np.sqrt(vk / correction2) + ADAM_EPSILON)
                 )
-                for k, l in enumerate(model.layers)
-            )
-        )
-        scores = forward(trained, x)
+        scores = forward(model, x)
         losses = -(
             w * (y * np.log(np.clip(scores, LOSS_EPS, None))
                  + (1 - y) * np.log(np.clip(1 - scores, LOSS_EPS, None)))
         )
         history.loss.append(float(losses.mean()))
         history.accuracy.append(float(((scores >= 0.5) == (y == 1.0)).mean()))
-    return trained, history
+    return model, history
 
 
 @dataclass(frozen=True)
@@ -553,49 +527,52 @@ def save_weights(model: MlpModel) -> bytes:
     return b"".join(chunks)
 
 
-def load_weights(blob: bytes) -> MlpModel:
+def load_weights(source: bytes | BinaryIO) -> MlpModel:
     """Inverse of save_weights; load(save(m)) reproduces m bit-for-bit.
 
-    Rejects a file without layers, a dropout outside [0, 1) and a weight or
-    bias that is NaN or infinite.
+    ``source`` is the file's bytes or a seekable binary file, read from its
+    start; each array is read straight into its own buffer. Rejects a file
+    without layers, a dropout outside [0, 1) and a weight or bias that is
+    NaN or infinite.
     """
-    if len(blob) < 4 or blob[:4] != MAGIC:
+    fh = io.BytesIO(source) if isinstance(source, bytes) else source
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    if fh.read(4) != MAGIC:
         raise BadMagic("not a weight file (bad magic)")
-    if len(blob) < 12:
+    header = fh.read(8)
+    if len(header) < 8:
         raise TruncatedFile("header truncated")
-    version, layer_count = struct.unpack_from("<II", blob, 4)
+    version, layer_count = struct.unpack("<II", header)
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"unsupported weight file version {version}")
     if layer_count == 0:
         raise ValueError("weight file has no layers")
-    offset = 12
     layers = []
     for k in range(layer_count):
-        if offset + 13 > len(blob):
+        header = fh.read(13)
+        if len(header) < 13:
             raise TruncatedFile("layer header truncated")
-        in_dim, out_dim, act_code, dropout = struct.unpack_from(
-            "<IIBf", blob, offset
-        )
-        offset += 13
+        in_dim, out_dim, act_code, dropout = struct.unpack("<IIBf", header)
         if act_code not in _ACT_NAMES:
             raise ValueError(f"unknown activation code {act_code}")
         if not 0.0 <= dropout < 1.0:
             raise ValueError(f"layer {k}: dropout {dropout} outside [0, 1)")
-        w_bytes = 4 * in_dim * out_dim
-        b_bytes = 4 * out_dim
-        if offset + w_bytes + b_bytes > len(blob):
+        # Checked before allocating, so a corrupt header cannot ask for
+        # more memory than the file holds.
+        if fh.tell() + 4 * (in_dim * out_dim + out_dim) > size:
             raise TruncatedFile("layer parameters truncated")
-        w = np.frombuffer(blob, dtype="<f4", count=in_dim * out_dim,
-                          offset=offset).reshape(in_dim, out_dim).copy()
-        offset += w_bytes
-        b = np.frombuffer(blob, dtype="<f4", count=out_dim, offset=offset).copy()
-        offset += b_bytes
+        w = np.empty((in_dim, out_dim), dtype="<f4")
+        b = np.empty(out_dim, dtype="<f4")
+        for a in (w, b):
+            if fh.readinto(a) != a.nbytes:
+                raise TruncatedFile("layer parameters truncated")
         # min and max propagate NaN and expose +-inf without the temporary
         # array np.isfinite(w) would allocate; initial=0 admits empty layers.
         extremes = [f(a, initial=0) for a in (w, b) for f in (np.min, np.max)]
         if not np.isfinite(extremes).all():
             raise ValueError(f"layer {k}: a weight or bias is NaN or infinite")
         layers.append(DenseLayer(w, b, _ACT_NAMES[act_code], dropout))
-    if offset != len(blob):
+    if fh.read(1):
         raise TruncatedFile("trailing bytes after final layer")
     return MlpModel(tuple(layers))  # raises DimChainBroken on a bad chain

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +175,26 @@ class TestReactionFeature:
         assert arr.shape == (1024,)
         assert arr[1] == arr[2] == 1.0 and arr[0] == 0.0
         assert arr[512] == 1.0
+        # Bits either side of a byte boundary, and the top bit of a block.
+        edges = 1 << 7 | 1 << 8 | 1 << 511
+        feature = reaction_feature(Fingerprint(edges, 512), [Fingerprint(edges, 512)])
+        arr = feature.to_array()
+        assert arr.dtype == np.float32
+        assert sorted(np.flatnonzero(arr)) == [7, 8, 511, 519, 520, 1023]
+        top = reaction_feature(
+            Fingerprint(0, 512), [Fingerprint(0, 512), Fingerprint(1 << 511, 512)]
+        )
+        arr = top.to_array()
+        assert arr.shape == (1536,)
+        assert list(np.flatnonzero(arr)) == [1535]
+        # Every value at widths up to one byte, random ones at full width.
+        rng = random.Random(0)
+        cases = [(bits, w) for w in (1, 2, 4, 8) for bits in range(1 << w)]
+        cases += [(rng.getrandbits(512), 512) for _ in range(20)]
+        for bits, width in cases:
+            arr = Fingerprint(bits, width).to_array()
+            assert arr.shape == (width,)
+            assert [int(v) for v in arr] == [bits >> i & 1 for i in range(width)]
 
     def test_combine_is_or(self):
         fps = [Fingerprint(0b01, 16), Fingerprint(0b10, 16)]

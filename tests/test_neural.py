@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ def zero_model(dims, activations):
             )
         )
     return MlpModel(tuple(layers))
+
+
+def weight_sources(blob, tmp_path):
+    """The same weight file, first as bytes, then as an open binary file."""
+    path = tmp_path / "model.nnpr"
+    path.write_bytes(blob)
+    yield blob
+    with open(path, "rb") as fh:
+        yield fh
 
 
 def separable_toy(n=200, seed=5):
@@ -231,11 +241,14 @@ class TestGradientCheck:
 
 
 class TestWeightFiles:
-    def test_round_trip_scores_identical(self):
+    def test_round_trip_scores_identical(self, tmp_path):
         model = initialize(nn1pr_spec(), np.random.default_rng(8))
-        clone = load_weights(save_weights(model))
         xs = np.random.default_rng(9).random((100, 1024)).astype(np.float32)
-        assert np.array_equal(forward(model, xs), forward(clone, xs))
+        blob = save_weights(model)
+        for source in weight_sources(blob, tmp_path):
+            clone = load_weights(source)
+            assert np.array_equal(forward(model, xs), forward(clone, xs))
+            assert save_weights(clone) == blob
 
     def test_header_layout(self):
         model = zero_model([2, 1], [SIGMOID])
@@ -244,25 +257,32 @@ class TestWeightFiles:
         assert blob[4:8] == (1).to_bytes(4, "little")
         assert blob[8:12] == (1).to_bytes(4, "little")
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
         blob = save_weights(zero_model([2, 1], [SIGMOID]))
-        with pytest.raises(BadMagic):
-            load_weights(b"XXXX" + blob[4:])
+        for source in weight_sources(b"XXXX" + blob[4:], tmp_path):
+            with pytest.raises(BadMagic):
+                load_weights(source)
 
     def test_version_mismatch(self):
         blob = save_weights(zero_model([2, 1], [SIGMOID]))
         with pytest.raises(VersionMismatch):
             load_weights(blob[:4] + (9).to_bytes(4, "little") + blob[8:])
 
-    def test_truncated_file(self):
+    def test_truncated_file(self, tmp_path):
         blob = save_weights(initialize(nn1pr_spec(), np.random.default_rng(0)))
-        with pytest.raises(TruncatedFile):
-            load_weights(blob[:-5])
+        # A layer header claiming 2**64 parameters must fail on the file
+        # size, before any array is allocated.
+        huge = struct.pack("<IIBf", 2**32 - 1, 2**32 - 1, 1, 0.0)
+        for cut in (blob[:-5], blob[:12] + huge + blob[25:]):
+            for source in weight_sources(cut, tmp_path):
+                with pytest.raises(TruncatedFile):
+                    load_weights(source)
 
-    def test_trailing_garbage_rejected(self):
+    def test_trailing_garbage_rejected(self, tmp_path):
         blob = save_weights(zero_model([2, 1], [SIGMOID]))
-        with pytest.raises(TruncatedFile):
-            load_weights(blob + b"\x00")
+        for source in weight_sources(blob + b"\x00", tmp_path):
+            with pytest.raises(TruncatedFile):
+                load_weights(source)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["weights", "biases"])
