@@ -101,7 +101,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "gold": (str, "", "gold pathway TSV (product, precursors per step)"),
         "pathways-tsv": (str, "", "optional reconstructed-pathway TSV"),
         "max-nodes": (int, 100000, "node budget"),
-        "threads": (int, 1, "worker threads for expansion"),
+        "threads": (int, 1, "accepted and not used: the search runs serially"),
     },
 }
 
@@ -437,7 +437,6 @@ def cmd_retro(options: dict) -> int:
             nn2,
             config,
             gold_steps=gold,
-            max_workers=options["threads"],
         )
     except TargetParseError as exc:
         raise CliError(str(exc)) from exc

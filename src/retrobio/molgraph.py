@@ -134,9 +134,6 @@ class Bond:
             object.__setattr__(self, "a", lo)
             object.__setattr__(self, "b", hi)
 
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
-
 
 @dataclass(frozen=True)
 class MolecularGraph:
@@ -665,62 +662,66 @@ def _bond_token(mol: MolecularGraph, a: int, b: int, order: str) -> str:
     return ORDER_SYMBOLS[order]
 
 
-def _write_recursive(mol: MolecularGraph, start: int, rank: list[int]) -> str:
-    """Write one connected component, visiting neighbours by ascending rank."""
+def _write_component(mol: MolecularGraph, start: int, rank: list[int]) -> str:
+    """Write one connected component, visiting neighbours by ascending rank.
+
+    Both walks keep an explicit stack, so chain length is not bounded by
+    Python's recursion limit.
+    """
     by_rank = lambda pair: rank[pair[0]]
 
-    # Pre-walk to split edges into tree edges and ring closures; the ring
-    # digit for each closure is fixed by traversal order, so the output is a
-    # pure function of (graph, rank).
+    # Pre-walk (depth first) to split edges into tree edges and ring
+    # closures; the ring digit for each closure is fixed by traversal order,
+    # so the output is a pure function of (graph, rank).
     ring_lookup: dict[tuple[int, int], tuple[str, str]] = {}
-    seen: set[int] = set()
-
-    def prewalk(u: int, par: int | None):
-        seen.add(u)
-        skipped_parent = False
-        for v, o in sorted(mol.neighbors(u), key=by_rank):
+    parent: dict[int, int | None] = {start: None}
+    ordered = {start: sorted(mol.neighbors(start), key=by_rank)}
+    stack = [(start, iter(ordered[start]))]
+    while stack:
+        u, rest = stack[-1]
+        for v, o in rest:
             edge = (min(u, v), max(u, v))
-            if v == par and not skipped_parent:
-                skipped_parent = True
+            if v == parent[u] or edge in ring_lookup:
                 continue
-            if edge in ring_lookup:
-                continue
-            if v in seen:
+            if v in parent:
                 n = len(ring_lookup) + 1
                 digit = str(n) if n < 10 else f"%{n:02d}"
                 ring_lookup[edge] = (digit, o)
             else:
-                prewalk(v, u)
+                parent[v] = u
+                ordered[v] = sorted(mol.neighbors(v), key=by_rank)
+                stack.append((v, iter(ordered[v])))
+                break
+        else:
+            stack.pop()
 
-    prewalk(start, None)
+    # Emit in the same pre-order: an atom, its ring digits (with the bond
+    # symbol where the ring opens), then its branches, the last unbracketed.
     opened: set[tuple[int, int]] = set()
-    visited: set[int] = set()
-
-    def emit(u: int, par: int | None) -> str:
-        visited.add(u)
-        text = _atom_token(mol, u)
-        tree_children: list[tuple[int, str]] = []
-        skipped_parent = False
-        for v, o in sorted(mol.neighbors(u), key=by_rank):
+    parts: list[str] = []
+    pending: list[int | str] = [start]
+    while pending:
+        u = pending.pop()
+        if isinstance(u, str):
+            parts.append(u)
+            continue
+        parts.append(_atom_token(mol, u))
+        branches = []
+        for v, o in ordered[u]:
             edge = (min(u, v), max(u, v))
-            if v == par and not skipped_parent:
-                skipped_parent = True
-                continue
             if edge in ring_lookup:
                 digit, order = ring_lookup[edge]
                 if edge in opened:
-                    text += digit
+                    parts.append(digit)
                 else:
                     opened.add(edge)
-                    text += _bond_token(mol, u, v, order) + digit
-            elif v not in visited:
-                tree_children.append((v, o))
-        for pos, (v, o) in enumerate(tree_children):
-            sub = _bond_token(mol, u, v, o) + emit(v, u)
-            text += sub if pos == len(tree_children) - 1 else f"({sub})"
-        return text
-
-    return emit(start, None)
+                    parts.append(_bond_token(mol, u, v, order) + digit)
+            elif v != parent[u]:
+                branches.append((v, _bond_token(mol, u, v, o)))
+        # Stacked in reverse, so the first branch is written first.
+        for pos, (v, bond) in enumerate(reversed(branches)):
+            pending += [v, bond] if pos == 0 else [")", v, "(" + bond]
+    return "".join(parts)
 
 
 def write_smiles(mol: MolecularGraph) -> str:
@@ -729,7 +730,7 @@ def write_smiles(mol: MolecularGraph) -> str:
     Components are joined with '.'; atom order follows the input graph.
     """
     rank = list(range(len(mol.atoms)))
-    return ".".join(_write_recursive(mol, comp[0], rank) for comp in mol.components())
+    return ".".join(_write_component(mol, comp[0], rank) for comp in mol.components())
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +802,7 @@ def _canonical_component(mol: MolecularGraph, base_keys: list) -> str:
         (r, members) for r, members in class_members.items() if len(members) > 1
     )
     if not ambiguous:
-        return _write_recursive(mol, ranks.index(min(ranks)), ranks)
+        return _write_component(mol, ranks.index(min(ranks)), ranks)
     _, members = ambiguous[0]
     candidates = []
     seen_sigs = set()

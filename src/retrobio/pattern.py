@@ -23,7 +23,6 @@ are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from concurrent.futures import ThreadPoolExecutor
 
 from .molgraph import (
     AROMATIC,
@@ -417,6 +416,9 @@ def find_matches(
             used.remove(t)
 
     backtrack(0)
+    # The closure refers to itself; unbinding it frees the target's graph
+    # and the search state now instead of at the next garbage collection.
+    del backtrack
     results.sort()
     return results
 
@@ -630,38 +632,22 @@ def apply_template(
     return out
 
 
-def _apply_one(args) -> list[TemplateApplication]:
-    template, target = args
-    try:
-        return apply_template(template, target)
-    except RewriteProducedEmptyGraph:
-        return []
-
-
 def enumerate_precursors(
-    target: MolecularGraph,
-    templates: list[ReactionTemplate],
-    max_workers: int = 1,
+    target: MolecularGraph, templates: list[ReactionTemplate]
 ) -> list[CandidatePrecursor]:
     """Union of template applications with merged provenance.
 
     Candidates are deduplicated by precursor-key multiset across templates;
     each retains every (template_id, ec_numbers) record that produced it,
     and the precursor graphs of the first application that did.
-    Output order is (first template_id, canonical key), independent of the
-    worker count.
+    Output order is (first template_id, canonical key).
     """
-    ordered = sorted(templates, key=lambda t: t.template_id)
-    if max_workers > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_template = list(
-                pool.map(_apply_one, [(t, target) for t in ordered])
-            )
-    else:
-        per_template = [_apply_one((t, target)) for t in ordered]
-
     merged: dict[tuple[str, ...], tuple[tuple[MolecularGraph, ...], list]] = {}
-    for template, applications in zip(ordered, per_template):
+    for template in sorted(templates, key=lambda t: t.template_id):
+        try:
+            applications = apply_template(template, target)
+        except RewriteProducedEmptyGraph:
+            continue
         record = (template.template_id, template.ec_numbers)
         for app in applications:
             _, provenance = merged.setdefault(

@@ -18,8 +18,7 @@ all max-depth leaves when no stop set is given); a pathway's aggregate
 score is the geometric mean of its two-step window scores, or of its
 one-step scores when only the one-step model is used.
 
-Reports are deterministic for fixed models, templates and configuration,
-independent of worker count.
+Reports are deterministic for fixed models, templates and configuration.
 """
 
 from __future__ import annotations
@@ -161,7 +160,6 @@ def expand_level(
     config: SearchConfig,
     fingerprinter: Fingerprinter,
     nodes_made: int,
-    max_workers: int = 1,
 ) -> tuple[list[SearchNode], dict]:
     """Enumerate, score with the one-step model, prune and cycle-guard.
 
@@ -171,7 +169,7 @@ def expand_level(
     children: list[SearchNode] = []
     stats = {"generated": 0, "pruned": 0, "cycle_dropped": 0}
     for node in frontier:
-        candidates = enumerate_precursors(node.molecule, templates, max_workers)
+        candidates = enumerate_precursors(node.molecule, templates)
         parent_fp = fingerprinter.of_key(node.molecule_key, node.molecule)
         ancestor_keys = node.ancestors_keys() | {node.molecule_key}
         for cand in candidates:
@@ -340,7 +338,6 @@ def gold_step_ranks(
     templates: list[ReactionTemplate],
     nn1: MlpModel,
     fingerprinter: Fingerprinter,
-    max_workers: int = 1,
 ) -> list[dict]:
     """Rank each gold step's precursor set among the candidates generated
     for its product; the per-step annotation protocol."""
@@ -349,7 +346,7 @@ def gold_step_ranks(
         product_key = canonicalize(parse_smiles(product))
         gold_key = tuple(sorted(canonicalize(parse_smiles(p)) for p in precursors))
         product_mol = parse_smiles(product_key)
-        candidates = enumerate_precursors(product_mol, templates, max_workers)
+        candidates = enumerate_precursors(product_mol, templates)
         entry = {
             "step": step_no,
             "product": product_key,
@@ -386,7 +383,6 @@ def run_retro(
     config: SearchConfig | None = None,
     fingerprinter: Fingerprinter | None = None,
     gold_steps: list[tuple[str, tuple[str, ...]]] | None = None,
-    max_workers: int = 1,
 ) -> SearchReport:
     """Full multistep search; with nn2 absent the one-step model both
     prunes and ranks every level."""
@@ -409,8 +405,7 @@ def run_retro(
             break
         try:
             children, stats = expand_level(
-                frontier, templates, nn1, config, fingerprinter,
-                nodes_made, max_workers,
+                frontier, templates, nn1, config, fingerprinter, nodes_made
             )
         except NodeBudgetExceeded:
             report.budget_exceeded = True
@@ -427,6 +422,6 @@ def run_retro(
     )
     if gold_steps:
         report.gold_ranks = gold_step_ranks(
-            gold_steps, templates, nn1, fingerprinter, max_workers
+            gold_steps, templates, nn1, fingerprinter
         )
     return report

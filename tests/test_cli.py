@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -354,6 +355,37 @@ class TestRetro:
             ]) == EXIT_OK
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
+
+    def test_search_starts_no_thread_pool(
+        self, corpus_files, staged, tmp_path, monkeypatch
+    ):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the search submitted work to a thread pool")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
+        _, _, _, templates = corpus_files
+        assert main([
+            "retro", "--target", "OCCCO",
+            "--templates", str(templates),
+            "--nn1", str(staged / "nn1.weights"),
+            "--out", str(tmp_path / "r.json"),
+            "--max-steps", "2", "--threads", "4",
+        ]) == EXIT_OK
+
+    def test_stop_set_chain_longer_than_recursion_limit(
+        self, corpus_files, staged, tmp_path, capsys
+    ):
+        _, _, _, templates = corpus_files
+        stop = tmp_path / "stop.txt"
+        stop.write_text("C" * 1100 + "\n", encoding="utf-8")
+        assert main([
+            "retro", "--target", "OCCCO",
+            "--templates", str(templates),
+            "--nn1", str(staged / "nn1.weights"),
+            "--out", str(tmp_path / "r.json"),
+            "--max-steps", "1",
+            "--stop-set", str(stop),
+        ]) == EXIT_OK, capsys.readouterr().err
 
 
 class TestConfigFile:

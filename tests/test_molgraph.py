@@ -39,6 +39,12 @@ FIXTURES = [
     "N#Cc1ccccc1",
 ]
 
+# Longer than Python's default recursion limit of 1000 frames. The ring
+# carries an N and an O on neighbouring atoms: canonicalizing the bare ring
+# breaks its ties by trying every atom, which takes minutes at this size.
+LONG_CHAIN = "C" * 1100
+LONG_RING = "NC1" + "C" * 1098 + "C1O"
+
 
 class TestParse:
     def test_simple_chain(self):
@@ -129,6 +135,14 @@ class TestWrite:
     def test_map_indices_preserved(self):
         assert write_smiles(parse_smiles("[CH3:1][OH:2]")) == "[CH3:1][OH:2]"
 
+    @pytest.mark.parametrize(
+        "text",
+        [LONG_CHAIN, "C1" + "C" * 1098 + "C1", LONG_RING],
+        ids=["chain", "ring", "substituted ring"],
+    )
+    def test_long_chain_and_ring_round_trip(self, text):
+        assert write_smiles(parse_smiles(text)) == text
+
 
 class TestCanonicalize:
     def test_same_molecule_different_traversal(self):
@@ -159,6 +173,11 @@ class TestCanonicalize:
 
     def test_strips_map_indices(self):
         assert canonicalize(parse_smiles("[CH3:1][OH:2]")) == "CO"
+
+    def test_long_chain_and_ring_round_trip(self):
+        assert canonicalize(parse_smiles(LONG_CHAIN)) == LONG_CHAIN
+        canonical = canonicalize(parse_smiles(LONG_RING))
+        assert canonicalize(parse_smiles(canonical)) == canonical
 
 
 class TestHydrogens:

@@ -222,8 +222,8 @@ class TestRunRetro:
         nn1, nn2 = models
         config = SearchConfig(max_steps=2, beam_width=15)
         reports = [
-            run_retro("OCCCCO", diol_setup, nn1, nn2, config, max_workers=w)
-            for w in (1, 4, 1)
+            run_retro("OCCCCO", diol_setup, nn1, nn2, config)
+            for _ in range(3)
         ]
         dicts = [r.to_dict() for r in reports]
         assert dicts[0] == dicts[1] == dicts[2]
