@@ -820,16 +820,16 @@ def canonicalize(mol: MolecularGraph) -> str:
     """Canonical SMILES: invariant under atom permutation, map indices
     stripped, components sorted. ``canonicalize(parse_smiles(s))`` is a fixed
     point for any s already in canonical form."""
-    stripped = MolecularGraph(
-        tuple(
-            replace(a, map_index=None) if a.map_index is not None else a
-            for a in mol.atoms
-        ),
-        mol.bonds,
-    )
+    if any(a.map_index is not None for a in mol.atoms):
+        mol = MolecularGraph(
+            tuple(replace(a, map_index=None) for a in mol.atoms), mol.bonds
+        )
+    comps = mol.components()
+    if len(comps) == 1:
+        return _canonical_component(mol, _initial_invariants(mol))
     pieces = []
-    for comp in stripped.components():
-        sub = stripped.subgraph(comp)
+    for comp in comps:
+        sub = mol.subgraph(comp)
         pieces.append(_canonical_component(sub, _initial_invariants(sub)))
     return ".".join(sorted(pieces))
 
@@ -863,6 +863,24 @@ def add_explicit_hydrogens(mol: MolecularGraph) -> MolecularGraph:
     return MolecularGraph(tuple(atoms), tuple(bonds))
 
 
+def _fold_anchor(atom: Atom, nbrs, atoms) -> int | None:
+    """The atom a plain explicit H folds into, or None when it is not plain.
+
+    ``nbrs`` are the H's (neighbour index, bond order) pairs and ``atoms``
+    is indexed by neighbour index. A plain H is uncharged, unmapped, stores
+    no hydrogens and has one single bond, to a non-hydrogen atom; anything
+    else (e.g. [H][H]) stays an atom.
+    """
+    if atom.element != "H" or atom.charge != 0 or atom.map_index is not None:
+        return None
+    if atom.hydrogens != 0 or len(nbrs) != 1:
+        return None
+    nbr, order = nbrs[0]
+    if order != SINGLE or atoms[nbr].element == "H":
+        return None
+    return nbr
+
+
 def remove_explicit_hydrogens(mol: MolecularGraph) -> MolecularGraph:
     """Fold plain explicit H atoms back into their neighbour's count.
 
@@ -872,26 +890,29 @@ def remove_explicit_hydrogens(mol: MolecularGraph) -> MolecularGraph:
     drop: set[int] = set()
     gained: dict[int, int] = {}
     for idx, atom in enumerate(mol.atoms):
-        if atom.element != "H" or atom.charge != 0 or atom.map_index is not None:
-            continue
-        if atom.hydrogens != 0 or mol.degree(idx) != 1:
-            continue
-        nbr, order = mol.neighbors(idx)[0]
-        if order != SINGLE or mol.atoms[nbr].element == "H":
-            continue
-        drop.add(idx)
-        gained[nbr] = gained.get(nbr, 0) + 1
+        anchor = _fold_anchor(atom, mol.neighbors(idx), mol.atoms)
+        if anchor is not None:
+            drop.add(idx)
+            gained[anchor] = gained.get(anchor, 0) + 1
     if not drop:
         return mol
     keep = [i for i in range(len(mol.atoms)) if i not in drop]
     remap = {old: new for new, old in enumerate(keep)}
-    atoms = tuple(
-        replace(mol.atoms[i], hydrogens=mol.atoms[i].hydrogens + gained.get(i, 0))
-        for i in keep
-    )
+    atoms = tuple(_with_gained(mol.atoms[i], gained.get(i, 0)) for i in keep)
     bonds = tuple(
         Bond(remap[b.a], remap[b.b], b.order)
         for b in mol.bonds
         if b.a in remap and b.b in remap
     )
     return MolecularGraph(atoms, bonds)
+
+
+def _with_gained(atom: Atom, gained: int) -> Atom:
+    """``atom`` holding ``gained`` more stored hydrogens; itself if none."""
+    if not gained:
+        return atom
+    # The constructor, not dataclasses.replace: this runs for every anchor
+    # of every rewrite, and replace costs several times as much.
+    return Atom(
+        atom.element, atom.aromatic, atom.hydrogens + gained, atom.charge, atom.map_index
+    )

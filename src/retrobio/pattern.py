@@ -11,8 +11,11 @@ hydrogen-expanded form of the target and results are reported with
 hydrogens folded back into counts.
 
 Matching returns every injective constraint-satisfying assignment,
-including permutations of interchangeable atoms; duplicates collapse only
-at the result level, via canonical SMILES of the rewritten components.
+including permutations of interchangeable atoms. Rewriting happens once per
+match site up to swaps of sibling hydrogens: matches that differ only by
+which plain explicit H on one heavy atom fills a pattern atom give the same
+outcome, so only the first is rewritten. Distinct outcomes are then
+collapsed via canonical SMILES of the rewritten components.
 
 Supported atomic constraints: element, aromaticity (lowercase/uppercase),
 charge, total hydrogen count (``H``/``Hn``), explicit degree (``Dn``) and
@@ -34,13 +37,14 @@ from .molgraph import (
     VALENCES,
     ORDER_VALENCE,
     _ChainParser,
+    _fold_anchor,
     _parse_bracket_body,
     _parse_plain_atom,
+    _with_gained,
     add_explicit_hydrogens,
     canonicalize,
     implied_hydrogens,
     lowest_feasible_valence,
-    remove_explicit_hydrogens,
 )
 from .tsv import read_tsv
 
@@ -462,26 +466,47 @@ def _sanitize(mol: MolecularGraph) -> bool:
     return True
 
 
+def _rewrite_plan(template: ReactionTemplate):
+    """The per-template part of a rewrite, in pattern atom indices: the lhs
+    atoms it deletes, the lhs bonds between mapped atoms that the rhs does
+    not repeat, and the rhs bonds with their concrete orders."""
+    lhs, rhs = template.lhs, template.rhs
+    mapped_lhs = {l for _, l, _ in template.mapping}
+    lhs_to_rhs = {l: r for _, l, r in template.mapping}
+    rhs_pairs = {(min(b.a, b.b), max(b.a, b.b)) for b in rhs.bonds}
+    deleted = [i for i in range(len(lhs.atoms)) if i not in mapped_lhs]
+    broken = []
+    for bond in lhs.bonds:
+        if bond.a in mapped_lhs and bond.b in mapped_lhs:
+            ra, rb = lhs_to_rhs[bond.a], lhs_to_rhs[bond.b]
+            if (min(ra, rb), max(ra, rb)) not in rhs_pairs:
+                broken.append((bond.a, bond.b))
+    made = [(b.a, b.b, _concrete_order(rhs, b)) for b in rhs.bonds]
+    return deleted, broken, made
+
+
 def _rewrite(
-    template: ReactionTemplate, work: MolecularGraph, match: tuple[int, ...]
+    template: ReactionTemplate,
+    work: MolecularGraph,
+    match: tuple[int, ...],
+    plan,
 ) -> tuple[tuple[MolecularGraph, ...], tuple[str, ...]] | None:
-    """Apply the rewrite at one match site.
+    """Apply the rewrite at one match site; ``plan`` is the template's
+    ``_rewrite_plan``.
 
     Returns (precursor graphs, sorted canonical keys), or None when the
     result fails valence/aromaticity sanitization.
     """
-    lhs, rhs = template.lhs, template.rhs
+    deleted_lhs, broken, made = plan
+    rhs = template.rhs
     atoms: list[Atom] = list(work.atoms)
     bonds: dict[tuple[int, int], str] = {
         (b.a, b.b): b.order for b in work.bonds
     }
-    mapped_lhs = {l for _, l, _ in template.mapping}
-    rhs_to_target: dict[int, int] = {}
-    for _, l, r in template.mapping:
-        rhs_to_target[r] = match[l]
+    rhs_to_target = {r: match[l] for _, l, r in template.mapping}
 
     # Unmapped lhs atoms delete their matched target atom.
-    deleted = {match[i] for i in range(len(lhs.atoms)) if i not in mapped_lhs}
+    deleted = {match[i] for i in deleted_lhs}
 
     dirty: set[int] = set()
 
@@ -537,21 +562,12 @@ def _rewrite(
         dirty.add(t)
 
     # lhs bonds between two mapped atoms: deleted unless rhs repeats them.
-    rhs_bond_lookup = {
-        (min(b.a, b.b), max(b.a, b.b)): b for b in rhs.bonds
-    }
-    lhs_to_rhs = {l: r for _, l, r in template.mapping}
-    for bond in lhs.bonds:
-        if bond.a in mapped_lhs and bond.b in mapped_lhs:
-            ra, rb = lhs_to_rhs[bond.a], lhs_to_rhs[bond.b]
-            if (min(ra, rb), max(ra, rb)) not in rhs_bond_lookup:
-                drop_bond(match[bond.a], match[bond.b])
+    for a, b in broken:
+        drop_bond(match[a], match[b])
 
     # rhs bonds, covering order changes, new bonds and fresh-atom bonds.
-    for bond in rhs.bonds:
-        u = rhs_to_target[bond.a]
-        v = rhs_to_target[bond.b]
-        set_bond(u, v, _concrete_order(rhs, bond))
+    for a, b, order in made:
+        set_bond(rhs_to_target[a], rhs_to_target[b], order)
 
     # Recompute stored hydrogens where the environment changed.
     survivors = [i for i in range(len(atoms)) if i not in deleted]
@@ -569,29 +585,17 @@ def _rewrite(
         h = implied_hydrogens(atom.element, bond_valence, atom.charge)
         if h is None:
             return None  # valence blown; sanitization failure
-        atoms[t] = replace(atom, hydrogens=h)
+        if h != atom.hydrogens:
+            atoms[t] = replace(atom, hydrogens=h)
 
     if not survivors:
         raise RewriteProducedEmptyGraph(
             f"template {template.template_id or template.smarts!r} deleted "
             "every atom of the target"
         )
-    remap = {old: new for new, old in enumerate(survivors)}
-    try:
-        result = MolecularGraph(
-            tuple(atoms[i] for i in survivors),
-            tuple(
-                Bond(remap[u], remap[v], order)
-                for (u, v), order in sorted(bonds.items())
-            ),
-        )
-    except ValueError:
-        return None
-
     precursors = []
     keys = []
-    for comp in result.components():
-        sub = remove_explicit_hydrogens(result.subgraph(comp))
+    for sub in _fold_and_split(atoms, bonds, survivors, adjacency):
         if not _sanitize(sub):
             return None
         precursors.append(sub)
@@ -603,25 +607,113 @@ def _rewrite(
     )
 
 
+def _fold_and_split(
+    atoms: list[Atom],
+    bonds: dict[tuple[int, int], str],
+    survivors: list[int],
+    adjacency: dict[int, list[tuple[int, str]]],
+) -> list[MolecularGraph]:
+    """One graph per connected component of the rewritten atoms, with plain
+    explicit H folded into their anchors.
+
+    Each graph equals ``remove_explicit_hydrogens`` of the component's
+    induced subgraph, atom and bond order included: components come in
+    order of their lowest atom index, atoms keep index order, bonds are
+    sorted by their (low, high) indices.
+    """
+    folded: set[int] = set()
+    gained: dict[int, int] = {}
+    for t in survivors:
+        anchor = _fold_anchor(atoms[t], adjacency[t], atoms)
+        if anchor is not None:
+            folded.add(t)
+            gained[anchor] = gained.get(anchor, 0) + 1
+    comp_of: dict[int, int] = {}
+    local: dict[int, int] = {}
+    members: list[list[int]] = []
+    for start in survivors:
+        if start in comp_of:
+            continue
+        comp_of[start] = len(members)
+        stack, comp = [start], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v, _ in adjacency[u]:
+                if v not in comp_of:
+                    comp_of[v] = len(members)
+                    stack.append(v)
+        kept = [i for i in sorted(comp) if i not in folded]
+        local.update((old, new) for new, old in enumerate(kept))
+        members.append(kept)
+    comp_bonds: list[list[Bond]] = [[] for _ in members]
+    for (u, v), order in sorted(bonds.items()):
+        if u not in folded and v not in folded:
+            comp_bonds[comp_of[u]].append(Bond(local[u], local[v], order))
+    return [
+        MolecularGraph(
+            tuple(_with_gained(atoms[i], gained.get(i, 0)) for i in kept),
+            tuple(comp_bond),
+        )
+        for kept, comp_bond in zip(members, comp_bonds)
+    ]
+
+
+def _site_tokens(mol: MolecularGraph) -> list:
+    """What a match site records of each atom of ``mol``: its index, or for
+    a plain explicit H its anchor and its atom value.
+
+    Two plain H with one anchor and equal atoms are swapped by an
+    automorphism of ``mol``, so two matches whose tokens are equal rewrite
+    to the same outcome.
+    """
+    tokens: list = list(range(len(mol.atoms)))
+    for idx, atom in enumerate(mol.atoms):
+        anchor = _fold_anchor(atom, mol.neighbors(idx), mol.atoms)
+        if anchor is not None:
+            tokens[idx] = (anchor, atom)
+    return tokens
+
+
 def apply_template(
-    template: ReactionTemplate, target: MolecularGraph
+    template: ReactionTemplate,
+    target: MolecularGraph,
+    *,
+    prepared: dict | None = None,
 ) -> list[TemplateApplication]:
-    """Apply a template at every match site and deduplicate outcomes.
+    """Apply a template at every distinct match site and deduplicate outcomes.
 
     The target is hydrogen-expanded first when the template mentions
-    explicit hydrogens. Results failing sanitization are dropped; distinct
-    outcomes are keyed by the multiset of component canonical SMILES, and
-    the first match (in deterministic match order) wins.
+    explicit hydrogens. Matching still returns every permutation, but
+    matches that differ only by which sibling plain H fills a pattern atom
+    are one site, and only a site's first match (in deterministic match
+    order) is rewritten: the others are its images under an automorphism
+    of the target, so they give its outcome. Results failing sanitization
+    are dropped; distinct outcomes are keyed by the multiset of component
+    canonical SMILES, and the first match wins, as if every match were
+    rewritten.
+
+    ``prepared`` lets a caller that applies many templates to one target
+    expand its hydrogens once: pass the same dict, empty at first, on each
+    call for that target.
     """
-    work = (
-        add_explicit_hydrogens(target)
-        if template.uses_explicit_hydrogens
-        else target
-    )
+    explicit = template.uses_explicit_hydrogens
+    if prepared is None:
+        prepared = {}
+    if explicit not in prepared:
+        work = add_explicit_hydrogens(target) if explicit else target
+        prepared[explicit] = (work, _site_tokens(work))
+    work, tokens = prepared[explicit]
+    plan = _rewrite_plan(template)
     out: list[TemplateApplication] = []
+    sites: set[tuple] = set()
     seen: set[tuple[str, ...]] = set()
     for match in find_matches(template.lhs, work):
-        rewritten = _rewrite(template, work, match)
+        site = tuple(map(tokens.__getitem__, match))
+        if site in sites:
+            continue
+        sites.add(site)
+        rewritten = _rewrite(template, work, match, plan)
         if rewritten is None:
             continue
         precursors, keys = rewritten
@@ -643,9 +735,10 @@ def enumerate_precursors(
     Output order is (first template_id, canonical key).
     """
     merged: dict[tuple[str, ...], tuple[tuple[MolecularGraph, ...], list]] = {}
+    prepared: dict = {}
     for template in sorted(templates, key=lambda t: t.template_id):
         try:
-            applications = apply_template(template, target)
+            applications = apply_template(template, target, prepared=prepared)
         except RewriteProducedEmptyGraph:
             continue
         record = (template.template_id, template.ec_numbers)

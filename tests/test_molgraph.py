@@ -173,6 +173,7 @@ class TestCanonicalize:
 
     def test_strips_map_indices(self):
         assert canonicalize(parse_smiles("[CH3:1][OH:2]")) == "CO"
+        assert canonicalize(parse_smiles("[NH3:3].[CH3:1][OH:2]")) == "CO.N"
 
     def test_long_chain_and_ring_round_trip(self):
         assert canonicalize(parse_smiles(LONG_CHAIN)) == LONG_CHAIN
@@ -205,6 +206,12 @@ class TestHydrogens:
     def test_remove_is_inverse(self, fixture):
         mol = parse_smiles(fixture)
         assert canonicalize(remove_explicit_hydrogens(add_explicit_hydrogens(mol))) == canonicalize(mol)
+
+    def test_remove_keeps_atoms_that_gain_nothing(self):
+        mol = parse_smiles("[H]OC(=O)C")
+        folded = remove_explicit_hydrogens(mol)
+        assert folded == parse_smiles("OC(=O)C")
+        assert all(folded.atoms[i] is mol.atoms[i + 1] for i in (1, 2, 3))
 
     def test_molecular_hydrogen_kept(self):
         mol = parse_smiles("[H][H]")

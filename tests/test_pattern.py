@@ -2,7 +2,11 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import permute_graph
+from retrobio import pattern
 from retrobio.fingerprint import molecule_fingerprint
 from retrobio.molgraph import (
     Atom,
@@ -13,14 +17,17 @@ from retrobio.molgraph import (
     VALENCES,
     add_explicit_hydrogens,
     canonicalize,
+    effective_valences,
     lowest_feasible_valence,
     parse_smiles,
+    remove_explicit_hydrogens,
 )
 from retrobio.pattern import (
     DuplicateMapIndexOnSide,
     MissingArrow,
     PatternAtom,
     PatternGraph,
+    RewriteProducedEmptyGraph,
     TemplateError,
     UnmappedRewriteReference,
     apply_template,
@@ -30,6 +37,7 @@ from retrobio.pattern import (
     parse_smarts,
     parse_smarts_template,
 )
+from synthdata import make_templates
 
 # The two reconstruction templates: a reaction-center-only rewrite (three
 # carbons, one hydrogen) and the same rewrite constrained by every
@@ -114,6 +122,90 @@ def random_pattern(rng: random.Random, max_atoms: int = 4) -> PatternGraph:
     )
 
 
+@st.composite
+def molecules(draw, max_heavy: int = 7):
+    """C/N/O graphs with charged atoms (N+, O-), some hydrogens as explicit
+    [H] atoms, an optional ring bond and an optional [H][H] component."""
+    n = draw(st.integers(1, max_heavy))
+    elements = [draw(st.sampled_from("CCNO")) for _ in range(n)]
+    charges = [
+        draw(st.sampled_from({"N": (0, 0, 1), "O": (0, 0, -1)}.get(e, (0,))))
+        for e in elements
+    ]
+    free = [max(effective_valences(e, c)) for e, c in zip(elements, charges)]
+    bonds: dict[tuple[int, int], str] = {}
+
+    def add(j: int, i: int, double: bool):
+        order = DOUBLE if double and min(free[i], free[j]) >= 2 else SINGLE
+        if (j, i) not in bonds and min(free[i], free[j]) >= 1:
+            bonds[(j, i)] = order
+            free[i] -= 1 + (order == DOUBLE)
+            free[j] -= 1 + (order == DOUBLE)
+
+    for i in range(1, n):
+        add(draw(st.integers(0, i - 1)), i, draw(st.integers(0, 4)) == 0)
+    if n > 2 and draw(st.booleans()):
+        add(0, n - 1, False)
+    atoms, extra = [], []
+    for i, (e, c) in enumerate(zip(elements, charges)):
+        used = sum(1 + (o == DOUBLE) for pair, o in bonds.items() if i in pair)
+        h = lowest_feasible_valence(e, used, c) - used
+        explicit = draw(st.integers(0, h))
+        atoms.append(Atom(e, hydrogens=h - explicit, charge=c))
+        extra += [i] * explicit
+    for anchor in extra:
+        bonds[(anchor, len(atoms))] = SINGLE
+        atoms.append(Atom("H"))
+    if draw(st.booleans()):
+        bonds[(len(atoms), len(atoms) + 1)] = SINGLE
+        atoms += [Atom("H"), Atom("H")]
+    return MolecularGraph(
+        tuple(atoms), tuple(Bond(a, b, o) for (a, b), o in bonds.items())
+    )
+
+
+def unpruned(fn, *args):
+    """``fn(*args)`` with every match rewritten: each atom is its own site
+    token, so no two matches share a site."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pattern, "_site_tokens", lambda mol: list(range(len(mol.atoms))))
+        return fn(*args)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RewriteProducedEmptyGraph:
+        return RewriteProducedEmptyGraph
+
+
+def enumerated(target, templates):
+    """enumerate_precursors with the graphs, which candidate equality skips."""
+    return [
+        (c.precursor_keys, c.provenance, c.precursors)
+        for c in enumerate_precursors(target, templates)
+    ]
+
+
+# Corpus templates plus ones that stress the site key: the two
+# reconstruction templates, an H bonded to a wildcard, an H bonded to no
+# pattern atom (so only the site key says which atom it hangs on), and
+# charge rewrites.
+ORACLE_TEMPLATES = make_templates() + [
+    parse_smarts_template(s, template_id=f"X{i}")
+    for i, s in enumerate(
+        (
+            LOOSE_SMARTS,
+            TIGHT_SMARTS,
+            "[*:1][H]>>[*:1]",
+            "[H:1]>>[F:1]",
+            "[N+:1][H]>>[N+0:1]",
+            "[O-:1]>>[O+0:1][H]",
+        )
+    )
+]
+
+
 class TestParseTemplate:
     def test_minimal_mapped_template(self):
         t = parse_smarts_template("[CH3:1][OH:2]>>[CH3:1][O-:2]")
@@ -194,6 +286,23 @@ class TestApplyTemplate:
         assert len(find_matches(template.lhs, work)) == 48
         apps = apply_template(template, parse_smiles(PRODUCT_FIXTURE))
         assert len(apps) == 2
+
+    def test_tight_template_rewrites_each_site_once(self, monkeypatch):
+        # The 48 matches are 2 sites x 6 orders of the three carbons on C3
+        # x 4 swaps of sibling H on C1 and C2; the H swaps are not rewritten.
+        calls = []
+        rewrite = pattern._rewrite
+
+        def counted(*args):
+            calls.append(args[2])
+            return rewrite(*args)
+
+        monkeypatch.setattr(pattern, "_rewrite", counted)
+        template = parse_smarts_template(TIGHT_SMARTS, template_id="tight")
+        target = parse_smiles(PRODUCT_FIXTURE)
+        assert len(find_matches(template.lhs, add_explicit_hydrogens(target))) == 48
+        assert len(apply_template(template, target)) == 2
+        assert len(calls) == 12
 
     def test_tight_outcomes_subset_of_loose(self):
         loose = parse_smarts_template(LOOSE_SMARTS)
@@ -343,6 +452,77 @@ class TestEnumeratePrecursors:
             assert enumerate_precursors(graph, templates) == enumerate_precursors(
                 parse_smiles(key), templates
             )
+
+
+class TestSitePruning:
+    """Rewriting one match per site must give exactly what rewriting every
+    match gives: the same applications, matches and graphs included."""
+
+    def test_pruned_equals_unpruned_on_corpus(self, synth_corpus):
+        alcohols, templates, positives, _ = synth_corpus
+        aldehydes = [p.reactant_keys[0] for p in positives[::2]]
+        for key in alcohols + aldehydes:
+            target = parse_smiles(key)
+            assert enumerated(target, templates) == unpruned(
+                enumerated, target, templates
+            )
+
+    @given(molecules())
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_equals_unpruned_on_generated_molecules(self, target):
+        for template in ORACLE_TEMPLATES:
+            assert outcome(apply_template, template, target) == unpruned(
+                outcome, apply_template, template, target
+            )
+        assert enumerated(target, ORACLE_TEMPLATES) == unpruned(
+            enumerated, target, ORACLE_TEMPLATES
+        )
+
+    def test_bracket_hydrogens_and_charges(self):
+        for smiles in ("[H]OCC", "[H]C([H])([H])CO", "C[NH3+]", "CC(=O)[O-]", "[H]N([H])CC=O"):
+            target = parse_smiles(smiles)
+            assert enumerated(target, ORACLE_TEMPLATES) == unpruned(
+                enumerated, target, ORACLE_TEMPLATES
+            )
+
+    @given(molecules(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_atom_order_does_not_change_candidates(self, target, rng):
+        templates = make_templates()
+
+        def keyed(mol):
+            return [
+                (c.precursor_keys, c.provenance)
+                for c in enumerate_precursors(mol, templates)
+            ]
+
+        assert keyed(permute_graph(target, rng)) == keyed(target)
+
+
+class TestFoldAndSplit:
+    @given(molecules(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_fold_of_each_component_subgraph(self, mol, rng):
+        # A rewrite builds its precursors straight from its atom list and
+        # bond table; they must equal the old three-step construction, atom
+        # and bond order included, with deleted atoms leaving index gaps.
+        mol = permute_graph(mol, rng)
+        survivors = sorted(rng.sample(range(len(mol.atoms)), rng.randint(1, len(mol.atoms))))
+        kept = set(survivors)
+        items = [((b.a, b.b), b.order) for b in mol.bonds if b.a in kept and b.b in kept]
+        rng.shuffle(items)
+        bonds = dict(items)
+        adjacency = {i: [] for i in survivors}
+        for (u, v), order in bonds.items():
+            adjacency[u].append((v, order))
+            adjacency[v].append((u, order))
+        remap = {old: new for new, old in enumerate(survivors)}
+        rest = MolecularGraph(
+            tuple(mol.atoms[i] for i in survivors),
+            tuple(Bond(remap[u], remap[v], o) for (u, v), o in sorted(bonds.items())),
+        )
+        expected = [remove_explicit_hydrogens(rest.subgraph(c)) for c in rest.components()]
+        assert pattern._fold_and_split(list(mol.atoms), bonds, survivors, adjacency) == expected
 
 
 class TestTemplateFile:
