@@ -49,6 +49,7 @@ __all__ = [
     "molecule_fingerprint",
     "combine_fingerprints",
     "reaction_feature",
+    "pack_features",
     "tanimoto",
     "tversky",
     "Fingerprinter",
@@ -242,6 +243,16 @@ def reaction_feature(
             raise WidthMismatch(f"precursor width {fp.width} != {width}")
         bits |= fp.bits << (k * width)
     return ReactionFeature(bits, width, 1 + len(precursors))
+
+
+def pack_features(features: Sequence[ReactionFeature]) -> np.ndarray:
+    """Equal-width features as one (n, width/8) uint8 array of their bits in
+    little-endian bit order, the packed input that ``neural.forward`` takes."""
+    nbytes = (features[0].width + 7) // 8 if features else 0
+    if any(f.width != features[0].width for f in features):
+        raise WidthMismatch("features of one batch differ in width")
+    packed = b"".join(f.bits.to_bytes(nbytes, "little") for f in features)
+    return np.frombuffer(packed, np.uint8).reshape(len(features), nbytes)
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:

@@ -64,6 +64,7 @@ LOSS_EPS = 1e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+BLOCK_ROWS = 64  # rows per inference block; fixed, so scores are row-stable
 
 
 class DimensionMismatch(ValueError):
@@ -241,25 +242,33 @@ def forward(
     inputs: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Score inputs of shape (d,) or (n, d).
+    """Score inputs of shape (d,) or (n, d), or packed bits: uint8 rows of
+    d/8 bytes in little-endian bit order, unpacked one block at a time.
 
-    Inference (rng None) is deterministic with dropout disabled; passing a
-    generator enables inverted dropout for training. Scores are strictly
-    inside (0, 1).
+    Rows run in zero-padded blocks of BLOCK_ROWS, so every matrix product
+    has one shape and a row's score has the same bits whatever the other
+    rows are, their order or the row's block. Inference (rng None) is
+    deterministic with dropout disabled; passing a generator enables
+    inverted dropout. Scores are strictly inside (0, 1).
     """
-    arr = np.asarray(inputs, dtype=model.layers[0].weights.dtype)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
-    if arr.shape[1] != model.input_dim:
-        raise DimensionMismatch(
-            f"input width {arr.shape[1]} != model input {model.input_dim}"
-        )
-    out, _, _ = _forward_full(model, arr, rng)
-    out = np.clip(out, LOSS_EPS, 1.0 - LOSS_EPS)
-    return float(out[0, 0]) if squeeze and out.shape[1] == 1 else (
-        out[:, 0] if out.shape[1] == 1 else out
-    )
+    dim = model.input_dim
+    arr = np.atleast_2d(inputs)
+    packed = arr.dtype == np.uint8 and arr.shape[1] * 8 == dim
+    if not packed and arr.shape[1] != dim:
+        raise DimensionMismatch(f"input width {arr.shape[1]} != model input {dim}")
+    block = np.zeros((BLOCK_ROWS, dim), dtype=model.layers[0].weights.dtype)
+    out = np.empty((len(arr), model.layers[-1].out_dim), dtype=block.dtype)
+    for lo in range(0, len(arr), BLOCK_ROWS):
+        rows = arr[lo : lo + BLOCK_ROWS]
+        if packed:
+            rows = np.unpackbits(rows, axis=1, bitorder="little")
+        block[: len(rows)] = rows
+        block[len(rows) :] = 0
+        scores, _, _ = _forward_full(model, block, rng)
+        out[lo : lo + len(rows)] = np.clip(scores[: len(rows)], LOSS_EPS, 1.0 - LOSS_EPS)
+    if out.shape[1] != 1:
+        return out
+    return float(out[0, 0]) if np.ndim(inputs) == 1 else out[:, 0]
 
 
 def bce_loss(prediction: float, label: int, weight: float = 1.0) -> float:
@@ -413,7 +422,9 @@ def train(
                     * (mk / correction1)
                     / (np.sqrt(vk / correction2) + ADAM_EPSILON)
                 )
-        scores = forward(model, x)
+        # One full-matrix pass plus the clip, not the blocked ``forward``.
+        out, _, _ = _forward_full(model, x, None)
+        scores = np.clip(out[:, 0], LOSS_EPS, 1.0 - LOSS_EPS)
         losses = -(
             w * (y * np.log(np.clip(scores, LOSS_EPS, None))
                  + (1 - y) * np.log(np.clip(1 - scores, LOSS_EPS, None)))

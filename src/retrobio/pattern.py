@@ -490,9 +490,10 @@ def _rewrite(
     work: MolecularGraph,
     match: tuple[int, ...],
     plan,
+    keys_of: dict,
 ) -> tuple[tuple[MolecularGraph, ...], tuple[str, ...]] | None:
     """Apply the rewrite at one match site; ``plan`` is the template's
-    ``_rewrite_plan``.
+    ``_rewrite_plan``, ``keys_of`` the canonical keys by (atoms, bonds).
 
     Returns (precursor graphs, sorted canonical keys), or None when the
     result fails valence/aromaticity sanitization.
@@ -599,7 +600,9 @@ def _rewrite(
         if not _sanitize(sub):
             return None
         precursors.append(sub)
-        keys.append(canonicalize(sub))
+        if (graph := (sub.atoms, sub.bonds)) not in keys_of:
+            keys_of[graph] = canonicalize(sub)
+        keys.append(keys_of[graph])
     order_idx = sorted(range(len(keys)), key=lambda i: keys[i])
     return (
         tuple(precursors[i] for i in order_idx),
@@ -694,12 +697,13 @@ def apply_template(
     rewritten.
 
     ``prepared`` lets a caller that applies many templates to one target
-    expand its hydrogens once: pass the same dict, empty at first, on each
-    call for that target.
+    expand its hydrogens once and canonicalize each precursor graph once:
+    pass the same dict, empty at first, on each call for that target.
     """
     explicit = template.uses_explicit_hydrogens
     if prepared is None:
         prepared = {}
+    keys_of = prepared.setdefault("keys", {})
     if explicit not in prepared:
         work = add_explicit_hydrogens(target) if explicit else target
         prepared[explicit] = (work, _site_tokens(work))
@@ -713,7 +717,7 @@ def apply_template(
         if site in sites:
             continue
         sites.add(site)
-        rewritten = _rewrite(template, work, match, plan)
+        rewritten = _rewrite(template, work, match, plan, keys_of)
         if rewritten is None:
             continue
         precursors, keys = rewritten

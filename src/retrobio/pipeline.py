@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .fingerprint import Fingerprinter
+from .fingerprint import Fingerprinter, reaction_feature
 from .molgraph import MolecularGraph, parse_smiles, canonicalize
 from .pattern import CandidatePrecursor, ReactionTemplate, enumerate_precursors
 from .ranking import rank_candidates, score_nn1, score_nn2
@@ -161,48 +161,45 @@ def expand_level(
     fingerprinter: Fingerprinter,
     nodes_made: int,
 ) -> tuple[list[SearchNode], dict]:
-    """Enumerate, score with the one-step model, prune and cycle-guard.
+    """Enumerate every frontier node, score the whole level with the
+    one-step model in one batch, then prune and cycle-guard.
 
     ``nodes_made`` counts the nodes created before this level; crossing
     config.max_nodes raises NodeBudgetExceeded.
     """
-    children: list[SearchNode] = []
     stats = {"generated": 0, "pruned": 0, "cycle_dropped": 0}
+    # Each candidate as a node, holding its main substrate's graph only if
+    # the next level expands it, and its feature; one batch scores them all.
+    candidates, features = [], []
     for node in frontier:
-        candidates = enumerate_precursors(node.molecule, templates)
         parent_fp = fingerprinter.of_key(node.molecule_key, node.molecule)
         ancestor_keys = node.ancestors_keys() | {node.molecule_key}
-        for cand in candidates:
+        expandable = node.depth + 1 < config.max_steps
+        for cand in enumerate_precursors(node.molecule, templates):
             stats["generated"] += 1
             if nodes_made + stats["generated"] > config.max_nodes:
                 raise NodeBudgetExceeded(
                     f"node budget {config.max_nodes} exceeded at depth "
                     f"{node.depth + 1}"
                 )
-            score = score_nn1(
-                nn1,
-                parent_fp,
-                [fingerprinter.of_keys(cand.precursor_keys, cand.precursors)],
-            )
-            if score < config.prune_threshold:
-                stats["pruned"] += 1
-                continue
+            block = fingerprinter.of_keys(cand.precursor_keys, cand.precursors)
+            features.append(reaction_feature(parent_fp, [block]))
             main, graph = _main_substrate(cand)
-            if main in ancestor_keys:
-                stats["cycle_dropped"] += 1
-                continue
-            children.append(
-                SearchNode(
-                    molecule_key=main,
-                    precursor_keys=cand.precursor_keys,
-                    depth=node.depth + 1,
-                    step_score=score,
-                    parent=node,
-                    template_id=cand.provenance[0][0],
-                    ec_numbers=cand.provenance[0][1],
-                    molecule=graph if node.depth + 1 < config.max_steps else None,
-                )
+            child = SearchNode(
+                main, cand.precursor_keys, node.depth + 1, 0.0, node,
+                *cand.provenance[0], molecule=graph if expandable else None,
             )
+            candidates.append((child, main in ancestor_keys))
+    scores = score_nn1(nn1, features).tolist() if features else []
+    children: list[SearchNode] = []
+    for (child, cycle), score in zip(candidates, scores):
+        if score < config.prune_threshold:
+            stats["pruned"] += 1
+        elif cycle:
+            stats["cycle_dropped"] += 1
+        else:
+            child.step_score = score
+            children.append(child)
     return children, stats
 
 
@@ -216,23 +213,22 @@ def rank_level(
 
     Depth-1 children are ordered by the one-step score. Deeper levels use
     the two-step score over (grandparent product, parent precursors, child
-    precursors) when a two-step model is given.
+    precursors) when a two-step model is given, scored in one batch.
     """
     if not children:
         return []
-    depth = children[0].depth
-    if nn2 is not None and depth >= 2:
-        for child in children:
-            grandparent = child.parent.parent
-            child.nn2_score = score_nn2(
-                nn2,
-                fingerprinter.of_key(grandparent.molecule_key),
-                fingerprinter.of_keys(child.parent.precursor_keys),
-                fingerprinter.of_keys(child.precursor_keys),
+    if nn2 is not None and children[0].depth >= 2:
+        fp = fingerprinter
+        features = [
+            reaction_feature(
+                fp.of_key(c.parent.parent.molecule_key),
+                [fp.of_keys(c.parent.precursor_keys), fp.of_keys(c.precursor_keys)],
             )
-        ranked = rank_candidates(
-            [(c, c.nn2_score) for c in children]
-        )
+            for c in children
+        ]
+        for child, score in zip(children, score_nn2(nn2, features).tolist()):
+            child.nn2_score = score
+        ranked = rank_candidates([(c, c.nn2_score) for c in children])
     else:
         ranked = rank_candidates([(c, c.step_score) for c in children])
     return [rc.candidate for rc in ranked[: config.beam_width]]
@@ -358,12 +354,9 @@ def gold_step_ranks(
         }
         if candidates:
             target_fp = fingerprinter.of_key(product_key, product_mol)
-            scored = [
-                (c, score_nn1(nn1, target_fp,
-                              [fingerprinter.of_keys(c.precursor_keys, c.precursors)]))
-                for c in candidates
-            ]
-            for rc in rank_candidates(scored):
+            blocks = [fingerprinter.of_keys(c.precursor_keys, c.precursors) for c in candidates]
+            scores = score_nn1(nn1, [reaction_feature(target_fp, [b]) for b in blocks]).tolist()
+            for rc in rank_candidates(list(zip(candidates, scores))):
                 if rc.candidate.precursor_keys == gold_key:
                     entry["found"] = True
                     entry["rank"] = rc.rank

@@ -20,11 +20,15 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dataset import DatasetRow
 from .fingerprint import (
     Fingerprint,
     Fingerprinter,
+    ReactionFeature,
     combine_fingerprints,
+    pack_features,
     reaction_feature,
     tanimoto,
 )
@@ -62,23 +66,14 @@ def score_baseline(
     return tanimoto(target, combine_fingerprints(precursors))
 
 
-def score_nn1(
-    model: MlpModel, target: Fingerprint, precursors: list[Fingerprint]
-) -> float:
-    """One-step neural score on the [target || precursors] feature."""
-    feature = reaction_feature(target, [combine_fingerprints(precursors)])
-    return forward(model, feature.to_array())
+def score_nn1(model: MlpModel, features: list[ReactionFeature]) -> np.ndarray:
+    """One-step neural scores of [target || precursors] features, in order."""
+    return forward(model, pack_features(features))
 
 
-def score_nn2(
-    model: MlpModel,
-    target: Fingerprint,
-    step1: Fingerprint,
-    step2: Fingerprint,
-) -> float:
-    """Two-step neural score on the [target || step1 || step2] feature."""
-    feature = reaction_feature(target, [step1, step2])
-    return forward(model, feature.to_array())
+def score_nn2(model: MlpModel, features: list[ReactionFeature]) -> np.ndarray:
+    """Two-step neural scores of [target || step1 || step2] features, in order."""
+    return forward(model, pack_features(features))
 
 
 def _tie_key(candidate) -> tuple:
@@ -87,11 +82,7 @@ def _tie_key(candidate) -> tuple:
         return (candidate,)
     if isinstance(candidate, DatasetRow):
         return tuple(".".join(step) for step in candidate.steps)
-    for attr in ("precursor_keys", "reactant_keys", "key"):
-        value = getattr(candidate, attr, None)
-        if value is not None:
-            return (value,) if isinstance(value, str) else tuple(value)
-    return (repr(candidate),)
+    return tuple(candidate.precursor_keys)
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,8 @@ def group_rows(rows: list[DatasetRow]) -> list[tuple[DatasetRow, list[DatasetRow
 
 
 def row_scorer(kind: str, fingerprinter: Fingerprinter, model: MlpModel | None = None):
-    """Scorer over DatasetRow for 'baseline', 'nn1pr' or 'nn2pr'.
+    """Batch scorer over DatasetRows for 'baseline', 'nn1pr' or 'nn2pr': it
+    maps a list of rows to their scores, in order.
 
     On two-step rows the baseline compares the target with both step blocks
     combined, and the one-step model scores the most recent step (the
@@ -180,31 +172,24 @@ def row_scorer(kind: str, fingerprinter: Fingerprinter, model: MlpModel | None =
         return [fp.of_keys(step) for step in row.steps]
 
     if kind == "baseline":
-        def score(row: DatasetRow) -> float:
-            return tanimoto(fp.of_key(row.target_key),
-                            combine_fingerprints(blocks(row)))
-        return score
-    if kind == "nn1pr":
-        if model is None:
-            raise ValueError("nn1pr scorer needs a model")
+        return lambda rows: [
+            score_baseline(fp.of_key(row.target_key), blocks(row)) for row in rows
+        ]
+    if kind not in ("nn1pr", "nn2pr"):
+        raise ValueError(f"unknown scorer kind {kind!r}")
+    if model is None:
+        raise ValueError(f"{kind} scorer needs a model")
 
-        def score(row: DatasetRow) -> float:
-            b = blocks(row)
-            if len(b) == 1:
-                return score_nn1(model, fp.of_key(row.target_key), [b[0]])
-            return forward(model, reaction_feature(b[0], [b[1]]).to_array())
-        return score
-    if kind == "nn2pr":
-        if model is None:
-            raise ValueError("nn2pr scorer needs a model")
+    def feature(row: DatasetRow) -> ReactionFeature:
+        b = blocks(row)
+        if kind == "nn2pr" and len(b) != 2:
+            raise ValueError("nn2pr scores two-step rows only")
+        if kind == "nn1pr" and len(b) != 1:
+            return reaction_feature(b[0], [b[1]])
+        return reaction_feature(fp.of_key(row.target_key), b)
 
-        def score(row: DatasetRow) -> float:
-            b = blocks(row)
-            if len(b) != 2:
-                raise ValueError("nn2pr scores two-step rows only")
-            return score_nn2(model, fp.of_key(row.target_key), b[0], b[1])
-        return score
-    raise ValueError(f"unknown scorer kind {kind!r}")
+    score = score_nn1 if kind == "nn1pr" else score_nn2
+    return lambda rows: score(model, [feature(row) for row in rows])
 
 
 def evaluate_ranking(
@@ -213,36 +198,30 @@ def evaluate_ranking(
     ks: tuple[int, ...] = DEFAULT_COVERAGE_KS,
     scorer_name: str = "scorer",
 ) -> EvaluationReport:
-    """Rank each positive among its negatives and summarize coverage."""
+    """Rank each positive among its negatives and summarize coverage.
+
+    ``scorer`` maps a list of rows to their scores; it gets every distinct
+    row of the units once, in one call.
+    """
     report = EvaluationReport(scorer_name=scorer_name)
-    ranks = []
+    distinct = list(dict.fromkeys(r for pos, negs in units for r in (pos, *negs)))
+    score_of = dict(zip(distinct, [float(s) for s in scorer(distinct)]))
     for positive, negatives in units:
-        scored = [(positive, scorer(positive))] + [
-            (neg, scorer(neg)) for neg in negatives
-        ]
-        ranked = rank_candidates(scored)
+        ranked = rank_candidates([(r, score_of[r]) for r in (positive, *negatives)])
         entry = next(rc for rc in ranked if rc.candidate is positive)
-        ranks.append(entry.rank)
-        report.rows.append(
-            {
-                "group_key": positive.group_key,
-                "rank": entry.rank,
-                "total": len(ranked),
-                "rank_percent": entry.rank_percent,
-                "score": entry.score,
-            }
-        )
-    rank_counter = Counter(ranks)
-    percent_counter = Counter(
-        int(row["rank_percent"]) if row["rank_percent"] < 100 else 100
-        for row in report.rows
-    )
+        report.rows.append({
+            "group_key": positive.group_key, "rank": entry.rank, "total": len(ranked),
+            "rank_percent": entry.rank_percent, "score": entry.score,
+        })
+    ranks = [row["rank"] for row in report.rows]
     n = len(ranks)
     report.coverage = CoverageCurve(
         tuple((k, sum(1 for r in ranks if r <= k) / n) for k in ks)
     )
-    report.rank_histogram = dict(rank_counter)
-    report.percent_histogram = dict(percent_counter)
+    report.rank_histogram = dict(Counter(ranks))
+    report.percent_histogram = dict(
+        Counter(min(int(row["rank_percent"]), 100) for row in report.rows)
+    )
     return report
 
 

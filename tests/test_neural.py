@@ -1,8 +1,11 @@
+import functools
 import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import retrobio.neural as nn
 from retrobio.neural import (
@@ -124,6 +127,50 @@ class TestForward:
         assert not np.array_equal(dropped, clean)
 
 
+@functools.cache
+def ranker(kind):
+    """One random nn1 or nn2 model per test session."""
+    spec = nn1pr_spec() if kind == "nn1" else nn2pr_spec()
+    return initialize(spec, np.random.default_rng(0))
+
+
+class TestRowStability:
+    """Inference runs in fixed zero-padded blocks, so a row's score must
+    not depend on the other rows, their order or the row's block. A BLAS
+    whose kernels break that fails here, not in a changed report."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["nn1", "nn2"]),
+        n=st.integers(1, 300),
+        density=st.floats(0.01, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_scored_in_a_batch_equals_row_alone(self, kind, n, density, seed):
+        model = ranker(kind)
+        rng = np.random.default_rng(seed)
+        x = (rng.random((n, model.input_dim)) < density).astype(np.float32)
+        scores = forward(model, x)
+        perm = rng.permutation(n)
+        assert np.array_equal(forward(model, x[perm]), scores[perm])
+        for i in {0, n - 1, *rng.integers(0, n, 6).tolist()}:
+            assert np.array_equal(forward(model, x[i : i + 1]), scores[i : i + 1])
+            assert forward(model, x[i]) == scores[i]
+        packed = np.packbits(x.astype(np.uint8), axis=1, bitorder="little")
+        assert np.array_equal(forward(model, packed), scores)
+
+    def test_real_valued_rows_in_every_block_position(self):
+        model = ranker("nn1")
+        x = np.random.default_rng(8).normal(size=(130, 1024)).astype(np.float32)
+        scores = forward(model, x)
+        for shift in (1, 63, 64, 65):
+            padded = np.concatenate([np.ones((shift, 1024), np.float32), x])
+            assert np.array_equal(forward(model, padded)[shift:], scores)
+
+    def test_empty_batch(self):
+        assert forward(ranker("nn1"), np.zeros((0, 1024), np.float32)).shape == (0,)
+
+
 class TestLoss:
     def test_half_prediction_is_ln2(self):
         assert bce_loss(0.5, 1, 1.0) == pytest.approx(math.log(2), rel=1e-12)
@@ -184,6 +231,26 @@ class TestTrain:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+    def test_history_is_one_full_matrix_pass(self, monkeypatch):
+        # Training must not score through the blocked inference path: the
+        # history is the full-matrix pass plus the clip, so weight files and
+        # history files keep their bytes.
+        def blocked(*args, **kwargs):
+            raise AssertionError("train called the blocked forward")
+
+        monkeypatch.setattr(nn, "forward", blocked)
+        rng = np.random.default_rng(3)
+        x = (rng.random((150, 64)) < 0.3).astype(np.float32)
+        y = (x[:, :8].sum(axis=1) > 2).astype(np.float32)
+        spec = (LayerSpec(64, 16, RELU, 0.2), LayerSpec(16, 1, SIGMOID))
+        model, history = train(spec, x, y, TrainConfig(epochs=3, batch_size=32, seed=2))
+        out, _, _ = nn._forward_full(model, x, None)
+        p = np.clip(out[:, 0], nn.LOSS_EPS, 1.0 - nn.LOSS_EPS)
+        losses = -(y * np.log(np.clip(p, nn.LOSS_EPS, None))
+                   + (1 - y) * np.log(np.clip(1 - p, nn.LOSS_EPS, None)))
+        assert history.loss[-1] == float(losses.mean())
+        assert history.accuracy[-1] == float(((p >= 0.5) == (y == 1.0)).mean())
 
     def test_training_needs_sigmoid_output(self):
         x, y = separable_toy()

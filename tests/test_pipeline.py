@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from retrobio.fingerprint import Fingerprinter
+from retrobio.fingerprint import Fingerprinter, reaction_feature
 from retrobio.molgraph import canonicalize, parse_smiles
 from retrobio.neural import initialize, nn1pr_spec, nn2pr_spec
 from retrobio.pattern import parse_smarts_template
+from retrobio.ranking import score_nn1
 from retrobio.pipeline import (
     NodeBudgetExceeded,
     SearchConfig,
@@ -102,6 +103,21 @@ class TestExpand:
         )
         assert children == []
         assert stats["cycle_dropped"] == 1
+
+    def test_level_scores_equal_candidates_scored_alone(self, models, diol_setup):
+        nn1, _ = models
+        fp = Fingerprinter()
+        config = SearchConfig()
+        frontier, _ = expand_level(
+            [root_node("OCC(O)CCO")], diol_setup, nn1, config, fp, 0
+        )
+        children, _ = expand_level(frontier, diol_setup, nn1, config, fp, 0)
+        assert len(children) > 64
+        for child in children:
+            feature = reaction_feature(
+                fp.of_key(child.parent.molecule_key), [fp.of_keys(child.precursor_keys)]
+            )
+            assert child.step_score == score_nn1(nn1, [feature]).tolist()[0]
 
 
 class TestRankLevel:

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from retrobio.dataset import DatasetRow
-from retrobio.fingerprint import Fingerprint, Fingerprinter
+from retrobio.fingerprint import (
+    Fingerprint,
+    Fingerprinter,
+    WidthMismatch,
+    reaction_feature,
+)
 from retrobio.neural import (
     DenseLayer,
     MlpModel,
+    forward,
     initialize,
     nn1pr_spec,
     nn2pr_spec,
@@ -60,18 +66,44 @@ class TestScorers:
         fp = Fingerprinter()
         one = zero_model(nn1pr_spec())
         two = zero_model(nn2pr_spec())
-        assert score_nn1(one, fp.of_key("CCO"), [fp.of_key("CC=O")]) == 0.5
-        assert (
-            score_nn2(two, fp.of_key("CCO"), fp.of_key("CC=O"), fp.of_key("CC"))
-            == 0.5
-        )
+        step1 = reaction_feature(fp.of_key("CCO"), [fp.of_key("CC=O")])
+        step2 = reaction_feature(fp.of_key("CCO"), [fp.of_key("CC=O"), fp.of_key("CC")])
+        assert score_nn1(one, [step1, step1]).tolist() == [0.5, 0.5]
+        assert score_nn2(two, [step2]).tolist() == [0.5]
 
     def test_scoring_deterministic(self):
         fp = Fingerprinter()
         model = initialize(nn1pr_spec(), np.random.default_rng(0))
-        a = score_nn1(model, fp.of_key("CCO"), [fp.of_key("CC=O")])
-        b = score_nn1(model, fp.of_key("CCO"), [fp.of_key("CC=O")])
-        assert a == b
+        feature = reaction_feature(fp.of_key("CCO"), [fp.of_key("CC=O")])
+        a = score_nn1(model, [feature])
+        b = score_nn1(model, [feature])
+        assert np.array_equal(a, b)
+
+    def test_batch_scores_equal_features_scored_alone(self):
+        fp = Fingerprinter()
+        model = initialize(nn1pr_spec(), np.random.default_rng(2))
+        keys = ["C" * n + "O" for n in range(1, 8)] + ["OCC(O)CO", "CC(=O)O"]
+        features = [
+            reaction_feature(fp.of_key(t), [fp.of_key(p)]) for t in keys for p in keys
+        ]
+        batch = score_nn1(model, features)
+        assert len(batch) == len(features) > 64
+        assert np.array_equal(
+            batch, np.concatenate([score_nn1(model, [f]) for f in features])
+        )
+        for f in features[:3]:
+            assert np.array_equal(
+                score_nn1(model, [f]),
+                forward(model, f.to_array()[None, :]),
+            )
+
+    def test_features_of_one_batch_share_a_width(self):
+        fp = Fingerprinter()
+        model = initialize(nn1pr_spec(), np.random.default_rng(0))
+        step1 = reaction_feature(fp.of_key("CCO"), [fp.of_key("CC=O")])
+        step2 = reaction_feature(fp.of_key("CCO"), [fp.of_key("CC=O"), fp.of_key("CC")])
+        with pytest.raises(WidthMismatch):
+            score_nn1(model, [step1, step2])
 
 
 class TestRankCandidates:
@@ -129,7 +161,7 @@ class TestEvaluate:
     def test_perfect_scorer_coverage_one(self):
         units = self._units()
         report = evaluate_ranking(
-            lambda r: 1.0 if r.is_positive else 0.3, units
+            lambda rows: [1.0 if r.is_positive else 0.3 for r in rows], units
         )
         assert report.coverage.at(1) == 1.0
         assert all(r["rank"] == 1 for r in report.rows)
@@ -137,13 +169,13 @@ class TestEvaluate:
     def test_random_scorer_mean_rank(self):
         rng = random.Random(777)
         units = self._units(n_groups=300, negatives=99)
-        report = evaluate_ranking(lambda r: rng.random(), units)
+        report = evaluate_ranking(lambda rows: [rng.random() for _ in rows], units)
         mean_rank = sum(r["rank"] for r in report.rows) / len(report.rows)
         assert mean_rank == pytest.approx(50.5, abs=5.0)
 
     def test_coverage_monotone_and_bounded(self):
         rng = random.Random(5)
-        report = evaluate_ranking(lambda r: rng.random(), self._units(50, 20))
+        report = evaluate_ranking(lambda rows: [rng.random() for _ in rows], self._units(50, 20))
         fractions = [f for _, f in report.coverage.points]
         assert fractions == sorted(fractions)
         assert fractions[-1] <= 1.0
@@ -164,7 +196,8 @@ class TestEvaluate:
 
     def test_report_files(self, tmp_path):
         report = evaluate_ranking(
-            lambda r: 1.0 if r.is_positive else 0.0, self._units(3, 2),
+            lambda rows: [1.0 if r.is_positive else 0.0 for r in rows],
+            self._units(3, 2),
             scorer_name="nn1pr",
         )
         tsv = tmp_path / "report.tsv"
@@ -186,8 +219,10 @@ class TestRowScorer:
         fp = Fingerprinter()
         model = initialize(nn1pr_spec(), np.random.default_rng(1))
         scorer = row_scorer("nn1pr", fp, model)
-        a = scorer(row("positive", "g", target="CCO", steps="CC=O;CC(=O)O"))
-        b = scorer(row("positive", "g", target="CCCCCCCC", steps="CC=O;CC(=O)O"))
+        a, b = scorer([
+            row("positive", "g", target="CCO", steps="CC=O;CC(=O)O"),
+            row("positive", "g", target="CCCCCCCC", steps="CC=O;CC(=O)O"),
+        ])
         assert a == b
 
     def test_nn2_requires_two_steps(self):
@@ -195,8 +230,70 @@ class TestRowScorer:
         model = initialize(nn2pr_spec(), np.random.default_rng(1))
         scorer = row_scorer("nn2pr", fp, model)
         with pytest.raises(ValueError):
-            scorer(row("positive", "g", steps="CC=O"))
+            scorer([row("positive", "g", steps="CC=O")])
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             row_scorer("svm", Fingerprinter())
+
+    def test_model_kinds_need_a_model(self):
+        for kind in ("nn1pr", "nn2pr"):
+            with pytest.raises(ValueError):
+                row_scorer(kind, Fingerprinter())
+
+    @pytest.mark.parametrize("kind", ["baseline", "nn1pr", "nn2pr"])
+    def test_batch_equals_rows_scored_alone(self, kind):
+        spec = nn2pr_spec() if kind == "nn2pr" else nn1pr_spec()
+        model = initialize(spec, np.random.default_rng(4))
+        scorer = row_scorer(kind, Fingerprinter(), model)
+        steps = ["CC=O;CC(=O)O", "CCC=O;CCC(=O)O", "OCC=O;OCC(=O)O"]
+        if kind != "nn2pr":
+            steps += ["CC=O", "CCCC=O"]
+        rows = [
+            row(label, f"g{i}", target=target, steps=s)
+            for i, target in enumerate(["CCO", "CCCO", "OCCO"] * 30)
+            for label, s in (("positive", steps[i % len(steps)]),
+                             ("negative", steps[(i + 1) % len(steps)]))
+        ]
+        batch = [float(s) for s in scorer(rows)]
+        assert batch == [float(scorer([r])[0]) for r in rows]
+
+
+class TestEvaluateScoresEachRowOnce:
+    def test_negatives_shared_by_positives_are_scored_once(self):
+        rows = [
+            row("positive", "g", steps="CC=O"),
+            row("positive", "g", steps="CC(=O)O"),
+            row("negative", "g", steps="CCS"),
+            row("negative", "g", steps="CCN"),
+            row("positive", "h", steps="CCCC=O"),
+            row("negative", "h", steps="CCS"),
+        ]
+        calls = []
+
+        def scorer(batch):
+            calls.append(list(batch))
+            return [0.9 if r.is_positive else 0.1 for r in batch]
+
+        report = evaluate_ranking(scorer, group_rows(rows))
+        assert len(calls) == 1
+        assert sorted(calls[0], key=repr) == sorted(rows, key=repr)
+        assert [r["rank"] for r in report.rows] == [1, 1, 1]
+        assert [r["total"] for r in report.rows] == [3, 3, 2]
+
+    def test_model_report_equals_rows_scored_alone(self):
+        fp = Fingerprinter()
+        model = initialize(nn1pr_spec(), np.random.default_rng(5))
+        rows = []
+        for g in range(40):
+            rows.append(row("positive", f"g{g}", steps="C" * (g % 7 + 1) + "=O"))
+            rows.extend(
+                row("negative", f"g{g}", steps="C" * (g % 5 + i + 1) + "O")
+                for i in range(3)
+            )
+        scorer = row_scorer("nn1pr", fp, model)
+        report = evaluate_ranking(scorer, group_rows(rows))
+        alone = evaluate_ranking(
+            lambda batch: [scorer([r])[0] for r in batch], group_rows(rows)
+        )
+        assert report.rows == alone.rows
