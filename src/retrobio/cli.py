@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from .ranking import (
     write_report_json,
     write_report_tsv,
 )
-from .tsv import read_tsv, write_tsv
+from .tsv import read_tsv, write_json, write_tsv
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -154,16 +153,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_options(args: argparse.Namespace) -> dict:
-    """Merge precedence: explicit flag > config file section > default."""
+    """Merge precedence: explicit flag > config file section > default.
+
+    Every error in the config file, or in a value read from it, names the
+    file."""
     schema = _SCHEMA[args.command]
     file_values: dict[str, str] = {}
     if args.config:
         config = configparser.ConfigParser()
-        read = config.read(args.config)
-        if not read:
-            raise CliError(f"config file not found: {args.config}")
-        if config.has_section(args.command):
-            file_values = dict(config.items(args.command))
+        try:
+            if not config.read(args.config, encoding="utf-8"):
+                raise CliError(f"config file not found: {args.config}")
+            if config.has_section(args.command):
+                file_values = dict(config.items(args.command))
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise CliError(f"{args.config}: {exc}") from exc
     options = {}
     supplied = vars(args)
     for name, (kind, default, _) in schema.items():
@@ -171,7 +175,12 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         if attr in supplied:
             options[attr] = supplied[attr]
         elif name in file_values:
-            options[attr] = kind(file_values[name])
+            try:
+                options[attr] = kind(file_values[name])
+            except ValueError as exc:
+                raise CliError(
+                    f"{args.config}: [{args.command}] {name}: {exc}"
+                ) from exc
         elif default is None:
             raise CliError(f"missing required option --{name}")
         else:
@@ -216,9 +225,7 @@ def cmd_ingest(options: dict) -> int:
     out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_mono_tsv(out_dir / "mono_reactions.tsv", monos)
-    with open(out_dir / "corpus_stats.json", "w", encoding="utf-8") as fh:
-        json.dump(clean_stats.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "corpus_stats.json", clean_stats.to_dict())
     print(
         f"ingest: {clean_stats.reactions_in} reactions in, "
         f"{clean_stats.reactions_dropped} dropped, "
@@ -278,9 +285,7 @@ def cmd_augment(options: dict) -> int:
             f"{len(chain_negatives)} negative chains"
         )
 
-    with open(out_dir / "augment_stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "augment_stats.json", stats.to_dict())
     print(
         f"augment: {len(positives)} positives, "
         f"{stats.negatives_generated} negatives generated, "
@@ -388,17 +393,22 @@ def cmd_eval(options: dict) -> int:
     return EXIT_OK
 
 
+def _key(smiles: str) -> str:
+    return canonicalize(parse_smiles(smiles))
+
+
 def _read_stop_set(path: str) -> frozenset[str]:
-    keys = read_tsv(
-        path, 1, lambda smiles: canonicalize(parse_smiles(smiles)), strip=True
-    )
-    return frozenset(keys)
+    return frozenset(read_tsv(path, 1, _key, strip=True))
 
 
 def _read_gold_tsv(path: str) -> list[tuple[str, tuple[str, ...]]]:
-    return read_tsv(
-        path, 2, lambda product, precursors: (product, tuple(precursors.split(".")))
-    )
+    """Gold steps as canonical keys, so a bad SMILES, or an empty '.'
+    piece, names its line before the search starts."""
+
+    def row(product: str, precursors: str) -> tuple[str, tuple[str, ...]]:
+        return _key(product), tuple(_key(p) for p in precursors.split("."))
+
+    return read_tsv(path, 2, row)
 
 
 def cmd_retro(options: dict) -> int:

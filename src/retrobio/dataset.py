@@ -422,34 +422,25 @@ def make_pathway_pairs(
     for chain in chains:
         if chain.label != POSITIVE:
             continue
+        # Step-1 swaps first, then step-2 swaps; one counter numbers both.
+        swaps = [
+            (alt, chain.step2_keys)
+            for alt in negatives_by_product.get(chain.target_key, [])
+        ] + [
+            (chain.step1_keys, alt)
+            for alt in negatives_by_product.get(chain.link_key, [])
+        ]
         counter = 0
-        for alt in negatives_by_product.get(chain.target_key, []):
-            triple = (chain.target_key, alt, chain.step2_keys)
-            if triple in positive_triples:
+        for step1, step2 in swaps:
+            if (chain.target_key, step1, step2) in positive_triples:
                 continue
             counter += 1
             out.append(
                 PathwayChain(
                     chain_id=f"{chain.chain_id}:neg{counter}",
                     target_key=chain.target_key,
-                    step1_keys=alt,
-                    step2_keys=chain.step2_keys,
-                    link_key=chain.link_key,
-                    label=NEGATIVE,
-                    group_key=chain.group_key,
-                )
-            )
-        for alt in negatives_by_product.get(chain.link_key, []):
-            triple = (chain.target_key, chain.step1_keys, alt)
-            if triple in positive_triples:
-                continue
-            counter += 1
-            out.append(
-                PathwayChain(
-                    chain_id=f"{chain.chain_id}:neg{counter}",
-                    target_key=chain.target_key,
-                    step1_keys=chain.step1_keys,
-                    step2_keys=alt,
+                    step1_keys=step1,
+                    step2_keys=step2,
                     link_key=chain.link_key,
                     label=NEGATIVE,
                     group_key=chain.group_key,

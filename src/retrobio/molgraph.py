@@ -6,7 +6,8 @@ the organic subset (C, N, O, P, S, F, Cl, Br, I), aromatic lowercase
 atoms, ring closures (single digit or %nn), branches, '.'-separated
 components, and bracket atoms carrying charge, explicit hydrogen count
 and an atom-atom map index. Stereo markers, isotopes and wildcards are
-not supported.
+not supported. The atom tokenizer and the chain reader are shared with the
+SMARTS parser in ``pattern``, which also accepts wildcards and ``Dn``.
 
 Kekule structures are NOT auto-aromatized: "C1=CC=CC=C1" and "c1ccccc1"
 parse to different graphs with different canonical forms. Aromatic
@@ -210,15 +211,16 @@ class MolecularGraph:
 
     def ring_bonds(self) -> set[tuple[int, int]]:
         """Bonds lying on a cycle, as (low, high) index pairs."""
-        return _ring_bonds(len(self.atoms), self.bonds)
+        return _ring_bonds(len(self.atoms), [(b.a, b.b) for b in self.bonds])
 
 
-def _ring_bonds(n: int, bonds: tuple[Bond, ...] | list) -> set[tuple[int, int]]:
-    """Non-bridge edges found with one DFS low-link pass."""
+def _ring_bonds(n: int, pairs: list[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The bond ``pairs`` of atom indices that are non-bridge edges, found
+    with one DFS low-link pass."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, bond in enumerate(bonds):
-        adj[bond.a].append((bond.b, k))
-        adj[bond.b].append((bond.a, k))
+    for k, (a, b) in enumerate(pairs):
+        adj[a].append((b, k))
+        adj[b].append((a, k))
     index = [-1] * n
     low = [0] * n
     bridges: set[int] = set()
@@ -251,7 +253,7 @@ def _ring_bonds(n: int, bonds: tuple[Bond, ...] | list) -> set[tuple[int, int]]:
                 if low[u] > index[p]:
                     bridges.add(in_edge)
     # Non-bridge edges are exactly the edges lying on a cycle.
-    return {(bond.a, bond.b) for k, bond in enumerate(bonds) if k not in bridges}
+    return {pair for k, pair in enumerate(pairs) if k not in bridges}
 
 
 def effective_valences(element: str, charge: int = 0) -> tuple[int, ...] | None:
@@ -302,190 +304,174 @@ def implied_hydrogens(
 # Parsing
 
 
-class _ChainParser:
-    """Shared SMILES/SMARTS chain reader: branches, rings, bonds, dots.
+def _read_chain(text: str, pattern: bool = False):
+    """Read a SMILES or, with ``pattern``, a SMARTS chain: atoms, branches,
+    ring closures, bond symbols and '.'.
 
-    Atom tokens are delegated to ``parse_atom(text, pos) -> (payload, end)``
-    so the molecule and pattern parsers can share the structural machinery.
+    Returns the atom tokens of ``_parse_atom`` and the bonds as (atom,
+    atom, order) triples, order None where no bond symbol was written.
     """
-
-    def __init__(self, text: str, parse_atom):
-        self.text = text
-        self.parse_atom = parse_atom
-        self.atoms: list = []  # payloads
-        self.offsets: list[int] = []
-        self.bonds: list[tuple[int, int, str | None]] = []
-
-    def run(self):
-        text = self.text
-        if not text:
-            raise EmptyInput("empty SMILES input", 0)
-        prev: int | None = None
-        pending: str | None = None
-        pending_pos = 0
-        branch_stack: list[int | None] = []
-        open_rings: dict[int, tuple[int, str | None, int]] = {}
-        just_opened = False
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "(":
-                if pending is not None:
-                    raise SmilesSyntaxError("bond symbol before '('", pending_pos)
-                if prev is None:
-                    raise SmilesSyntaxError("branch before any atom", i)
-                if just_opened:
-                    raise SmilesSyntaxError("branch cannot start with '('", i)
-                branch_stack.append(prev)
-                just_opened = True
-                i += 1
-            elif ch == ")":
-                if pending is not None:
-                    raise SmilesSyntaxError("bond symbol before ')'", pending_pos)
-                if not branch_stack:
-                    raise SmilesSyntaxError("unmatched ')'", i)
-                if just_opened:
-                    raise SmilesSyntaxError("empty branch", i)
-                prev = branch_stack.pop()
-                i += 1
-            elif ch in BOND_SYMBOLS:
-                if pending is not None:
-                    raise SmilesSyntaxError("two bond symbols in a row", i)
-                pending = BOND_SYMBOLS[ch]
-                pending_pos = i
-                i += 1
-            elif ch == ".":
-                if pending is not None:
-                    raise SmilesSyntaxError("bond symbol before '.'", pending_pos)
-                if branch_stack:
-                    raise SmilesSyntaxError("'.' inside a branch", i)
-                if prev is None:
-                    raise SmilesSyntaxError("'.' before any atom", i)
-                prev = None
-                i += 1
-            elif ch.isdigit() or ch == "%":
-                if prev is None:
-                    raise UnbalancedRingClosure("ring closure before any atom", i)
-                if ch == "%":
-                    if i + 2 >= len(text) or not text[i + 1 : i + 3].isdigit():
-                        raise UnbalancedRingClosure("malformed '%nn' ring number", i)
-                    number = int(text[i + 1 : i + 3])
-                    i += 3
-                else:
-                    number = int(ch)
-                    i += 1
-                if number in open_rings:
-                    other, other_order, other_pos = open_rings.pop(number)
-                    order = pending if pending is not None else other_order
-                    if (
-                        pending is not None
-                        and other_order is not None
-                        and pending != other_order
-                    ):
-                        raise UnbalancedRingClosure(
-                            f"conflicting bond orders on ring closure {number}",
-                            pending_pos,
-                        )
-                    if other == prev:
-                        raise UnbalancedRingClosure(
-                            f"ring closure {number} bonds an atom to itself", i - 1
-                        )
-                    self.bonds.append((other, prev, order))
-                else:
-                    open_rings[number] = (prev, pending, i - 1)
-                pending = None
+    if not text:
+        raise EmptyInput("empty SMILES input", 0)
+    atoms: list[dict] = []
+    bonds: list[tuple[int, int, str | None]] = []
+    prev: int | None = None
+    pending: str | None = None
+    pending_pos = 0
+    branch_stack: list[int | None] = []
+    open_rings: dict[int, tuple[int, str | None, int]] = {}
+    just_opened = False
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "(":
+            if pending is not None:
+                raise SmilesSyntaxError("bond symbol before '('", pending_pos)
+            if prev is None:
+                raise SmilesSyntaxError("branch before any atom", i)
+            if just_opened:
+                raise SmilesSyntaxError("branch cannot start with '('", i)
+            branch_stack.append(prev)
+            just_opened = True
+            i += 1
+        elif ch == ")":
+            if pending is not None:
+                raise SmilesSyntaxError("bond symbol before ')'", pending_pos)
+            if not branch_stack:
+                raise SmilesSyntaxError("unmatched ')'", i)
+            if just_opened:
+                raise SmilesSyntaxError("empty branch", i)
+            prev = branch_stack.pop()
+            i += 1
+        elif ch in BOND_SYMBOLS:
+            if pending is not None:
+                raise SmilesSyntaxError("two bond symbols in a row", i)
+            pending = BOND_SYMBOLS[ch]
+            pending_pos = i
+            i += 1
+        elif ch == ".":
+            if pending is not None:
+                raise SmilesSyntaxError("bond symbol before '.'", pending_pos)
+            if branch_stack:
+                raise SmilesSyntaxError("'.' inside a branch", i)
+            if prev is None:
+                raise SmilesSyntaxError("'.' before any atom", i)
+            prev = None
+            i += 1
+        elif ch.isdigit() or ch == "%":
+            if prev is None:
+                raise UnbalancedRingClosure("ring closure before any atom", i)
+            if ch == "%":
+                if i + 2 >= len(text) or not text[i + 1 : i + 3].isdigit():
+                    raise UnbalancedRingClosure("malformed '%nn' ring number", i)
+                number = int(text[i + 1 : i + 3])
+                i += 3
             else:
-                payload, end = self.parse_atom(text, i)
-                idx = len(self.atoms)
-                self.atoms.append(payload)
-                self.offsets.append(i)
-                if prev is not None:
-                    self.bonds.append((prev, idx, pending))
-                elif pending is not None:
-                    raise SmilesSyntaxError("dangling bond symbol", pending_pos)
-                pending = None
-                prev = idx
-                just_opened = False
-                i = end
-        if pending is not None:
-            raise SmilesSyntaxError("dangling bond symbol at end", pending_pos)
-        if branch_stack:
-            raise SmilesSyntaxError("unclosed '('", len(text) - 1)
-        if open_rings:
-            number, (_, _, pos) = sorted(open_rings.items())[0]
-            raise UnbalancedRingClosure(f"unclosed ring closure {number}", pos)
-        if not self.atoms:
-            raise EmptyInput("no atoms in input", 0)
+                number = int(ch)
+                i += 1
+            if number in open_rings:
+                other, other_order, other_pos = open_rings.pop(number)
+                order = pending if pending is not None else other_order
+                if (
+                    pending is not None
+                    and other_order is not None
+                    and pending != other_order
+                ):
+                    raise UnbalancedRingClosure(
+                        f"conflicting bond orders on ring closure {number}",
+                        pending_pos,
+                    )
+                if other == prev:
+                    raise UnbalancedRingClosure(
+                        f"ring closure {number} bonds an atom to itself", i - 1
+                    )
+                bonds.append((other, prev, order))
+            else:
+                open_rings[number] = (prev, pending, i - 1)
+            pending = None
+        else:
+            token, end = _parse_atom(text, i, pattern)
+            idx = len(atoms)
+            atoms.append(token)
+            if prev is not None:
+                bonds.append((prev, idx, pending))
+            elif pending is not None:
+                raise SmilesSyntaxError("dangling bond symbol", pending_pos)
+            pending = None
+            prev = idx
+            just_opened = False
+            i = end
+    if pending is not None:
+        raise SmilesSyntaxError("dangling bond symbol at end", pending_pos)
+    if branch_stack:
+        raise SmilesSyntaxError("unclosed '('", len(text) - 1)
+    if open_rings:
+        number, (_, _, pos) = sorted(open_rings.items())[0]
+        raise UnbalancedRingClosure(f"unclosed ring closure {number}", pos)
+    if not atoms:
+        raise EmptyInput("no atoms in input", 0)
+    return atoms, bonds
 
 
 _TWO_LETTER = {"Cl", "Br"}
 
 
-def _parse_plain_atom(text: str, pos: int):
-    """Organic-subset atom outside brackets. Returns a builder dict."""
-    ch = text[pos]
-    if ch.isupper():
-        sym = text[pos : pos + 2]
-        if sym in _TWO_LETTER:
-            return {"element": sym, "aromatic": False, "offset": pos}, pos + 2
-        if ch in ORGANIC_SUBSET and ch != "H":
-            return {"element": ch, "aromatic": False, "offset": pos}, pos + 1
-        raise UnknownElement(f"unknown element {ch!r}", pos)
-    if ch.islower():
-        up = ch.upper()
-        if up in AROMATIC_SUBSET:
-            return {"element": up, "aromatic": True, "offset": pos}, pos + 1
-        raise UnknownElement(f"unknown aromatic element {ch!r}", pos)
-    raise SmilesSyntaxError(f"unexpected character {ch!r}", pos)
+def _parse_atom(text: str, pos: int, pattern: bool = False) -> tuple[dict, int]:
+    """The atom token at ``pos`` and the index just past it.
 
-
-def _parse_bracket_body(
-    text: str, pos: int, allow_wildcard: bool = False
-) -> tuple[dict, int]:
-    """Parse ``[...]`` starting at ``pos``; returns builder dict and end."""
-    end = text.find("]", pos)
-    if end == -1:
-        raise MalformedBracketAtom("unterminated bracket atom", pos)
-    body = text[pos + 1 : end]
-    if not body:
-        raise MalformedBracketAtom("empty bracket atom", pos)
-    i = 0
-    out: dict = {
-        "offset": pos,
-        "hydrogens": 0,
-        "charge": 0,
-        "map_index": None,
-        # Patterns need to distinguish "[C]" (unconstrained) from "[CH0]".
-        "h_explicit": False,
-        "charge_explicit": False,
-    }
-    if body[i] == "*":
-        if not allow_wildcard:
-            raise UnknownElement("wildcard atom outside a pattern", pos + 1)
-        out["element"] = None
-        out["aromatic"] = None
-        i += 1
-    elif body[i].isupper():
-        sym = body[i : i + 2]
-        if sym in _TWO_LETTER:
-            i += 2
-        else:
-            sym = body[i]
-            i += 1
-        if sym not in VALENCES:
-            raise UnknownElement(f"unknown element {sym!r}", pos + 1)
-        out["element"] = sym
-        out["aromatic"] = False
-    elif body[i].islower():
-        up = body[i].upper()
-        if up not in AROMATIC_SUBSET:
-            raise UnknownElement(f"unknown aromatic element {body[i]!r}", pos + 1)
-        out["element"] = up
-        out["aromatic"] = True
-        i += 1
+    A token is a bare organic-subset atom, a bracket atom or, in a pattern,
+    the bare wildcard ``*``. It holds ``element`` and ``aromatic`` (None
+    for a wildcard), ``offset``, ``bracket``, and ``hydrogens``,
+    ``charge``, ``map_index`` and ``degree``, each None when the token does
+    not write it. Wildcards and ``Dn`` are accepted only in a pattern.
+    """
+    bracket = text[pos] == "["
+    if bracket:
+        end = text.find("]", pos)
+        if end == -1:
+            raise MalformedBracketAtom("unterminated bracket atom", pos)
+        if end == pos + 1:
+            raise MalformedBracketAtom("empty bracket atom", pos)
+    at = pos + 1 if bracket else pos  # the element symbol
+    ch = text[at]
+    if ch == "*" and (pattern or bracket):
+        if not pattern:
+            raise UnknownElement("wildcard atom outside a pattern", at)
+        element = aromatic = None
+    elif ch.isupper():
+        element = text[at : at + 2]
+        if element not in _TWO_LETTER:
+            element = ch
+            # Only a bracket may hold hydrogen as an atom.
+            if element not in (VALENCES if bracket else ORGANIC_SUBSET):
+                raise UnknownElement(f"unknown element {ch!r}", at)
+        aromatic = False
+    elif ch.islower():
+        element = ch.upper()
+        if element not in AROMATIC_SUBSET:
+            raise UnknownElement(f"unknown aromatic element {ch!r}", at)
+        aromatic = True
+    elif bracket:
+        raise MalformedBracketAtom(f"bad bracket atom start {ch!r}", at)
     else:
-        raise MalformedBracketAtom(f"bad bracket atom start {body[i]!r}", pos + 1)
-    # Optional properties, in SMILES order: Hn, Dn (patterns only), charge, :map
+        raise SmilesSyntaxError(f"unexpected character {ch!r}", at)
+    token = {
+        "element": element,
+        "aromatic": aromatic,
+        "offset": pos,
+        "bracket": bracket,
+        "hydrogens": None,
+        "charge": None,
+        "map_index": None,
+        "degree": None,
+    }
+    width = 2 if element in _TWO_LETTER else 1
+    if not bracket:
+        return token, at + width
+    # Properties, in SMILES order: Hn, Dn, charge, :map. Offsets count from
+    # the bracket, so each names the character before the one at fault.
+    body = text[pos + 1 : end]
+    i = width
     while i < len(body):
         c = body[i]
         if c == "H":
@@ -494,29 +480,27 @@ def _parse_bracket_body(
             if i < len(body) and body[i].isdigit():
                 count = int(body[i])
                 i += 1
-            out["hydrogens"] = count
-            out["h_explicit"] = True
+            token["hydrogens"] = count
         elif c == "D":
-            if not allow_wildcard:
+            if not pattern:
                 raise MalformedBracketAtom("degree constraint outside a pattern", pos + i)
             i += 1
             if i >= len(body) or not body[i].isdigit():
                 raise MalformedBracketAtom("'D' needs a digit", pos + i)
-            out["degree"] = int(body[i])
+            token["degree"] = int(body[i])
             i += 1
         elif c in "+-":
             sign = 1 if c == "+" else -1
             i += 1
             if i < len(body) and body[i].isdigit():
-                out["charge"] = sign * int(body[i])
+                token["charge"] = sign * int(body[i])
                 i += 1
             else:
                 magnitude = 1
                 while i < len(body) and body[i] == c:
                     magnitude += 1
                     i += 1
-                out["charge"] = sign * magnitude
-            out["charge_explicit"] = True
+                token["charge"] = sign * magnitude
         elif c == ":":
             i += 1
             j = i
@@ -524,23 +508,13 @@ def _parse_bracket_body(
                 j += 1
             if j == i:
                 raise MalformedBracketAtom("':' needs a map number", pos + i)
-            out["map_index"] = int(body[i:j])
-            if out["map_index"] <= 0:
+            token["map_index"] = int(body[i:j])
+            if token["map_index"] <= 0:
                 raise MalformedBracketAtom("map index must be positive", pos + i)
             i = j
         else:
             raise MalformedBracketAtom(f"unsupported bracket token {c!r}", pos + i)
-    return out, end + 1
-
-
-def _parse_atom_token(text: str, pos: int):
-    if text[pos] == "[":
-        out, end = _parse_bracket_body(text, pos, allow_wildcard=False)
-        out["fixed_h"] = True  # bracket hydrogen counts are authoritative
-        return out, end
-    out, end = _parse_plain_atom(text, pos)
-    out.update({"hydrogens": None, "charge": 0, "map_index": None, "fixed_h": False})
-    return out, end
+    return token, end + 1
 
 
 def parse_smiles(text: str) -> MolecularGraph:
@@ -551,72 +525,58 @@ def parse_smiles(text: str) -> MolecularGraph:
     problem, and ValenceExceeded when a bare atom's bonds exceed its element's
     largest allowed valence.
     """
-    if text is None or text == "":
-        raise EmptyInput("empty SMILES input", 0)
-    parser = _ChainParser(text, _parse_atom_token)
-    parser.run()
-    builders = parser.atoms
-    n = len(builders)
+    tokens, links = _read_chain(text)
+    n = len(tokens)
+    # Ring membership depends on topology only, not on bond orders.
+    in_ring = _ring_bonds(n, [(a, b) for a, b, _ in links])
 
-    # Resolve default (symbol-less) bonds: aromatic when both endpoints are
-    # aromatic atoms and the bond lies in a ring, single otherwise.
-    tentative = [
-        Bond(a, b, AROMATIC if order is None else order)
-        for a, b, order in parser.bonds
-    ]
-    in_ring = _ring_bonds(n, tentative)
+    # A bond written without a symbol is aromatic when both ends are
+    # aromatic atoms and it lies in a ring, single otherwise.
     bonds = []
-    for a, b, order in parser.bonds:
+    for a, b, order in links:
         if order is None:
-            lo, hi = min(a, b), max(a, b)
-            if (
-                builders[a]["aromatic"]
-                and builders[b]["aromatic"]
-                and (lo, hi) in in_ring
-            ):
-                order = AROMATIC
-            else:
-                order = SINGLE
+            both = tokens[a]["aromatic"] and tokens[b]["aromatic"]
+            order = AROMATIC if both and (a, b) in in_ring else SINGLE
         bonds.append(Bond(a, b, order))
 
     # Aromatic atoms must sit on a ring; aromatic bonds need aromatic ends.
-    ring_atoms = {i for bond in _ring_bonds(n, bonds) for i in (bond[0], bond[1])}
-    for idx, info in enumerate(builders):
-        if info["aromatic"] and idx not in ring_atoms:
-            raise SmilesSyntaxError(
-                "aromatic atom outside any ring", info["offset"]
-            )
+    ring_atoms = {i for pair in in_ring for i in pair}
+    for idx, token in enumerate(tokens):
+        if token["aromatic"] and idx not in ring_atoms:
+            raise SmilesSyntaxError("aromatic atom outside any ring", token["offset"])
     for bond in bonds:
         if bond.order == AROMATIC and not (
-            builders[bond.a]["aromatic"] and builders[bond.b]["aromatic"]
+            tokens[bond.a]["aromatic"] and tokens[bond.b]["aromatic"]
         ):
             raise SmilesSyntaxError(
                 "aromatic bond between non-aromatic atoms",
-                builders[bond.a]["offset"],
+                tokens[bond.a]["offset"],
             )
 
     # Implicit hydrogens for bare atoms; valence check while we are at it.
+    # A bracket atom has exactly the hydrogens and charge it writes.
     bond_valence = [0.0] * n
     for bond in bonds:
         bond_valence[bond.a] += ORDER_VALENCE[bond.order]
         bond_valence[bond.b] += ORDER_VALENCE[bond.order]
     atoms = []
-    for idx, info in enumerate(builders):
-        hydrogens = info["hydrogens"]
-        if hydrogens is None:
-            hydrogens = implied_hydrogens(info["element"], bond_valence[idx])
+    for idx, token in enumerate(tokens):
+        if token["bracket"]:
+            hydrogens = token["hydrogens"] or 0
+        else:
+            hydrogens = implied_hydrogens(token["element"], bond_valence[idx])
             if hydrogens is None:
                 raise ValenceExceeded(
-                    f"atom {info['element']} at offset {info['offset']} has "
+                    f"atom {token['element']} at offset {token['offset']} has "
                     f"bond valence {bond_valence[idx]:g} exceeding its maximum"
                 )
         atoms.append(
             Atom(
-                element=info["element"],
-                aromatic=bool(info["aromatic"]),
+                element=token["element"],
+                aromatic=token["aromatic"],
                 hydrogens=hydrogens,
-                charge=info["charge"],
-                map_index=info["map_index"],
+                charge=token["charge"] or 0,
+                map_index=token["map_index"],
             )
         )
     return MolecularGraph(tuple(atoms), tuple(bonds))

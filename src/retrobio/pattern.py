@@ -36,10 +36,8 @@ from .molgraph import (
     SmilesSyntaxError,
     VALENCES,
     ORDER_VALENCE,
-    _ChainParser,
     _fold_anchor,
-    _parse_bracket_body,
-    _parse_plain_atom,
+    _read_chain,
     _with_gained,
     add_explicit_hydrogens,
     canonicalize,
@@ -212,50 +210,21 @@ class CandidatePrecursor:
 # Parsing
 
 
-def _parse_pattern_atom(text: str, pos: int):
-    if text[pos] == "*":
-        return {
-            "element": None,
-            "aromatic": None,
-            "offset": pos,
-            "hydrogens": 0,
-            "h_explicit": False,
-            "charge": 0,
-            "charge_explicit": False,
-            "map_index": None,
-        }, pos + 1
-    if text[pos] == "[":
-        out, end = _parse_bracket_body(text, pos, allow_wildcard=True)
-        return out, end
-    out, end = _parse_plain_atom(text, pos)
-    out.update(
-        {
-            "hydrogens": 0,
-            "h_explicit": False,
-            "charge": 0,
-            "charge_explicit": False,
-            "map_index": None,
-        }
-    )
-    return out, end
-
-
 def parse_smarts(text: str) -> PatternGraph:
     """Parse one side of a template into a PatternGraph."""
-    parser = _ChainParser(text, _parse_pattern_atom)
-    parser.run()
+    tokens, links = _read_chain(text, pattern=True)
     atoms = tuple(
         PatternAtom(
-            element=info["element"],
-            aromatic=info["aromatic"],
-            charge=info["charge"] if info["charge_explicit"] else None,
-            degree=info.get("degree"),
-            h_count=info["hydrogens"] if info["h_explicit"] else None,
-            map_index=info["map_index"],
+            element=token["element"],
+            aromatic=token["aromatic"],
+            charge=token["charge"],
+            degree=token["degree"],
+            h_count=token["hydrogens"],
+            map_index=token["map_index"],
         )
-        for info in parser.atoms
+        for token in tokens
     )
-    bonds = tuple(PatternBond(a, b, order) for a, b, order in parser.bonds)
+    bonds = tuple(PatternBond(a, b, order) for a, b, order in links)
     return PatternGraph(atoms, bonds)
 
 

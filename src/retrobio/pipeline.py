@@ -23,7 +23,6 @@ Reports are deterministic for fixed models, templates and configuration.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +31,7 @@ from .molgraph import MolecularGraph, parse_smiles, canonicalize
 from .pattern import CandidatePrecursor, ReactionTemplate, enumerate_precursors
 from .ranking import rank_candidates, score_nn1, score_nn2
 from .neural import MlpModel
+from .tsv import write_json
 
 __all__ = [
     "SearchConfig",
@@ -234,18 +234,6 @@ def rank_level(
     return [rc.candidate for rc in ranked[: config.beam_width]]
 
 
-def _window_scores(node: SearchNode, use_nn2: bool) -> list[float]:
-    chain: list[SearchNode] = []
-    cur = node
-    while cur is not None and cur.parent is not None:
-        chain.append(cur)
-        cur = cur.parent
-    chain.reverse()  # depth 1 .. depth L
-    if use_nn2 and len(chain) >= 2:
-        return [n.nn2_score for n in chain[1:] if n.nn2_score is not None]
-    return [n.step_score for n in chain]
-
-
 def reconstruct_pathways(
     nodes: list[SearchNode],
     stop_set: frozenset[str],
@@ -267,27 +255,32 @@ def reconstruct_pathways(
     seen: set[tuple] = set()
     pathways = []
     for node in hits:
-        steps = []
+        chain: list[SearchNode] = []
         cur = node
-        while cur is not None and cur.parent is not None:
-            steps.append(
-                PathwayStep(
-                    product_key=cur.parent.molecule_key,
-                    precursor_keys=cur.precursor_keys,
-                    ec_numbers=cur.ec_numbers,
-                    template_id=cur.template_id,
-                    step_score=cur.step_score,
-                )
-            )
+        while cur.parent is not None:
+            chain.append(cur)
             cur = cur.parent
-        steps.reverse()
+        chain.reverse()  # depth 1 .. depth L
+        steps = [
+            PathwayStep(
+                product_key=n.parent.molecule_key,
+                precursor_keys=n.precursor_keys,
+                ec_numbers=n.ec_numbers,
+                template_id=n.template_id,
+                step_score=n.step_score,
+            )
+            for n in chain
+        ]
         identity = tuple(
             (s.product_key, s.precursor_keys, s.template_id) for s in steps
         )
         if identity in seen:
             continue
         seen.add(identity)
-        scores = _window_scores(node, use_nn2)
+        if use_nn2 and len(chain) >= 2:
+            scores = [n.nn2_score for n in chain[1:] if n.nn2_score is not None]
+        else:
+            scores = [n.step_score for n in chain]
         aggregate = math.exp(sum(math.log(s) for s in scores) / len(scores))
         pathways.append(Pathway(tuple(steps), aggregate))
     pathways.sort(
@@ -324,9 +317,7 @@ class SearchReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def gold_step_ranks(

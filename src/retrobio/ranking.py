@@ -16,7 +16,6 @@ within top-k) and the rank histograms.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -33,7 +32,7 @@ from .fingerprint import (
     tanimoto,
 )
 from .neural import MlpModel, forward
-from .tsv import write_tsv
+from .tsv import write_json, write_tsv
 
 __all__ = [
     "RankedCandidate",
@@ -247,6 +246,4 @@ def write_report_json(path, reports: list[EvaluationReport]) -> None:
         "schema_version": 1,
         "reports": [r.to_dict() for r in reports],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

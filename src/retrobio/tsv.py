@@ -1,19 +1,22 @@
 """
-The one tab-separated reader and writer behind every retrobio file format.
+The one tab-separated reader and writer behind every retrobio file format,
+and the one JSON writer behind every report and stats file.
 
 Files are UTF-8, decoded line by line. Reading skips empty lines and
 '#'-prefixed lines, splits each remaining line on tabs and checks the field
 count; every error raised while decoding or parsing a row names the file
 and line as a ``path:line:`` prefix.
 Writing emits a '# '-prefixed header, then one tab-joined line per row,
-always with '\\n' line endings.
+always with '\\n' line endings. JSON is written with sorted keys, two-space
+indents and a final newline, with '\\n' line endings too.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Iterable, Sequence, TypeVar
 
-__all__ = ["read_tsv", "write_tsv"]
+__all__ = ["read_tsv", "write_tsv", "write_json"]
 
 Row = TypeVar("Row")
 
@@ -65,3 +68,10 @@ def write_tsv(
         fh.write("# " + "\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(row) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from retrobio import cli
 from retrobio.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, main
 from retrobio.neural import initialize, nn2pr_spec, save_weights
 
@@ -315,6 +316,28 @@ class TestRetro:
         assert f"{stop}:3: " in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("precursors", ["O=CCCCCC(", "CC=O..O"])
+    def test_bad_gold_smiles_exits_1_naming_file_and_line_before_search(
+        self, corpus_files, staged, tmp_path, capsys, monkeypatch, precursors
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search ran before the gold file was read")
+
+        monkeypatch.setattr(cli, "run_retro", refuse)
+        _, _, _, templates = corpus_files
+        gold = tmp_path / "g.tsv"
+        gold.write_text(f"OCCCCCC\t{precursors}\n", encoding="utf-8")
+        assert main([
+            "retro", "--target", "OCCCO",
+            "--templates", str(templates),
+            "--nn1", str(staged / "nn1.weights"),
+            "--out", str(tmp_path / "r.json"),
+            "--gold", str(gold),
+        ]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {gold}:1: ")
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("role", ["nn1", "nn2"])
     def test_weight_file_of_other_model_exits_1_naming_file(
         self, corpus_files, staged, tmp_path, capsys, role
@@ -414,3 +437,26 @@ class TestConfigFile:
 
     def test_missing_required_option(self):
         assert main(["ingest"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "content,command,names",
+        [
+            (b"reactions = r.tsv\n", "ingest", ""),  # no section header
+            (b"[ingest]\nreactions = a.tsv\nreactions = b.tsv\n", "ingest", ""),
+            (b"[ingest]\nreactions = 100%\n", "ingest", ""),  # bad interpolation
+            (b"[ingest]\nreactions = caf\xe9.tsv\n", "ingest", ""),  # not UTF-8
+            (b"[retro]\nbeam = ten\n", "retro", "[retro] beam: "),
+        ],
+        ids=["no-section", "duplicate-key", "percent", "not-utf8", "bad-value"],
+    )
+    def test_malformed_config_exits_1_naming_file(
+        self, tmp_path, capsys, content, command, names
+    ):
+        config = tmp_path / "config.ini"
+        config.write_bytes(content)
+        flags = {
+            "ingest": ["--out-dir", "out"],
+            "retro": ["--target", "CCO", "--templates", "t", "--nn1", "w", "--out", "o"],
+        }[command]
+        assert main(["--config", str(config), command, *flags]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {config}: {names}")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retrobio.molgraph import (
     AROMATIC,
@@ -21,6 +23,7 @@ from retrobio.molgraph import (
     remove_explicit_hydrogens,
     write_smiles,
 )
+from retrobio.pattern import PatternAtom, parse_smarts, parse_smarts_template
 
 from conftest import permute_graph
 
@@ -115,6 +118,61 @@ class TestParse:
         assert parse_smiles("S").atoms[0].hydrogens == 2
         mol = parse_smiles("OS(=O)(=O)O")
         assert mol.atoms[1].hydrogens == 0
+
+
+# One atom token read by both dialects: the first atom of parse_smiles, or
+# the (exception class, offset) it raises for a pattern-only token, and the
+# first atom of parse_smarts. A pattern field written as zero is 0, one not
+# written is None.
+ATOM_TOKENS = {
+    "C": (Atom("C", hydrogens=4), PatternAtom("C", False)),
+    "[C]": (Atom("C"), PatternAtom("C", False)),
+    "[CH0]": (Atom("C"), PatternAtom("C", False, h_count=0)),
+    "[CH]": (Atom("C", hydrogens=1), PatternAtom("C", False, h_count=1)),
+    "[C+0]": (Atom("C"), PatternAtom("C", False, charge=0)),
+    "[N+]": (Atom("N", charge=1), PatternAtom("N", False, charge=1)),
+    "[O--]": (Atom("O", charge=-2), PatternAtom("O", False, charge=-2)),
+    "[S-2]": (Atom("S", charge=-2), PatternAtom("S", False, charge=-2)),
+    "[C:7]": (Atom("C", map_index=7), PatternAtom("C", False, map_index=7)),
+    "[CD3]": ((MalformedBracketAtom, 1), PatternAtom("C", False, degree=3)),
+    "*": ((SmilesSyntaxError, 0), PatternAtom()),
+    "[*]": ((UnknownElement, 1), PatternAtom()),
+    "c1ccccc1": (Atom("C", aromatic=True, hydrogens=1), PatternAtom("C", True)),
+    "Cl": (Atom("Cl", hydrogens=1), PatternAtom("Cl", False)),
+    "[Br-]": (Atom("Br", charge=-1), PatternAtom("Br", False, charge=-1)),
+}
+
+SMILES_ALPHABET = "CNOPSFIBrlcnops*()[]=#-:.%0123456789+HD>"
+
+
+class TestAtomTokens:
+    @pytest.mark.parametrize("text", list(ATOM_TOKENS))
+    def test_smiles_atom(self, text):
+        expected, _ = ATOM_TOKENS[text]
+        if isinstance(expected, Atom):
+            assert parse_smiles(text).atoms[0] == expected
+        else:
+            exc, offset = expected
+            with pytest.raises(exc) as info:
+                parse_smiles(text)
+            assert type(info.value) is exc
+            assert info.value.offset == offset
+
+    @pytest.mark.parametrize("text", list(ATOM_TOKENS))
+    def test_pattern_atom(self, text):
+        _, expected = ATOM_TOKENS[text]
+        assert parse_smarts(text).atoms[0] == expected
+
+    @given(st.text(SMILES_ALPHABET, max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_random_text_raises_only_value_errors(self, text):
+        for parse in (parse_smiles, parse_smarts, parse_smarts_template):
+            try:
+                parse(text)
+            except SmilesSyntaxError as exc:
+                assert 0 <= exc.offset <= len(text)
+            except ValueError:
+                pass
 
 
 class TestWrite:

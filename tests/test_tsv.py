@@ -5,9 +5,9 @@ import pytest
 from retrobio import dataset as ds
 from retrobio.cli import _read_gold_tsv, _read_stop_set
 from retrobio.fingerprint import HASH_VERSION, Fingerprinter
-from retrobio.molgraph import SmilesSyntaxError
+from retrobio.molgraph import EmptyInput, SmilesSyntaxError
 from retrobio.pattern import load_templates
-from retrobio.tsv import read_tsv, write_tsv
+from retrobio.tsv import read_tsv, write_json, write_tsv
 
 SMARTS = "[C:1][O:2]>>[C:1][S:2]"
 
@@ -121,10 +121,27 @@ def test_strip_keeps_stop_set_whitespace_rules(tmp_path):
     assert read_tsv(path, 1, str) == ["  CCO  ", "   ", "  # indented comment"]
 
 
-def test_gold_keeps_empty_precursor_pieces(tmp_path):
+def test_gold_rows_are_canonical_keys(tmp_path):
     path = tmp_path / "gold.tsv"
-    path.write_text("CCO\tCC=O..O\n", encoding="utf-8")
-    assert _read_gold_tsv(path) == [("CCO", ("CC=O", "", "O"))]
+    path.write_text("OCC\tC(C)=O.O\n", encoding="utf-8")
+    assert _read_gold_tsv(path) == [("CCO", ("CC=O", "O"))]
+
+
+def test_gold_empty_precursor_piece_names_path_and_line(tmp_path):
+    path = tmp_path / "gold.tsv"
+    path.write_text("# gold\nCCO\tCC=O..O\n", encoding="utf-8")
+    with pytest.raises(EmptyInput) as info:
+        _read_gold_tsv(path)
+    assert str(info.value).startswith(f"{path}:2: ")
+
+
+def test_json_writer_layout(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"b": [1, 2], "a": {"y": None, "x": "é"}})
+    assert path.read_bytes() == (
+        b'{\n  "a": {\n    "x": "\\u00e9",\n    "y": null\n  },\n'
+        b'  "b": [\n    1,\n    2\n  ]\n}\n'
+    )
 
 
 def test_writer_layout(tmp_path):
