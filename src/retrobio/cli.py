@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from pathlib import Path
 
@@ -305,6 +306,11 @@ def cmd_train(options: dict) -> int:
         raise CliError(f"unknown model {model_name!r}; use nn1pr or nn2pr")
     if not 0.0 <= options["dropout"] < 1.0:
         raise CliError(f"--dropout must be in [0, 1), got {options['dropout']}")
+    if options["epochs"] < 0:
+        raise CliError(f"--epochs must be at least 0, got {options['epochs']}")
+    weight = options["pos_weight"]
+    if weight not in ("", "auto") and not 0 <= float(weight) < math.inf:
+        raise CliError(f"--pos-weight must be 'auto' or in [0, inf), got {weight!r}")
     rows = ds.read_examples_tsv(_require_file(options["data"], "training data"))
     if not rows:
         print("train: empty dataset", file=sys.stderr)

@@ -303,13 +303,12 @@ def _augment_product(args):
 def flag_disjoint_products(
     monos: list[MonoProductReaction],
     stats: CorpusStats,
-    fingerprinter: Fingerprinter | None = None,
 ) -> list[str]:
     """Count mono reactions whose product shares no fingerprint bit with
     any reactant. Such rows (typically small by-products promoted to the
     product slot) are kept but reported, since a structure-based ranker
     has nothing to connect them with."""
-    fp = fingerprinter or Fingerprinter()
+    fp = Fingerprinter()
     flagged = []
     for mono in monos:
         product_bits = fp.of_key(mono.product_key).bits
@@ -580,11 +579,9 @@ def read_examples_tsv(path) -> list[DatasetRow]:
     return read_tsv(path, 5, _dataset_row)
 
 
-def features_for(
-    rows: list[DatasetRow], fingerprinter: Fingerprinter | None = None
-):
+def features_for(rows: list[DatasetRow]):
     """Feature matrix, labels and weights for one- or two-step rows."""
-    fp = fingerprinter or Fingerprinter()
+    fp = Fingerprinter()
     if not rows:
         raise ValueError("no rows to featurize")
     steps = {len(r.steps) for r in rows}

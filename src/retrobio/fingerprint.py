@@ -37,7 +37,6 @@ from .molgraph import (
     TRIPLE,
     parse_smiles,
 )
-from .tsv import read_tsv, write_tsv
 
 __all__ = [
     "Fingerprint",
@@ -53,10 +52,7 @@ __all__ = [
     "tanimoto",
     "tversky",
     "Fingerprinter",
-    "HASH_VERSION",
 ]
-
-HASH_VERSION = 1
 
 _M64 = (1 << 64) - 1
 _SEED = 0x243F6A8885A308D3  # first 64 fractional bits of pi
@@ -122,13 +118,6 @@ class Fingerprint:
     def to_array(self) -> np.ndarray:
         """Dense float32 vector, index i = bit i."""
         return _unpack_bits(self.bits, self.width)
-
-    def to_hex(self) -> str:
-        return format(self.bits, f"0{self.width // 4}x")
-
-    @classmethod
-    def from_hex(cls, text: str, width: int) -> "Fingerprint":
-        return cls(int(text, 16), width)
 
 
 def _atom_invariant_word(mol: MolecularGraph, idx: int) -> int:
@@ -278,16 +267,10 @@ def tversky(a: Fingerprint, b: Fingerprint, alpha: float, beta: float) -> float:
 
 
 class Fingerprinter:
-    """Memoizing fingerprint factory keyed by canonical SMILES.
+    """Memoizing fingerprint factory keyed by canonical SMILES, at the
+    default 512-bit width and radius 2. The memo lives in memory only."""
 
-    The cache file is a TSV of canonical SMILES to hex bits with a header
-    recording width, radius and hash version; a mismatching header
-    invalidates the file.
-    """
-
-    def __init__(self, width: int = 512, radius: int = 2):
-        self.width = width
-        self.radius = radius
+    def __init__(self):
         self._cache: dict[str, Fingerprint] = {}
 
     def of_key(self, key: str, mol: MolecularGraph | None = None) -> Fingerprint:
@@ -297,7 +280,7 @@ class Fingerprinter:
         if fp is None:
             if mol is None:
                 mol = parse_smiles(key)
-            fp = molecule_fingerprint(mol, self.width, self.radius)
+            fp = molecule_fingerprint(mol)
             self._cache[key] = fp
         return fp
 
@@ -309,31 +292,3 @@ class Fingerprinter:
         return combine_fingerprints(
             [self.of_key(k, m) for k, m in zip_longest(keys, mols)]
         )
-
-    def _cache_header(self) -> str:
-        return f"width={self.width} radius={self.radius} hash={HASH_VERSION}"
-
-    def save_cache(self, path) -> None:
-        write_tsv(
-            path,
-            (self._cache_header(),),
-            ((key, self._cache[key].to_hex()) for key in sorted(self._cache)),
-        )
-
-    def load_cache(self, path) -> int:
-        """Load entries; raises ValueError on a header mismatch."""
-        expected = f"# {self._cache_header()}"
-        with open(path, "rb") as fh:
-            header = fh.readline().decode("utf-8", "replace").rstrip("\r\n")
-        if header != expected:
-            raise ValueError(
-                f"{path}:1: fingerprint cache header mismatch: {header!r} != "
-                f"{expected!r}"
-            )
-        entries = read_tsv(
-            path,
-            2,
-            lambda key, hexbits: (key, Fingerprint.from_hex(hexbits, self.width)),
-        )
-        self._cache.update(entries)
-        return len(entries)

@@ -358,11 +358,11 @@ def _read_chain(text: str, pattern: bool = False):
                 raise SmilesSyntaxError("'.' before any atom", i)
             prev = None
             i += 1
-        elif ch.isdigit() or ch == "%":
+        elif ch in _DIGITS or ch == "%":
             if prev is None:
                 raise UnbalancedRingClosure("ring closure before any atom", i)
             if ch == "%":
-                if i + 2 >= len(text) or not text[i + 1 : i + 3].isdigit():
+                if i + 2 >= len(text) or not _DIGITS.issuperset(text[i + 1 : i + 3]):
                     raise UnbalancedRingClosure("malformed '%nn' ring number", i)
                 number = int(text[i + 1 : i + 3])
                 i += 3
@@ -414,6 +414,8 @@ def _read_chain(text: str, pattern: bool = False):
 
 
 _TWO_LETTER = {"Cl", "Br"}
+# Numbers are ASCII 0-9 only; ``str.isdigit`` also takes '²' and '１'.
+_DIGITS = frozenset("0123456789")
 
 
 def _parse_atom(text: str, pos: int, pattern: bool = False) -> tuple[dict, int]:
@@ -468,8 +470,8 @@ def _parse_atom(text: str, pos: int, pattern: bool = False) -> tuple[dict, int]:
     width = 2 if element in _TWO_LETTER else 1
     if not bracket:
         return token, at + width
-    # Properties, in SMILES order: Hn, Dn, charge, :map. Offsets count from
-    # the bracket, so each names the character before the one at fault.
+    # Properties, in SMILES order: Hn, Dn, charge, :map. ``body[i]`` is
+    # ``text[pos + 1 + i]``, the offset each error names.
     body = text[pos + 1 : end]
     i = width
     while i < len(body):
@@ -477,22 +479,22 @@ def _parse_atom(text: str, pos: int, pattern: bool = False) -> tuple[dict, int]:
         if c == "H":
             i += 1
             count = 1
-            if i < len(body) and body[i].isdigit():
+            if i < len(body) and body[i] in _DIGITS:
                 count = int(body[i])
                 i += 1
             token["hydrogens"] = count
         elif c == "D":
             if not pattern:
-                raise MalformedBracketAtom("degree constraint outside a pattern", pos + i)
+                raise MalformedBracketAtom("degree constraint outside a pattern", pos + 1 + i)
             i += 1
-            if i >= len(body) or not body[i].isdigit():
-                raise MalformedBracketAtom("'D' needs a digit", pos + i)
+            if i >= len(body) or body[i] not in _DIGITS:
+                raise MalformedBracketAtom("'D' needs a digit", pos + 1 + i)
             token["degree"] = int(body[i])
             i += 1
         elif c in "+-":
             sign = 1 if c == "+" else -1
             i += 1
-            if i < len(body) and body[i].isdigit():
+            if i < len(body) and body[i] in _DIGITS:
                 token["charge"] = sign * int(body[i])
                 i += 1
             else:
@@ -504,16 +506,16 @@ def _parse_atom(text: str, pos: int, pattern: bool = False) -> tuple[dict, int]:
         elif c == ":":
             i += 1
             j = i
-            while j < len(body) and body[j].isdigit():
+            while j < len(body) and body[j] in _DIGITS:
                 j += 1
             if j == i:
-                raise MalformedBracketAtom("':' needs a map number", pos + i)
+                raise MalformedBracketAtom("':' needs a map number", pos + 1 + i)
             token["map_index"] = int(body[i:j])
             if token["map_index"] <= 0:
-                raise MalformedBracketAtom("map index must be positive", pos + i)
+                raise MalformedBracketAtom("map index must be positive", pos + 1 + i)
             i = j
         else:
-            raise MalformedBracketAtom(f"unsupported bracket token {c!r}", pos + i)
+            raise MalformedBracketAtom(f"unsupported bracket token {c!r}", pos + 1 + i)
     return token, end + 1
 
 
@@ -776,14 +778,18 @@ def _canonical_component(mol: MolecularGraph, base_keys: list) -> str:
     return min(candidates)
 
 
+def _without_map_indices(mol: MolecularGraph) -> MolecularGraph:
+    """``mol`` with every atom map index dropped; ``mol`` itself if none."""
+    if all(a.map_index is None for a in mol.atoms):
+        return mol
+    return MolecularGraph(tuple(replace(a, map_index=None) for a in mol.atoms), mol.bonds)
+
+
 def canonicalize(mol: MolecularGraph) -> str:
     """Canonical SMILES: invariant under atom permutation, map indices
     stripped, components sorted. ``canonicalize(parse_smiles(s))`` is a fixed
     point for any s already in canonical form."""
-    if any(a.map_index is not None for a in mol.atoms):
-        mol = MolecularGraph(
-            tuple(replace(a, map_index=None) for a in mol.atoms), mol.bonds
-        )
+    mol = _without_map_indices(mol)
     comps = mol.components()
     if len(comps) == 1:
         return _canonical_component(mol, _initial_invariants(mol))

@@ -174,7 +174,6 @@ class ReactionTemplate:
     lhs: PatternGraph
     rhs: PatternGraph
     mapping: tuple[tuple[int, int, int], ...]
-    direction: str = "bwd"
     diameter: int = 0
     ec_numbers: tuple[str, ...] = ()
     smarts: str = ""
@@ -231,7 +230,6 @@ def parse_smarts(text: str) -> PatternGraph:
 def parse_smarts_template(
     text: str,
     template_id: str = "",
-    direction: str = "bwd",
     diameter: int = 0,
     ec_numbers: tuple[str, ...] = (),
 ) -> ReactionTemplate:
@@ -269,7 +267,6 @@ def parse_smarts_template(
         lhs=lhs,
         rhs=rhs,
         mapping=mapping,
-        direction=direction,
         diameter=diameter,
         ec_numbers=tuple(ec_numbers),
         smarts=text,
@@ -291,7 +288,6 @@ def _template_row(template_id, direction, diameter, ecs, smarts):
     return parse_smarts_template(
         smarts,
         template_id=template_id,
-        direction=direction,
         diameter=diameter,
         ec_numbers=tuple(e for e in ecs.split(";") if e),
     )

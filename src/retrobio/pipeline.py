@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .fingerprint import Fingerprinter, reaction_feature
-from .molgraph import MolecularGraph, parse_smiles, canonicalize
+from .molgraph import MolecularGraph, _without_map_indices, canonicalize, parse_smiles
 from .pattern import CandidatePrecursor, ReactionTemplate, enumerate_precursors
 from .ranking import rank_candidates, score_nn1, score_nn2
 from .neural import MlpModel
@@ -330,9 +330,10 @@ def gold_step_ranks(
     for its product; the per-step annotation protocol."""
     out = []
     for step_no, (product, precursors) in enumerate(gold_steps, 1):
-        product_key = canonicalize(parse_smiles(product))
+        # Map indices dropped, the graph is the molecule its key names.
+        product_mol = _without_map_indices(parse_smiles(product))
+        product_key = canonicalize(product_mol)
         gold_key = tuple(sorted(canonicalize(parse_smiles(p)) for p in precursors))
-        product_mol = parse_smiles(product_key)
         candidates = enumerate_precursors(product_mol, templates)
         entry = {
             "step": step_no,
@@ -365,23 +366,20 @@ def run_retro(
     nn1: MlpModel,
     nn2: MlpModel | None = None,
     config: SearchConfig | None = None,
-    fingerprinter: Fingerprinter | None = None,
     gold_steps: list[tuple[str, tuple[str, ...]]] | None = None,
 ) -> SearchReport:
     """Full multistep search; with nn2 absent the one-step model both
     prunes and ranks every level."""
     config = config or SearchConfig()
-    fingerprinter = fingerprinter or Fingerprinter()
+    fingerprinter = Fingerprinter()
     try:
-        target_key = canonicalize(parse_smiles(target_smiles))
+        target = _without_map_indices(parse_smiles(target_smiles))
+        target_key = canonicalize(target)
     except ValueError as exc:
         raise TargetParseError(f"cannot parse target: {exc}") from exc
 
     report = SearchReport(target_key, config, used_nn2=nn2 is not None)
-    root = SearchNode(
-        target_key, (), 0, 1.0, None, molecule=parse_smiles(target_key)
-    )
-    frontier = [root]
+    frontier = [SearchNode(target_key, (), 0, 1.0, None, molecule=target)]
     survivors_all: list[SearchNode] = []
     nodes_made = 0
     for depth in range(1, config.max_steps + 1):

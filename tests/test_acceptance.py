@@ -190,9 +190,9 @@ def test_criterion_07_toy_end_to_end_learning(synth_corpus, synth_negatives):
             )
         chain_negatives = ds.make_pathway_pairs(chains, negatives_by_product)
         rows_two = _featurized(chains + chain_negatives)
+        x1, y1, w1 = ds.features_for(rows_one)
+        x2, y2, w2 = ds.features_for(rows_two)
         fingerprinter = Fingerprinter()
-        x1, y1, w1 = ds.features_for(rows_one, fingerprinter)
-        x2, y2, w2 = ds.features_for(rows_two, fingerprinter)
 
         def split_indices(rows, seed):
             train_rows, test_rows = ds.split_train_test(rows, 0.15, seed)

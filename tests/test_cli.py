@@ -199,6 +199,21 @@ class TestTrain:
         ]) == EXIT_INPUT
         assert not weights.exists()
 
+    @pytest.mark.parametrize(
+        "option", ["--pos-weight=nan", "--pos-weight=inf", "--pos-weight=-3", "--epochs=-1"]
+    )
+    def test_bad_option_exits_1_before_writing(self, staged, tmp_path, capsys, option):
+        # eval and retro refuse a NaN weight file, dataset rows carry no
+        # negative weight, and a negative epoch count is no run at all
+        weights, history = tmp_path / "out.weights", tmp_path / "history.csv"
+        assert main([
+            "train", "--model", "nn1pr",
+            "--data", str(staged / "augment" / "onestep_train.tsv"),
+            "--out", str(weights), "--history", str(history), "--epochs", "1", option,
+        ]) == EXIT_INPUT
+        assert option.split("=")[0] in capsys.readouterr().err
+        assert not weights.exists() and not history.exists()
+
     def test_width_mismatch_exits_2(self, staged):
         assert main([
             "train", "--model", "nn2pr",

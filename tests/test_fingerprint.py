@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from retrobio.fingerprint import (
     Fingerprint,
-    Fingerprinter,
     NegativeParameter,
     WidthMismatch,
     combine_fingerprints,
@@ -200,26 +199,3 @@ class TestReactionFeature:
         fps = [Fingerprint(0b01, 16), Fingerprint(0b10, 16)]
         assert combine_fingerprints(fps).bits == 0b11
 
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        fp = Fingerprinter()
-        keys = ["CCO", "CC", "c1ccccc1"]
-        for key in keys:
-            fp.of_key(key)
-        path = tmp_path / "cache.tsv"
-        fp.save_cache(path)
-        fresh = Fingerprinter()
-        assert fresh.load_cache(path) == len(keys)
-        for key in keys:
-            assert fresh.of_key(key).bits == fp.of_key(key).bits
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        fp = Fingerprinter(width=512, radius=2)
-        fp.of_key("CCO")
-        path = tmp_path / "cache.tsv"
-        fp.save_cache(path)
-        with pytest.raises(ValueError):
-            Fingerprinter(width=1024, radius=2).load_cache(path)
-        with pytest.raises(ValueError):
-            Fingerprinter(width=512, radius=3).load_cache(path)

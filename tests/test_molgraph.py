@@ -121,9 +121,9 @@ class TestParse:
 
 
 # One atom token read by both dialects: the first atom of parse_smiles, or
-# the (exception class, offset) it raises for a pattern-only token, and the
-# first atom of parse_smarts. A pattern field written as zero is 0, one not
-# written is None.
+# the (exception class, offset) it raises for a token SMILES rejects, and
+# the first atom of parse_smarts or what it raises. A pattern field written
+# as zero is 0, one not written is None.
 ATOM_TOKENS = {
     "C": (Atom("C", hydrogens=4), PatternAtom("C", False)),
     "[C]": (Atom("C"), PatternAtom("C", False)),
@@ -134,7 +134,8 @@ ATOM_TOKENS = {
     "[O--]": (Atom("O", charge=-2), PatternAtom("O", False, charge=-2)),
     "[S-2]": (Atom("S", charge=-2), PatternAtom("S", False, charge=-2)),
     "[C:7]": (Atom("C", map_index=7), PatternAtom("C", False, map_index=7)),
-    "[CD3]": ((MalformedBracketAtom, 1), PatternAtom("C", False, degree=3)),
+    "[CD3]": ((MalformedBracketAtom, 2), PatternAtom("C", False, degree=3)),
+    "[Cx]": ((MalformedBracketAtom, 2), (MalformedBracketAtom, 2)),
     "*": ((SmilesSyntaxError, 0), PatternAtom()),
     "[*]": ((UnknownElement, 1), PatternAtom()),
     "c1ccccc1": (Atom("C", aromatic=True, hydrogens=1), PatternAtom("C", True)),
@@ -145,23 +146,34 @@ ATOM_TOKENS = {
 SMILES_ALPHABET = "CNOPSFIBrlcnops*()[]=#-:.%0123456789+HD>"
 
 
+def _check_first_atom(parse, text, expected):
+    if isinstance(expected, tuple):
+        exc, offset = expected
+        with pytest.raises(exc) as info:
+            parse(text)
+        assert type(info.value) is exc
+        assert info.value.offset == offset
+    else:
+        assert parse(text).atoms[0] == expected
+
+
 class TestAtomTokens:
     @pytest.mark.parametrize("text", list(ATOM_TOKENS))
     def test_smiles_atom(self, text):
-        expected, _ = ATOM_TOKENS[text]
-        if isinstance(expected, Atom):
-            assert parse_smiles(text).atoms[0] == expected
-        else:
-            exc, offset = expected
-            with pytest.raises(exc) as info:
-                parse_smiles(text)
-            assert type(info.value) is exc
-            assert info.value.offset == offset
+        _check_first_atom(parse_smiles, text, ATOM_TOKENS[text][0])
 
     @pytest.mark.parametrize("text", list(ATOM_TOKENS))
     def test_pattern_atom(self, text):
-        _, expected = ATOM_TOKENS[text]
-        assert parse_smarts(text).atoms[0] == expected
+        _check_first_atom(parse_smarts, text, ATOM_TOKENS[text][1])
+
+    # Ring numbers, '%nn', H counts, charges, Dn and map indices are ASCII
+    # 0-9 only; another Unicode digit is a syntax error inside the text.
+    @pytest.mark.parametrize("text", ["C²", "[CH²]", "C[C:１]", "C１CC1", "[C+²]"])
+    @pytest.mark.parametrize("parse", [parse_smiles, parse_smarts])
+    def test_non_ascii_digit_rejected(self, parse, text):
+        with pytest.raises(SmilesSyntaxError) as info:
+            parse(text)
+        assert 0 <= info.value.offset < len(text)
 
     @given(st.text(SMILES_ALPHABET, max_size=24))
     @settings(max_examples=300, deadline=None)

@@ -535,7 +535,6 @@ class TestTemplateFile:
         )
         (template,) = load_templates(path)
         assert template.template_id == "T01"
-        assert template.direction == "bwd"
         assert template.diameter == 2
         assert template.ec_numbers == ("1.1.1.-", "1.1.1.1")
         assert len(template.mapping) == 4

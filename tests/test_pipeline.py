@@ -246,10 +246,16 @@ class TestRunRetro:
 
     def test_search_parses_only_the_target(self, models, diol_setup, monkeypatch):
         # Candidates carry their graphs: neither the expansion nor the
-        # fingerprint cache parses a key the rewrite already built.
+        # fingerprint cache parses a key the rewrite already built. The
+        # target and each gold molecule are parsed once; the target's graph,
+        # map indices dropped, searches as its unmapped key would.
         import retrobio.fingerprint
         import retrobio.pipeline
 
+        nn1, nn2 = models
+        config = SearchConfig(max_steps=3, beam_width=10**6)
+        gold = [("OCC(O)CCO", ("O=CC(O)CCO",))]
+        unmapped = run_retro("[H]OCC(O)CCO", diol_setup, nn1, nn2, config, gold_steps=gold)
         parsed = []
 
         def counting_parse(text):
@@ -258,12 +264,10 @@ class TestRunRetro:
 
         monkeypatch.setattr(retrobio.pipeline, "parse_smiles", counting_parse)
         monkeypatch.setattr(retrobio.fingerprint, "parse_smiles", counting_parse)
-        nn1, nn2 = models
-        config = SearchConfig(max_steps=3, beam_width=10**6)
-        report = run_retro("OCC(O)CCO", diol_setup, nn1, nn2, config)
-        target = canon("OCC(O)CCO")
+        report = run_retro("[H:1]OCC(O)CCO", diol_setup, nn1, nn2, config, gold_steps=gold)
         assert sum(level["generated"] for level in report.levels) > 100
-        assert parsed == ["OCC(O)CCO", target]
+        assert parsed == ["[H:1]OCC(O)CCO", "OCC(O)CCO", "O=CC(O)CCO"]
+        assert report.to_dict() == unmapped.to_dict()
 
     def test_only_expandable_nodes_hold_graphs(self, models, diol_setup):
         nn1, _ = models

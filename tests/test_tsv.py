@@ -4,7 +4,6 @@ import pytest
 
 from retrobio import dataset as ds
 from retrobio.cli import _read_gold_tsv, _read_stop_set
-from retrobio.fingerprint import HASH_VERSION, Fingerprinter
 from retrobio.molgraph import EmptyInput, SmilesSyntaxError
 from retrobio.pattern import load_templates
 from retrobio.tsv import read_tsv, write_json, write_tsv
@@ -25,9 +24,6 @@ READERS = {
     "templates": (load_templates, f"T01\tbwd\t2\t-\t{SMARTS}", f"T02\tbwd\ttwo\t-\t{SMARTS}"),
     "stop set": (_read_stop_set, "OC(=O)CCO", "C(("),
     "gold": (_read_gold_tsv, "OCCCO\tO=CCCO", "O=CCCO"),
-    "fingerprint cache": (
-        lambda path: Fingerprinter().load_cache(path), "CCO\t" + "0" * 128, "CC\tzz",
-    ),
 }
 
 
@@ -56,18 +52,12 @@ BAD_INPUTS = {
 }
 
 
-def _header(name):
-    if name == "fingerprint cache":
-        return f"# width=512 radius=2 hash={HASH_VERSION}"
-    return "# a comment"
-
-
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_row_names_path_and_line(tmp_path, name):
     reader, good, bad = BAD_INPUTS[name]
     path = tmp_path / "input.tsv"
     path.write_bytes(
-        f"{_header(name)}\n{good}\n{bad}\n".encode("utf-8", "surrogateescape")
+        f"# a comment\n{good}\n{bad}\n".encode("utf-8", "surrogateescape")
     )
     with pytest.raises(ValueError) as info:
         reader(path)
@@ -84,9 +74,8 @@ def test_crlf_line_endings_read_as_lf(tmp_path):
 def test_good_rows_parse(tmp_path, name):
     reader, good, _ = READERS[name]
     path = tmp_path / "input.tsv"
-    path.write_text(f"{_header(name)}\n\n{good}\n", encoding="utf-8")
-    result = reader(path)  # load_cache returns its entry count
-    assert (result if isinstance(result, int) else len(result)) == 1
+    path.write_text(f"# a comment\n\n{good}\n", encoding="utf-8")
+    assert len(reader(path)) == 1
 
 
 def test_row_error_keeps_class_and_attributes(tmp_path):
