@@ -308,8 +308,14 @@ def cmd_train(options: dict) -> int:
         raise CliError(f"--dropout must be in [0, 1), got {options['dropout']}")
     if options["epochs"] < 0:
         raise CliError(f"--epochs must be at least 0, got {options['epochs']}")
+    if not 0 < options["lr"] < math.inf:
+        raise CliError(f"--lr must be in (0, inf), got {options['lr']}")
     weight = options["pos_weight"]
-    if weight not in ("", "auto") and not 0 <= float(weight) < math.inf:
+    try:
+        bad_weight = weight not in ("", "auto") and not 0 <= float(weight) < math.inf
+    except ValueError:
+        bad_weight = True
+    if bad_weight:
         raise CliError(f"--pos-weight must be 'auto' or in [0, inf), got {weight!r}")
     rows = ds.read_examples_tsv(_require_file(options["data"], "training data"))
     if not rows:

@@ -7,8 +7,10 @@ one code per radius r = 0..R: the r=0 code hashes the atom invariant
 code folds the previous code with the sorted (bond order, neighbour code)
 pairs. An atom stops contributing new codes once its neighbourhood ball
 stopped growing in the previous round, so an isolated atom yields exactly
-two codes (r=0 and r=1) no matter the radius. Each code sets bit
-``code mod width``.
+two codes (r=0 and r=1) no matter the radius. That rule is computed only to
+depth ``radius``: an atom's ball growth is followed for at most ``radius``
+rounds, which is all the rule reads for codes up to ``radius``. Each code
+sets bit ``code mod width``.
 
 The 64-bit mixing hash is fixed and documented here so fingerprints are
 bit-exact across implementations; test vectors live in the test suite.
@@ -132,23 +134,23 @@ def _atom_invariant_word(mol: MolecularGraph, idx: int) -> int:
     )
 
 
-def _eccentricities(mol: MolecularGraph) -> list[int]:
-    """Graph eccentricity per atom (within its component), by BFS."""
-    n = len(mol.atoms)
-    ecc = [0] * n
-    for start in range(n):
-        dist = {start: 0}
-        queue = [start]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v, _ in mol.neighbors(u):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            queue = nxt
-        ecc[start] = max(dist.values())
-    return ecc
+def _ball_growth(mol: MolecularGraph, depth: int) -> list[int]:
+    """Per atom, how many of the first ``depth`` rounds grew its
+    neighbourhood ball: its eccentricity (within its component) capped at
+    ``depth``. Balls are atom-index bitsets; a ball that stops growing never
+    grows again."""
+    balls = [1 << i for i in range(len(mol.atoms))]
+    grown = [0] * len(balls)
+    for k in range(1, depth + 1):
+        wider = list(balls)
+        for bond in mol.bonds:
+            wider[bond.a] |= balls[bond.b]
+            wider[bond.b] |= balls[bond.a]
+        for i, ball in enumerate(wider):
+            if ball != balls[i]:
+                grown[i] = k
+        balls = wider
+    return grown
 
 
 def molecule_fingerprint(
@@ -157,7 +159,9 @@ def molecule_fingerprint(
     """Hash circular atom environments up to ``radius`` into a bit vector."""
     n = len(mol.atoms)
     codes = [hash_words([_atom_invariant_word(mol, i)]) for i in range(n)]
-    ecc = _eccentricities(mol)
+    # Round r adds atom i's code while r <= ecc(i) + 1, which for r up to
+    # radius needs ecc(i) only up to radius.
+    ecc = _ball_growth(mol, radius)
     bits = 0
     for i in range(n):
         bits |= 1 << (codes[i] % width)

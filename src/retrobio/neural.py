@@ -18,6 +18,7 @@ save/load round-trips models bit-identically.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO
@@ -288,8 +289,8 @@ class TrainConfig:
     positive_weight: float | None = None  # per-example weight on label 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
 

@@ -174,7 +174,6 @@ class ReactionTemplate:
     lhs: PatternGraph
     rhs: PatternGraph
     mapping: tuple[tuple[int, int, int], ...]
-    diameter: int = 0
     ec_numbers: tuple[str, ...] = ()
     smarts: str = ""
 
@@ -230,7 +229,6 @@ def parse_smarts(text: str) -> PatternGraph:
 def parse_smarts_template(
     text: str,
     template_id: str = "",
-    diameter: int = 0,
     ec_numbers: tuple[str, ...] = (),
 ) -> ReactionTemplate:
     """Parse ``lhs>>rhs`` and build the atom-atom mapping table.
@@ -267,7 +265,6 @@ def parse_smarts_template(
         lhs=lhs,
         rhs=rhs,
         mapping=mapping,
-        diameter=diameter,
         ec_numbers=tuple(ec_numbers),
         smarts=text,
     )
@@ -280,7 +277,7 @@ def _template_row(template_id, direction, diameter, ecs, smarts):
             "templates are applied backward only"
         )
     try:
-        diameter = int(diameter)
+        int(diameter)
     except ValueError:
         raise TemplateError(
             f"diameter must be an integer, got {diameter!r}"
@@ -288,7 +285,6 @@ def _template_row(template_id, direction, diameter, ecs, smarts):
     return parse_smarts_template(
         smarts,
         template_id=template_id,
-        diameter=diameter,
         ec_numbers=tuple(e for e in ecs.split(";") if e),
     )
 
@@ -409,12 +405,15 @@ def _concrete_order(rhs: PatternGraph, bond: PatternBond) -> str:
 
 
 def _sanitize(mol: MolecularGraph) -> bool:
-    """Valence check plus structural aromaticity consistency."""
-    ring = mol.ring_bonds()
-    ring_atoms = {i for pair in ring for i in pair}
+    """Valence check plus structural aromaticity consistency. The ring
+    search runs only once an aromatic atom needs it."""
+    ring_atoms = None
     for idx, atom in enumerate(mol.atoms):
-        if atom.aromatic and idx not in ring_atoms:
-            return False
+        if atom.aromatic:
+            if ring_atoms is None:
+                ring_atoms = {i for pair in mol.ring_bonds() for i in pair}
+            if idx not in ring_atoms:
+                return False
         if atom.element not in VALENCES:
             continue
         # Explicit H neighbours are already part of the bond sum.
@@ -562,12 +561,14 @@ def _rewrite(
     precursors = []
     keys = []
     for sub in _fold_and_split(atoms, bonds, survivors, adjacency):
-        if not _sanitize(sub):
-            return None
+        # Only sanitized graphs get a key, so a known graph is sane.
+        key = keys_of.get(graph := (sub.atoms, sub.bonds))
+        if key is None:
+            if not _sanitize(sub):
+                return None
+            key = keys_of[graph] = canonicalize(sub)
         precursors.append(sub)
-        if (graph := (sub.atoms, sub.bonds)) not in keys_of:
-            keys_of[graph] = canonicalize(sub)
-        keys.append(keys_of[graph])
+        keys.append(key)
     order_idx = sorted(range(len(keys)), key=lambda i: keys[i])
     return (
         tuple(precursors[i] for i in order_idx),
@@ -663,7 +664,9 @@ def apply_template(
 
     ``prepared`` lets a caller that applies many templates to one target
     expand its hydrogens once and canonicalize each precursor graph once:
-    pass the same dict, empty at first, on each call for that target.
+    pass the same dict, empty at first, on each call for that target. Its
+    ``"keys"`` entry, the canonical keys by (atoms, bonds), may be shared
+    with other targets.
     """
     explicit = template.uses_explicit_hydrogens
     if prepared is None:
@@ -694,7 +697,9 @@ def apply_template(
 
 
 def enumerate_precursors(
-    target: MolecularGraph, templates: list[ReactionTemplate]
+    target: MolecularGraph,
+    templates: list[ReactionTemplate],
+    keys_of: dict | None = None,
 ) -> list[CandidatePrecursor]:
     """Union of template applications with merged provenance.
 
@@ -702,9 +707,14 @@ def enumerate_precursors(
     each retains every (template_id, ec_numbers) record that produced it,
     and the precursor graphs of the first application that did.
     Output order is (first template_id, canonical key).
+
+    ``keys_of`` memoizes the canonical key of each precursor graph by its
+    (atoms, bonds); a caller enumerating many targets can pass one dict to
+    every call, so a graph that several targets rewrite to is canonicalized
+    once. By default each call starts a fresh one.
     """
     merged: dict[tuple[str, ...], tuple[tuple[MolecularGraph, ...], list]] = {}
-    prepared: dict = {}
+    prepared: dict = {"keys": {} if keys_of is None else keys_of}
     for template in sorted(templates, key=lambda t: t.template_id):
         try:
             applications = apply_template(template, target, prepared=prepared)

@@ -160,14 +160,20 @@ def expand_level(
     config: SearchConfig,
     fingerprinter: Fingerprinter,
     nodes_made: int,
+    enumerated: dict[str, list[CandidatePrecursor] | None] | None = None,
 ) -> tuple[list[SearchNode], dict]:
     """Enumerate every frontier node, score the whole level with the
     one-step model in one batch, then prune and cycle-guard.
 
     ``nodes_made`` counts the nodes created before this level; crossing
-    config.max_nodes raises NodeBudgetExceeded.
+    config.max_nodes raises NodeBudgetExceeded. ``enumerated`` holds the
+    molecule keys whose candidate lists the caller wants; a frontier node
+    with such a key stores its list there.
     """
     stats = {"generated": 0, "pruned": 0, "cycle_dropped": 0}
+    # Siblings rewrite subgraphs in one atom order, so the level's precursor
+    # graphs repeat across nodes: one memo canonicalizes each once.
+    keys_of: dict = {}
     # Each candidate as a node, holding its main substrate's graph only if
     # the next level expands it, and its feature; one batch scores them all.
     candidates, features = [], []
@@ -175,7 +181,10 @@ def expand_level(
         parent_fp = fingerprinter.of_key(node.molecule_key, node.molecule)
         ancestor_keys = node.ancestors_keys() | {node.molecule_key}
         expandable = node.depth + 1 < config.max_steps
-        for cand in enumerate_precursors(node.molecule, templates):
+        listed = enumerate_precursors(node.molecule, templates, keys_of)
+        if enumerated is not None and node.molecule_key in enumerated:
+            enumerated[node.molecule_key] = listed
+        for cand in listed:
             stats["generated"] += 1
             if nodes_made + stats["generated"] > config.max_nodes:
                 raise NodeBudgetExceeded(
@@ -320,21 +329,41 @@ class SearchReport:
         write_json(path, self.to_dict())
 
 
-def gold_step_ranks(
+def _gold_molecules(
     gold_steps: list[tuple[str, tuple[str, ...]]],
+) -> list[tuple[str, MolecularGraph, tuple[str, ...]]]:
+    """(product key, product graph, sorted precursor keys) of each gold
+    step, every molecule parsed once; the product graph, map indices
+    dropped, is the molecule its key names."""
+    out = []
+    for product, precursors in gold_steps:
+        product_mol = _without_map_indices(parse_smiles(product))
+        gold_key = tuple(sorted(canonicalize(parse_smiles(p)) for p in precursors))
+        out.append((canonicalize(product_mol), product_mol, gold_key))
+    return out
+
+
+def gold_step_ranks(
+    gold: list[tuple[str, MolecularGraph, tuple[str, ...]]],
     templates: list[ReactionTemplate],
     nn1: MlpModel,
     fingerprinter: Fingerprinter,
+    enumerated: dict[str, list[CandidatePrecursor] | None],
 ) -> list[dict]:
     """Rank each gold step's precursor set among the candidates generated
-    for its product; the per-step annotation protocol."""
+    for its product; the per-step annotation protocol.
+
+    ``gold`` holds (product key, product graph, sorted precursor keys) per
+    step. ``enumerated`` maps product keys to the candidate lists a search
+    already built; a product without one is enumerated here. Candidate
+    keys, provenance and fingerprints do not depend on the atom order of
+    the graph enumerated, so either list ranks alike.
+    """
     out = []
-    for step_no, (product, precursors) in enumerate(gold_steps, 1):
-        # Map indices dropped, the graph is the molecule its key names.
-        product_mol = _without_map_indices(parse_smiles(product))
-        product_key = canonicalize(product_mol)
-        gold_key = tuple(sorted(canonicalize(parse_smiles(p)) for p in precursors))
-        candidates = enumerate_precursors(product_mol, templates)
+    for step_no, (product_key, product_mol, gold_key) in enumerate(gold, 1):
+        candidates = enumerated.get(product_key)
+        if candidates is None:
+            candidates = enumerate_precursors(product_mol, templates)
         entry = {
             "step": step_no,
             "product": product_key,
@@ -377,6 +406,10 @@ def run_retro(
         target_key = canonicalize(target)
     except ValueError as exc:
         raise TargetParseError(f"cannot parse target: {exc}") from exc
+    gold = _gold_molecules(gold_steps or [])
+    # The search's candidate lists for the gold products it expands; None
+    # for a product it never expands.
+    enumerated = dict.fromkeys(product_key for product_key, _, _ in gold)
 
     report = SearchReport(target_key, config, used_nn2=nn2 is not None)
     frontier = [SearchNode(target_key, (), 0, 1.0, None, molecule=target)]
@@ -387,7 +420,8 @@ def run_retro(
             break
         try:
             children, stats = expand_level(
-                frontier, templates, nn1, config, fingerprinter, nodes_made
+                frontier, templates, nn1, config, fingerprinter, nodes_made,
+                enumerated,
             )
         except NodeBudgetExceeded:
             report.budget_exceeded = True
@@ -402,8 +436,8 @@ def run_retro(
     report.pathways = reconstruct_pathways(
         survivors_all, config.stop_set, nn2 is not None, config.max_steps
     )
-    if gold_steps:
+    if gold:
         report.gold_ranks = gold_step_ranks(
-            gold_steps, templates, nn1, fingerprinter
+            gold, templates, nn1, fingerprinter, enumerated
         )
     return report

@@ -32,8 +32,8 @@ TEMPLATE_ROWS = [
 
 def make_templates():
     return [
-        parse_smarts_template(s, template_id=t, diameter=d, ec_numbers=(ec,))
-        for t, ec, d, s in TEMPLATE_ROWS
+        parse_smarts_template(s, template_id=t, ec_numbers=(ec,))
+        for t, ec, _, s in TEMPLATE_ROWS
     ]
 
 

@@ -200,11 +200,16 @@ class TestTrain:
         assert not weights.exists()
 
     @pytest.mark.parametrize(
-        "option", ["--pos-weight=nan", "--pos-weight=inf", "--pos-weight=-3", "--epochs=-1"]
+        "option",
+        [
+            "--pos-weight=nan", "--pos-weight=inf", "--pos-weight=-3", "--pos-weight=abc",
+            "--epochs=-1", "--lr=nan", "--lr=inf", "--lr=0",
+        ],
     )
     def test_bad_option_exits_1_before_writing(self, staged, tmp_path, capsys, option):
         # eval and retro refuse a NaN weight file, dataset rows carry no
-        # negative weight, and a negative epoch count is no run at all
+        # negative weight, a negative epoch count is no run at all, and a
+        # learning rate that is not positive and finite trains nothing useful
         weights, history = tmp_path / "out.weights", tmp_path / "history.csv"
         assert main([
             "train", "--model", "nn1pr",

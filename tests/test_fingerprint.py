@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retrobio import fingerprint
 from retrobio.fingerprint import (
     Fingerprint,
     NegativeParameter,
@@ -17,9 +18,9 @@ from retrobio.fingerprint import (
     tanimoto,
     tversky,
 )
-from retrobio.molgraph import parse_smiles
+from retrobio.molgraph import Atom, Bond, MolecularGraph, parse_smiles
 
-from conftest import permute_graph
+from conftest import molecules, permute_graph
 
 # Frozen test vectors pin the documented mixing hash; these define the
 # cross-implementation bit layout together with the invariant encoding.
@@ -80,6 +81,81 @@ class TestMoleculeFingerprint:
         ethanol = molecule_fingerprint(parse_smiles("CCO"))
         ethane = molecule_fingerprint(parse_smiles("CC"))
         assert both.bits == ethanol.bits | ethane.bits
+
+
+def full_eccentricity_fingerprint(mol, width, radius):
+    """The fingerprint rule with every eccentricity taken in full, by an
+    all-pairs BFS: the reference for the depth-capped ball growth."""
+    n = len(mol.atoms)
+    ecc = []
+    for start in range(n):
+        dist = {start: 0}
+        queue = [start]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v, _ in mol.neighbors(u):
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            queue = nxt
+        ecc.append(max(dist.values()))
+    codes = [hash_words([fingerprint._atom_invariant_word(mol, i)]) for i in range(n)]
+    bits = 0
+    for code in codes:
+        bits |= 1 << (code % width)
+    for r in range(1, radius + 1):
+        nxt = []
+        for i in range(n):
+            words = [codes[i]]
+            for pair in sorted((fingerprint._BOND_CODE[o], codes[j]) for j, o in mol.neighbors(i)):
+                words += pair
+            nxt.append(hash_words(words))
+        codes = nxt
+        for i in range(n):
+            if r <= ecc[i] + 1:
+                bits |= 1 << (codes[i] % width)
+    return Fingerprint(bits, width)
+
+
+@st.composite
+def graphs(draw):
+    """One or two generated molecules side by side, with up to two isolated
+    atoms: several components, isolated atoms and [H][H] pieces."""
+    parts = [draw(molecules()) for _ in range(draw(st.integers(1, 2)))]
+    parts += [
+        MolecularGraph((Atom(draw(st.sampled_from("CNOH"))),), ())
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    atoms, bonds = [], []
+    for part in parts:
+        bonds += [Bond(b.a + len(atoms), b.b + len(atoms), b.order) for b in part.bonds]
+        atoms += part.atoms
+    return MolecularGraph(tuple(atoms), tuple(bonds))
+
+
+class TestBallGrowthDepth:
+    """Following ball growth for only ``radius`` rounds must set the bits
+    that full eccentricities set."""
+
+    @given(graphs(), st.integers(0, 6), st.sampled_from([8, 64, 512, 2048]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_eccentricity_reference(self, mol, radius, width):
+        assert molecule_fingerprint(mol, width, radius) == full_eccentricity_fingerprint(
+            mol, width, radius
+        )
+
+    @pytest.mark.parametrize(
+        "smiles",
+        ["C", "[H][H]", "C.C", "O.[H][H]", "CCCCCCCCCCCC", "C1CCCCC1CCO", "c1ccccc1CO.N"],
+    )
+    def test_fixed_molecules(self, smiles):
+        mol = parse_smiles(smiles)
+        for radius in range(7):
+            for width in (8, 512):
+                assert molecule_fingerprint(mol, width, radius) == (
+                    full_eccentricity_fingerprint(mol, width, radius)
+                )
 
 
 class TestSimilarity:

@@ -1,23 +1,25 @@
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import permute_graph
+from conftest import molecules, permute_graph
 from retrobio import pattern
 from retrobio.fingerprint import molecule_fingerprint
 from retrobio.molgraph import (
+    AROMATIC,
     Atom,
     Bond,
     DOUBLE,
     MolecularGraph,
+    ORDER_VALENCE,
     SINGLE,
     VALENCES,
     add_explicit_hydrogens,
     canonicalize,
-    effective_valences,
     lowest_feasible_valence,
     parse_smiles,
     remove_explicit_hydrogens,
@@ -119,48 +121,6 @@ def random_pattern(rng: random.Random, max_atoms: int = 4) -> PatternGraph:
 
     return PatternGraph(
         tuple(atoms), tuple(PatternBond(a, b, o) for (a, b), o in unique.items())
-    )
-
-
-@st.composite
-def molecules(draw, max_heavy: int = 7):
-    """C/N/O graphs with charged atoms (N+, O-), some hydrogens as explicit
-    [H] atoms, an optional ring bond and an optional [H][H] component."""
-    n = draw(st.integers(1, max_heavy))
-    elements = [draw(st.sampled_from("CCNO")) for _ in range(n)]
-    charges = [
-        draw(st.sampled_from({"N": (0, 0, 1), "O": (0, 0, -1)}.get(e, (0,))))
-        for e in elements
-    ]
-    free = [max(effective_valences(e, c)) for e, c in zip(elements, charges)]
-    bonds: dict[tuple[int, int], str] = {}
-
-    def add(j: int, i: int, double: bool):
-        order = DOUBLE if double and min(free[i], free[j]) >= 2 else SINGLE
-        if (j, i) not in bonds and min(free[i], free[j]) >= 1:
-            bonds[(j, i)] = order
-            free[i] -= 1 + (order == DOUBLE)
-            free[j] -= 1 + (order == DOUBLE)
-
-    for i in range(1, n):
-        add(draw(st.integers(0, i - 1)), i, draw(st.integers(0, 4)) == 0)
-    if n > 2 and draw(st.booleans()):
-        add(0, n - 1, False)
-    atoms, extra = [], []
-    for i, (e, c) in enumerate(zip(elements, charges)):
-        used = sum(1 + (o == DOUBLE) for pair, o in bonds.items() if i in pair)
-        h = lowest_feasible_valence(e, used, c) - used
-        explicit = draw(st.integers(0, h))
-        atoms.append(Atom(e, hydrogens=h - explicit, charge=c))
-        extra += [i] * explicit
-    for anchor in extra:
-        bonds[(anchor, len(atoms))] = SINGLE
-        atoms.append(Atom("H"))
-    if draw(st.booleans()):
-        bonds[(len(atoms), len(atoms) + 1)] = SINGLE
-        atoms += [Atom("H"), Atom("H")]
-    return MolecularGraph(
-        tuple(atoms), tuple(Bond(a, b, o) for (a, b), o in bonds.items())
     )
 
 
@@ -453,6 +413,18 @@ class TestEnumeratePrecursors:
                 parse_smiles(key), templates
             )
 
+    def test_shared_key_memo_equals_fresh_memo(self, synth_corpus):
+        # A search level hands one canonical-key memo to all its nodes.
+        alcohols, templates, positives, _ = synth_corpus
+        keys_of = {}
+        for key in alcohols + [p.reactant_keys[0] for p in positives]:
+            target = parse_smiles(key)
+            shared = [
+                (c.precursor_keys, c.provenance, c.precursors)
+                for c in enumerate_precursors(target, templates, keys_of)
+            ]
+            assert shared == enumerated(target, templates)
+
 
 class TestSitePruning:
     """Rewriting one match per site must give exactly what rewriting every
@@ -525,6 +497,59 @@ class TestFoldAndSplit:
         assert pattern._fold_and_split(list(mol.atoms), bonds, survivors, adjacency) == expected
 
 
+def eager_sanitize(mol: MolecularGraph) -> bool:
+    """``_sanitize`` with the ring search run up front on every graph."""
+    ring_atoms = {i for pair in mol.ring_bonds() for i in pair}
+    for idx, atom in enumerate(mol.atoms):
+        if atom.aromatic and idx not in ring_atoms:
+            return False
+        if atom.element in VALENCES:
+            valence = sum(ORDER_VALENCE[o] for _, o in mol.neighbors(idx)) + atom.hydrogens
+            if lowest_feasible_valence(atom.element, valence, atom.charge) is None:
+                return False
+    return all(
+        mol.atoms[b.a].aromatic and mol.atoms[b.b].aromatic
+        for b in mol.bonds
+        if b.order == AROMATIC
+    )
+
+
+class TestSanitize:
+    @given(molecules(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_lazy_ring_search_equals_eager(self, mol, rng):
+        # Aromatic flags and bonds dropped at random on chains and rings,
+        # so aromatic atoms land both on and off cycles.
+        atoms = tuple(
+            replace(a, aromatic=a.element != "H" and rng.random() < 0.4) for a in mol.atoms
+        )
+        bonds = tuple(
+            replace(b, order=AROMATIC) if rng.random() < 0.3 else b for b in mol.bonds
+        )
+        mol = MolecularGraph(atoms, bonds)
+        assert pattern._sanitize(mol) == eager_sanitize(mol)
+
+    @pytest.mark.parametrize(
+        "smiles, flagged, sane",
+        [
+            ("c1ccccc1", (), True),
+            ("c1ccccc1CCO", (), True),
+            ("CCO", (), True),
+            ("C1CCCC1", (), True),
+            ("c1ccccc1C", (6,), False),  # an aromatic atom after a ring one
+            ("Cc1ccccc1", (0,), False),  # ... and before it
+            ("CCO", (1,), False),
+        ],
+    )
+    def test_aromatic_atoms_on_and_off_rings(self, smiles, flagged, sane):
+        mol = parse_smiles(smiles)
+        atoms = tuple(
+            replace(a, aromatic=True) if i in flagged else a for i, a in enumerate(mol.atoms)
+        )
+        mol = MolecularGraph(atoms, mol.bonds)
+        assert pattern._sanitize(mol) == eager_sanitize(mol) == sane
+
+
 class TestTemplateFile:
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "templates.tsv"
@@ -535,7 +560,6 @@ class TestTemplateFile:
         )
         (template,) = load_templates(path)
         assert template.template_id == "T01"
-        assert template.diameter == 2
         assert template.ec_numbers == ("1.1.1.-", "1.1.1.1")
         assert len(template.mapping) == 4
 

@@ -1,20 +1,27 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import retrobio.pattern
+import retrobio.pipeline
 from retrobio.fingerprint import Fingerprinter, reaction_feature
 from retrobio.molgraph import canonicalize, parse_smiles
 from retrobio.neural import initialize, nn1pr_spec, nn2pr_spec
-from retrobio.pattern import parse_smarts_template
+from retrobio.pattern import enumerate_precursors, parse_smarts_template
 from retrobio.ranking import score_nn1
 from retrobio.pipeline import (
     NodeBudgetExceeded,
     SearchConfig,
     SearchNode,
     TargetParseError,
+    _gold_molecules,
     expand_level,
+    gold_step_ranks,
     rank_level,
     run_retro,
 )
+from synthdata import make_templates
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +125,117 @@ class TestExpand:
                 fp.of_key(child.parent.molecule_key), [fp.of_keys(child.precursor_keys)]
             )
             assert child.step_score == score_nn1(nn1, [feature]).tolist()[0]
+
+
+def node_fields(node: SearchNode) -> tuple:
+    return (
+        node.molecule_key, node.precursor_keys, node.depth, node.step_score,
+        node.template_id, node.ec_numbers, node.nn2_score, node.molecule,
+        node.parent.molecule_key,
+    )
+
+
+def fresh_memo_per_call(target, templates, keys_of=None):
+    return enumerate_precursors(target, templates)
+
+
+class TestLevelKeyMemo:
+    """One canonical-key memo per level must give what one memo per
+    frontier node gives."""
+
+    @pytest.fixture(scope="class")
+    def frontier(self, models):
+        nn1, _ = models
+        config = SearchConfig(max_steps=3)
+        frontier, _ = expand_level(
+            [root_node("OCC(O)CCO")], make_templates(), nn1, config, Fingerprinter(), 0
+        )
+        assert len(frontier) > 20
+        return frontier
+
+    def expand(self, frontier, nn1):
+        scored = []
+
+        def recording_score(model, features):
+            scored.extend(features)
+            return score_nn1(model, features)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrobio.pipeline, "score_nn1", recording_score)
+            children, stats = expand_level(
+                frontier, make_templates(), nn1, SearchConfig(max_steps=3), Fingerprinter(), 0
+            )
+        return [node_fields(c) for c in children], stats, scored
+
+    def test_shared_memo_equals_fresh_memo_per_call(self, models, frontier, monkeypatch):
+        nn1, _ = models
+        shared = self.expand(frontier, nn1)
+        monkeypatch.setattr(retrobio.pipeline, "enumerate_precursors", fresh_memo_per_call)
+        assert shared == self.expand(frontier, nn1)
+        assert len(shared[0]) > 500
+
+    def test_one_canonicalize_per_distinct_graph_per_level(self, models, frontier, monkeypatch):
+        nn1, _ = models
+        calls = Counter()
+
+        def counting(mol):
+            calls[mol.atoms, mol.bonds] += 1
+            return canonicalize(mol)
+
+        monkeypatch.setattr(retrobio.pattern, "canonicalize", counting)
+        self.expand(frontier, nn1)
+        assert calls and max(calls.values()) == 1
+        shared = sum(calls.values())
+        calls.clear()
+        monkeypatch.setattr(retrobio.pipeline, "enumerate_precursors", fresh_memo_per_call)
+        self.expand(frontier, nn1)
+        # sibling nodes do rebuild the same graphs
+        assert sum(calls.values()) > shared
+
+
+class TestGoldReusesSearch:
+    """Gold steps rank the candidate lists the search built for their
+    products exactly as a fresh enumeration of each product ranks them."""
+
+    GOLD = [
+        ("C(O)CCCO", ("O=CCCCO",)),  # the target, not written canonically
+        ("O=CCC[CH2:3]O", ("OC(=O)CCCO",)),  # a mapped level-1 product
+        ("OCCO", ("O=CCO",)),  # never reached by the search
+        ("OCCCC=O", ("OCCCC(=O)O",)),  # the aldehyde again
+        ("OCCCCO", ("CCCC",)),  # a gold set no template makes
+    ]
+
+    def test_equals_fresh_enumeration(self, models, diol_setup, monkeypatch):
+        nn1, nn2 = models
+        config = SearchConfig(max_steps=2, beam_width=10**6)
+        fresh = gold_step_ranks(
+            _gold_molecules(self.GOLD), diol_setup, nn1, Fingerprinter(), {}
+        )
+        assert [entry["found"] for entry in fresh] == [True, True, True, True, False]
+        assert all(entry["total"] for entry in fresh)
+        searched = []
+
+        def counting(target, templates, keys_of=None):
+            searched.append(canonicalize(target))
+            return enumerate_precursors(target, templates, keys_of)
+
+        monkeypatch.setattr(retrobio.pipeline, "enumerate_precursors", counting)
+        plain = run_retro("OCCCCO", diol_setup, nn1, nn2, config)
+        calls = len(searched)
+        report = run_retro("OCCCCO", diol_setup, nn1, nn2, config, gold_steps=self.GOLD)
+        assert report.gold_ranks == fresh
+        # only the product the search never expanded is enumerated again
+        assert searched[2 * calls:] == [canon("OCCO")]
+        assert report.to_dict() | {"gold_ranks": []} == plain.to_dict()
+
+    def test_budget_cut_search_still_ranks_every_step(self, models, diol_setup):
+        nn1, nn2 = models
+        config = SearchConfig(max_steps=2, beam_width=10**6, max_nodes=30)
+        report = run_retro("OCCCCO", diol_setup, nn1, nn2, config, gold_steps=self.GOLD)
+        assert report.budget_exceeded
+        assert report.gold_ranks == gold_step_ranks(
+            _gold_molecules(self.GOLD), diol_setup, nn1, Fingerprinter(), {}
+        )
 
 
 class TestRankLevel:
