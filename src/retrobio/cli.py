@@ -31,7 +31,7 @@ from .neural import (
     train,
 )
 from .pattern import load_templates
-from .pipeline import SearchConfig, TargetParseError, run_retro
+from .pipeline import SearchConfig, run_retro
 from .ranking import (
     evaluate_ranking,
     group_rows,
@@ -47,10 +47,8 @@ EXIT_EMPTY = 2
 EXIT_INTERNAL = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """An input error: ``main`` prints it and exits 1."""
 
 
 # Option schema per subcommand: name -> (type, default, help).
@@ -240,6 +238,10 @@ def cmd_ingest(options: dict) -> int:
 
 
 def cmd_augment(options: dict) -> int:
+    if not 0 <= options["neg_fraction"] <= 1:
+        raise CliError(f"--neg-fraction must be in [0, 1], got {options['neg_fraction']}")
+    if not 0 < options["test_fraction"] < 1:
+        raise CliError(f"--test-fraction must be in (0, 1), got {options['test_fraction']}")
     corpus = ds.read_reactions_tsv(_require_file(options["corpus"], "corpus file"))
     templates = load_templates(_require_file(options["templates"], "template file"))
     if not templates:
@@ -250,12 +252,9 @@ def cmd_augment(options: dict) -> int:
     negatives = ds.augment_negatives(
         positives, templates, max_workers=options["threads"], stats=stats
     )
-    if options["neg_fraction"] < 1.0:
-        combined = ds.subsample_negatives(
-            positives + negatives, options["neg_fraction"], options["seed"]
-        )
-    else:
-        combined = positives + negatives
+    combined = ds.subsample_negatives(
+        positives + negatives, options["neg_fraction"], options["seed"]
+    )
     train_set, test_set = ds.split_train_test(
         combined, options["test_fraction"], options["seed"]
     )
@@ -308,6 +307,10 @@ def cmd_train(options: dict) -> int:
         raise CliError(f"--dropout must be in [0, 1), got {options['dropout']}")
     if options["epochs"] < 0:
         raise CliError(f"--epochs must be at least 0, got {options['epochs']}")
+    if options["batch"] < 1:
+        raise CliError(f"--batch must be at least 1, got {options['batch']}")
+    if options["seed"] < 0:
+        raise CliError(f"--seed must be at least 0, got {options['seed']}")
     if not 0 < options["lr"] < math.inf:
         raise CliError(f"--lr must be in (0, inf), got {options['lr']}")
     weight = options["pos_weight"]
@@ -317,11 +320,13 @@ def cmd_train(options: dict) -> int:
         bad_weight = True
     if bad_weight:
         raise CliError(f"--pos-weight must be 'auto' or in [0, inf), got {weight!r}")
-    rows = ds.read_examples_tsv(_require_file(options["data"], "training data"))
+    data = _require_file(options["data"], "training data")
+    rows = ds.read_examples_tsv(data)
     if not rows:
         print("train: empty dataset", file=sys.stderr)
         return EXIT_EMPTY
-    features, labels, weights = ds.features_for(rows)
+    with ds.naming_dataset(data):
+        features, labels, weights = ds.features_for(rows)
     expected = _MODEL_WIDTHS[model_name]
     if features.shape[1] != expected:
         print(
@@ -346,7 +351,8 @@ def cmd_train(options: dict) -> int:
         positive_weight=pos_weight,
     )
     spec = _MODEL_SPECS[model_name](options["dropout"])
-    model, history = train(spec, features, labels, config, weights)
+    with ds.naming_dataset(data):
+        model, history = train(spec, features, labels, config, weights)
     print(
         f"train: {model_name} with {model.parameter_count} parameters, "
         f"{options['epochs']} epochs"
@@ -364,13 +370,15 @@ def cmd_train(options: dict) -> int:
 
 
 def _load_model(path: str, what: str, input_dim: int | None = None) -> MlpModel:
-    """Load a weight file; every error, and an input width other than
-    ``input_dim`` when given, names the file."""
-    try:
-        with open(_require_file(path, what), "rb") as fh:
+    """Load a weight file; every error, an output width other than 1 and
+    an input width other than ``input_dim`` when given name the file."""
+    with open(_require_file(path, what), "rb") as fh:
+        try:
             model = load_weights(fh)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from exc
+    if model.layers[-1].out_dim != 1:
+        raise CliError(f"{path}: {what} has {model.layers[-1].out_dim} outputs, expected 1")
     if input_dim is not None and model.input_dim != input_dim:
         raise CliError(
             f"{path}: {what} has input width {model.input_dim}, "
@@ -381,7 +389,8 @@ def _load_model(path: str, what: str, input_dim: int | None = None) -> MlpModel:
 
 def cmd_eval(options: dict) -> int:
     model = _load_model(options["weights"], "weight file")
-    rows = ds.read_examples_tsv(_require_file(options["data"], "test data"))
+    data = _require_file(options["data"], "test data")
+    rows = ds.read_examples_tsv(data)
     if not rows:
         print("eval: empty dataset", file=sys.stderr)
         return EXIT_EMPTY
@@ -389,13 +398,14 @@ def cmd_eval(options: dict) -> int:
     if kind is None:
         raise CliError(f"{options['weights']}: unexpected input width {model.input_dim}")
     fingerprinter = Fingerprinter()
-    units = group_rows(rows)
-    model_report = evaluate_ranking(
-        row_scorer(kind, fingerprinter, model), units, scorer_name=kind
-    )
-    baseline_report = evaluate_ranking(
-        row_scorer("baseline", fingerprinter), units, scorer_name="baseline"
-    )
+    with ds.naming_dataset(data):
+        units = group_rows(rows)
+        model_report = evaluate_ranking(
+            row_scorer(kind, fingerprinter, model), units, scorer_name=kind
+        )
+        baseline_report = evaluate_ranking(
+            row_scorer("baseline", fingerprinter), units, scorer_name="baseline"
+        )
     write_report_json(options["out"], [model_report, baseline_report])
     if options["tsv"]:
         write_report_tsv(options["tsv"], model_report)
@@ -424,6 +434,9 @@ def _read_gold_tsv(path: str) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def cmd_retro(options: dict) -> int:
+    for flag, value in (("--max-steps", options["max_steps"]), ("--beam", options["beam"])):
+        if value < 1:
+            raise CliError(f"{flag} must be at least 1, got {value}")
     templates = load_templates(_require_file(options["templates"], "template file"))
     if not templates:
         print("retro: zero templates", file=sys.stderr)
@@ -451,17 +464,7 @@ def cmd_retro(options: dict) -> int:
         stop_set=stop_set,
         max_nodes=options["max_nodes"],
     )
-    try:
-        report = run_retro(
-            options["target"],
-            templates,
-            nn1,
-            nn2,
-            config,
-            gold_steps=gold,
-        )
-    except TargetParseError as exc:
-        raise CliError(str(exc)) from exc
+    report = run_retro(options["target"], templates, nn1, nn2, config, gold_steps=gold)
     report.save_json(options["out"])
     if options["pathways_tsv"]:
         write_tsv(
@@ -502,9 +505,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         options = _resolve_options(args)
         return _COMMANDS[args.command](options)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
     "read_pathways_tsv",
     "write_examples_tsv",
     "read_examples_tsv",
+    "naming_dataset",
     "features_for",
 ]
 
@@ -84,7 +86,6 @@ class ReactionRecord:
     ec_numbers: tuple[str, ...]
     reactant_keys: tuple[str, ...]  # sorted canonical SMILES multiset
     product_keys: tuple[str, ...]
-    provenance: tuple[str, ...] = ("assembled",)
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,6 @@ class MonoProductReaction:
     reactant_keys: tuple[str, ...]
     product_key: str
     label: str = POSITIVE
-    provenance: tuple[str, ...] = ("assembled",)
     weight: float = 1.0
 
     @property
@@ -280,7 +280,6 @@ def split_mono_product(
                     reactant_keys=rec.reactant_keys,
                     product_key=product,
                     label=POSITIVE,
-                    provenance=rec.provenance,
                 )
             )
     if stats is not None:
@@ -294,10 +293,10 @@ def split_mono_product(
 
 
 def _augment_product(args):
-    # Keys and first provenance only: the graphs are not held until the merge.
+    # Keys and first EC numbers only: the graphs are not held until the merge.
     product_key, templates = args
     candidates = enumerate_precursors(parse_smiles(product_key), templates)
-    return [(c.precursor_keys, c.provenance[0]) for c in candidates]
+    return [(c.precursor_keys, c.provenance[0][1]) for c in candidates]
 
 
 def flag_disjoint_products(
@@ -348,7 +347,7 @@ def augment_negatives(
     for product_key, candidates in zip(products, candidate_lists):
         true_sets = {pos.reactant_keys for pos in by_product[product_key]}
         count = 0
-        for keys, (template_id, ec_numbers) in candidates:
+        for keys, ec_numbers in candidates:
             if keys in true_sets:
                 continue
             count += 1
@@ -359,7 +358,6 @@ def augment_negatives(
                     reactant_keys=keys,
                     product_key=product_key,
                     label=NEGATIVE,
-                    provenance=("augmented", template_id),
                 )
             )
         histogram[count] += 1
@@ -475,6 +473,8 @@ def split_train_test(examples: list, fraction: float, seed: int):
 
 def subsample_negatives(examples: list, fraction: float, seed: int) -> list:
     """Keep all positives and a seeded shuffled prefix of the negatives."""
+    if not 0 <= fraction <= 1:
+        raise ValueError("fraction must be in [0, 1]")
     import random
 
     positives = [ex for ex in examples if ex.label == POSITIVE]
@@ -577,6 +577,23 @@ def read_examples_tsv(path) -> list[DatasetRow]:
     or step, or a weight that is not finite or is negative raises
     ValueError naming path:line."""
     return read_tsv(path, 5, _dataset_row)
+
+
+@contextmanager
+def naming_dataset(path):
+    """Name dataset ``path`` in a ValueError raised while using its rows:
+    the line of the first row whose SMILES does not parse, else the file.
+    Only this error path parses the file's SMILES a second time."""
+    try:
+        yield
+    except ValueError as exc:
+        def row(*fields):
+            parsed = _dataset_row(*fields)
+            for key in (parsed.target_key, *sum(parsed.steps, ())):
+                parse_smiles(key)
+
+        read_tsv(path, 5, row)
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def features_for(rows: list[DatasetRow]):

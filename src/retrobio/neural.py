@@ -238,38 +238,34 @@ def _forward_full(
     return h, activations, masks
 
 
-def forward(
-    model: MlpModel,
-    inputs: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     """Score inputs of shape (d,) or (n, d), or packed bits: uint8 rows of
     d/8 bytes in little-endian bit order, unpacked one block at a time.
 
+    Returns one score per row, or a float for a 1-D input, strictly inside
+    (0, 1); a model with other than one output raises DimensionMismatch.
     Rows run in zero-padded blocks of BLOCK_ROWS, so every matrix product
     has one shape and a row's score has the same bits whatever the other
-    rows are, their order or the row's block. Inference (rng None) is
-    deterministic with dropout disabled; passing a generator enables
-    inverted dropout. Scores are strictly inside (0, 1).
+    rows are, their order or the row's block. Dropout is off.
     """
     dim = model.input_dim
+    if model.layers[-1].out_dim != 1:
+        raise DimensionMismatch(f"model has {model.layers[-1].out_dim} outputs, expected 1")
     arr = np.atleast_2d(inputs)
     packed = arr.dtype == np.uint8 and arr.shape[1] * 8 == dim
     if not packed and arr.shape[1] != dim:
         raise DimensionMismatch(f"input width {arr.shape[1]} != model input {dim}")
     block = np.zeros((BLOCK_ROWS, dim), dtype=model.layers[0].weights.dtype)
-    out = np.empty((len(arr), model.layers[-1].out_dim), dtype=block.dtype)
+    out = np.empty(len(arr), dtype=block.dtype)
     for lo in range(0, len(arr), BLOCK_ROWS):
         rows = arr[lo : lo + BLOCK_ROWS]
         if packed:
             rows = np.unpackbits(rows, axis=1, bitorder="little")
         block[: len(rows)] = rows
         block[len(rows) :] = 0
-        scores, _, _ = _forward_full(model, block, rng)
-        out[lo : lo + len(rows)] = np.clip(scores[: len(rows)], LOSS_EPS, 1.0 - LOSS_EPS)
-    if out.shape[1] != 1:
-        return out
-    return float(out[0, 0]) if np.ndim(inputs) == 1 else out[:, 0]
+        scores, _, _ = _forward_full(model, block, None)
+        out[lo : lo + len(rows)] = np.clip(scores[: len(rows), 0], LOSS_EPS, 1.0 - LOSS_EPS)
+    return float(out[0]) if np.ndim(inputs) == 1 else out
 
 
 def bce_loss(prediction: float, label: int, weight: float = 1.0) -> float:
@@ -449,27 +445,24 @@ def gradient_check(
     label: int,
     tolerance: float = 1e-4,
     weight: float = 1.0,
-    backward=None,
 ) -> GradientCheckReport:
     """Compare analytic gradients of bce(forward(x)) against central finite
     differences (step 1e-4) in float64, dropout disabled.
 
     Raises GradientMismatch naming the worst parameter when any relative
-    error exceeds the tolerance. ``backward`` may override the analytic
-    gradient routine (used by negative-control tests). Checks are only
-    meaningful away from relu kinks: a pre-activation exactly at zero has
-    no two-sided derivative, so probe models should carry random biases.
+    error exceeds the tolerance. Checks are only meaningful away from relu
+    kinks: a pre-activation exactly at zero has no two-sided derivative,
+    so probe models should carry random biases.
     """
     m64 = model.astype(np.float64)
     x = np.asarray(inputs, dtype=np.float64).reshape(1, -1)
     y = float(label)
-    backward = backward or _backward
 
     out, acts, masks = _forward_full(m64, x, None)
     delta = _bce_output_delta(
         out[0:1, 0], np.array([y]), np.array([weight])
     )[:, None].astype(np.float64)
-    analytic = backward(m64, acts, masks, delta)
+    analytic = _backward(m64, acts, masks, delta)
 
     def loss_with(layers) -> float:
         candidate = MlpModel(tuple(layers))

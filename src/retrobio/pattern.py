@@ -52,7 +52,6 @@ __all__ = [
     "PatternGraph",
     "ReactionTemplate",
     "CandidatePrecursor",
-    "TemplateApplication",
     "TemplateError",
     "MissingArrow",
     "DuplicateMapIndexOnSide",
@@ -158,9 +157,6 @@ class PatternGraph:
             table[atom.map_index] = i
         return table
 
-    def mentions_explicit_hydrogen(self) -> bool:
-        return any(a.element == "H" for a in self.atoms)
-
 
 @dataclass(frozen=True)
 class ReactionTemplate:
@@ -179,25 +175,13 @@ class ReactionTemplate:
 
     @property
     def uses_explicit_hydrogens(self) -> bool:
-        return (
-            self.lhs.mentions_explicit_hydrogen()
-            or self.rhs.mentions_explicit_hydrogen()
-        )
-
-
-@dataclass(frozen=True)
-class TemplateApplication:
-    """One sanitized outcome of applying a template at one match site."""
-
-    precursors: tuple[MolecularGraph, ...]
-    precursor_keys: tuple[str, ...]  # sorted canonical SMILES
-    match: tuple[int, ...]
+        return any(a.element == "H" for a in self.lhs.atoms + self.rhs.atoms)
 
 
 @dataclass(frozen=True)
 class CandidatePrecursor:
-    """A deduplicated precursor set with full template/EC provenance, and
-    the graphs of its keys from the first application that produced it."""
+    """A deduplicated precursor set with its (template_id, ec_numbers)
+    records and the graphs of its keys from the first rewrite that made it."""
 
     precursor_keys: tuple[str, ...]
     provenance: tuple[tuple[str, tuple[str, ...]], ...]  # (template_id, ecs)
@@ -649,7 +633,7 @@ def apply_template(
     target: MolecularGraph,
     *,
     prepared: dict | None = None,
-) -> list[TemplateApplication]:
+) -> list[CandidatePrecursor]:
     """Apply a template at every distinct match site and deduplicate outcomes.
 
     The target is hydrogen-expanded first when the template mentions
@@ -660,7 +644,7 @@ def apply_template(
     of the target, so they give its outcome. Results failing sanitization
     are dropped; distinct outcomes are keyed by the multiset of component
     canonical SMILES, and the first match wins, as if every match were
-    rewritten.
+    rewritten. Each outcome carries the template's one provenance record.
 
     ``prepared`` lets a caller that applies many templates to one target
     expand its hydrogens once and canonicalize each precursor graph once:
@@ -677,7 +661,8 @@ def apply_template(
         prepared[explicit] = (work, _site_tokens(work))
     work, tokens = prepared[explicit]
     plan = _rewrite_plan(template)
-    out: list[TemplateApplication] = []
+    record = ((template.template_id, template.ec_numbers),)
+    out: list[CandidatePrecursor] = []
     sites: set[tuple] = set()
     seen: set[tuple[str, ...]] = set()
     for match in find_matches(template.lhs, work):
@@ -692,7 +677,7 @@ def apply_template(
         if keys in seen:
             continue
         seen.add(keys)
-        out.append(TemplateApplication(precursors, keys, match))
+        out.append(CandidatePrecursor(keys, record, precursors))
     return out
 
 
@@ -701,11 +686,11 @@ def enumerate_precursors(
     templates: list[ReactionTemplate],
     keys_of: dict | None = None,
 ) -> list[CandidatePrecursor]:
-    """Union of template applications with merged provenance.
+    """Union of ``apply_template`` outcomes with merged provenance.
 
     Candidates are deduplicated by precursor-key multiset across templates;
     each retains every (template_id, ec_numbers) record that produced it,
-    and the precursor graphs of the first application that did.
+    and the precursor graphs of the first outcome that did.
     Output order is (first template_id, canonical key).
 
     ``keys_of`` memoizes the canonical key of each precursor graph by its
@@ -717,13 +702,13 @@ def enumerate_precursors(
     prepared: dict = {"keys": {} if keys_of is None else keys_of}
     for template in sorted(templates, key=lambda t: t.template_id):
         try:
-            applications = apply_template(template, target, prepared=prepared)
+            outcomes = apply_template(template, target, prepared=prepared)
         except RewriteProducedEmptyGraph:
             continue
         record = (template.template_id, template.ec_numbers)
-        for app in applications:
+        for outcome in outcomes:
             _, provenance = merged.setdefault(
-                app.precursor_keys, (app.precursors, [])
+                outcome.precursor_keys, (outcome.precursors, [])
             )
             if record not in provenance:
                 provenance.append(record)

@@ -194,10 +194,10 @@ def row_scorer(kind: str, fingerprinter: Fingerprinter, model: MlpModel | None =
 def evaluate_ranking(
     scorer,
     units: list[tuple[DatasetRow, list[DatasetRow]]],
-    ks: tuple[int, ...] = DEFAULT_COVERAGE_KS,
     scorer_name: str = "scorer",
 ) -> EvaluationReport:
-    """Rank each positive among its negatives and summarize coverage.
+    """Rank each positive among its negatives and summarize coverage at
+    each k of DEFAULT_COVERAGE_KS.
 
     ``scorer`` maps a list of rows to their scores; it gets every distinct
     row of the units once, in one call.
@@ -215,7 +215,7 @@ def evaluate_ranking(
     ranks = [row["rank"] for row in report.rows]
     n = len(ranks)
     report.coverage = CoverageCurve(
-        tuple((k, sum(1 for r in ranks if r <= k) / n) for k in ks)
+        tuple((k, sum(1 for r in ranks if r <= k) / n) for k in DEFAULT_COVERAGE_KS)
     )
     report.rank_histogram = dict(Counter(ranks))
     report.percent_histogram = dict(

@@ -6,7 +6,7 @@ import pytest
 
 from retrobio import cli
 from retrobio.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, main
-from retrobio.neural import initialize, nn2pr_spec, save_weights
+from retrobio.neural import SIGMOID, LayerSpec, initialize, nn2pr_spec, save_weights
 
 from synthdata import write_corpus_files
 
@@ -16,6 +16,25 @@ def corpus_files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("corpus")
     reactions, pathways, templates = write_corpus_files(directory, max_length=5)
     return directory, reactions, pathways, templates
+
+
+BAD_ROWS = pytest.mark.parametrize(
+    "row",
+    [
+        "positive\tg\tCCO\tCC=O\tnan",
+        "positive\tg\t\tCC=O\t1",
+        "positive\tg\tCCxO\tCC=O\t1",
+        "positive\tg\tCCO\tCC=O.C(C\t1",
+    ],
+    ids=["nan weight", "empty target", "bad target", "bad precursor"],
+)
+
+
+def two_output_weights(path, width):
+    """A valid weight file whose last layer has two outputs."""
+    rng = np.random.default_rng(0)
+    path.write_bytes(save_weights(initialize((LayerSpec(width, 2, SIGMOID),), rng)))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -168,13 +187,34 @@ class TestAugment:
         )
         assert sub == round(0.3 * full)
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "--neg-fraction=-0.5", "--neg-fraction=2", "--neg-fraction=nan",
+            "--test-fraction=1.5", "--test-fraction=0",
+        ],
+    )
+    def test_bad_fraction_exits_1_before_work(
+        self, corpus_files, staged, tmp_path, capsys, monkeypatch, option
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("augmentation ran before the options were checked")
+
+        monkeypatch.setattr(cli.ds, "augment_negatives", refuse)
+        _, _, _, templates = corpus_files
+        out = tmp_path / "out"
+        assert main([
+            "augment",
+            "--corpus", str(staged / "ingest" / "mono_reactions.tsv"),
+            "--templates", str(templates),
+            "--out-dir", str(out), option,
+        ]) == EXIT_INPUT
+        assert option.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
-    @pytest.mark.parametrize(
-        "row",
-        ["positive\tg\tCCO\tCC=O\tnan", "positive\tg\t\tCC=O\t1"],
-        ids=["nan weight", "empty target"],
-    )
+    @BAD_ROWS
     def test_bad_dataset_row_exits_1_naming_file_and_line(
         self, tmp_path, capsys, row
     ):
@@ -203,13 +243,15 @@ class TestTrain:
         "option",
         [
             "--pos-weight=nan", "--pos-weight=inf", "--pos-weight=-3", "--pos-weight=abc",
-            "--epochs=-1", "--lr=nan", "--lr=inf", "--lr=0",
+            "--epochs=-1", "--lr=nan", "--lr=inf", "--lr=0", "--batch=0",
+            "--seed=-1",
         ],
     )
     def test_bad_option_exits_1_before_writing(self, staged, tmp_path, capsys, option):
         # eval and retro refuse a NaN weight file, dataset rows carry no
-        # negative weight, a negative epoch count is no run at all, and a
-        # learning rate that is not positive and finite trains nothing useful
+        # negative weight, a negative epoch count is no run at all, a
+        # learning rate that is not positive and finite trains nothing useful,
+        # a batch needs a row, and the generator takes no negative seed
         weights, history = tmp_path / "out.weights", tmp_path / "history.csv"
         assert main([
             "train", "--model", "nn1pr",
@@ -218,6 +260,31 @@ class TestTrain:
         ]) == EXIT_INPUT
         assert option.split("=")[0] in capsys.readouterr().err
         assert not weights.exists() and not history.exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (
+                "positive\tg\tCCO\tCC=O\t1\nnegative\tg\tCCO\tCC;CC\t1\n",
+                "mixed one-step and two-step rows in one dataset",
+            ),
+            (
+                "positive\tg\tCCO\tCC=O\t1\npositive\th\tCCCO\tCCC=O\t1\n",
+                "training data needs both classes",
+            ),
+        ],
+        ids=["mixed steps", "one class"],
+    )
+    def test_bad_dataset_exits_1_naming_file(self, tmp_path, capsys, rows, message):
+        data = tmp_path / "data.tsv"
+        data.write_text(rows, encoding="utf-8")
+        weights = tmp_path / "out.weights"
+        assert main([
+            "train", "--model", "nn1pr", "--data", str(data),
+            "--out", str(weights), "--epochs", "1",
+        ]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+        assert not weights.exists()
 
     def test_width_mismatch_exits_2(self, staged):
         assert main([
@@ -286,6 +353,45 @@ class TestEval:
         ]) == EXIT_OK
         payload = json.loads(report.read_text())
         assert {r["scorer"] for r in payload["reports"]} == {"nn2pr", "baseline"}
+
+
+    @BAD_ROWS
+    def test_bad_dataset_row_exits_1_naming_file_and_line(
+        self, staged, tmp_path, capsys, row
+    ):
+        data = tmp_path / "data.tsv"
+        data.write_text(f"negative\tg\tCCO\tCC\t1\n{row}\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main([
+            "eval", "--weights", str(staged / "nn1.weights"),
+            "--data", str(data), "--out", str(report),
+        ]) == EXIT_INPUT
+        assert f"{data}:2: " in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("model", ["nn1", "nn2"])
+    def test_bad_dataset_exits_1_naming_file(self, staged, tmp_path, capsys, model):
+        data = tmp_path / "data.tsv"
+        if model == "nn1":
+            weights = staged / "nn1.weights"
+            data.write_text(
+                "positive\tg0\tCCO\tCC=O\t1\nnegative\tg1\tCCO\tCC\t1\n",
+                encoding="utf-8",
+            )
+            message = "group 'g1' has no positive row"
+        else:
+            weights = tmp_path / "nn2.weights"
+            weights.write_bytes(
+                save_weights(initialize(nn2pr_spec(), np.random.default_rng(0)))
+            )
+            data.write_text("positive\tg\tCCO\tCC=O\t1\n", encoding="utf-8")
+            message = "nn2pr scores two-step rows only"
+        report = tmp_path / "report.json"
+        assert main([
+            "eval", "--weights", str(weights), "--data", str(data), "--out", str(report),
+        ]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+        assert not report.exists()
 
 
 class TestRetro:
@@ -383,6 +489,46 @@ class TestRetro:
             f"{wrong}: {role} weight file has input width {width}, "
             f"expected {expected}"
         ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["nn1", "nn2", "eval"])
+    def test_weight_file_with_two_outputs_exits_1_naming_file(
+        self, corpus_files, staged, tmp_path, capsys, role
+    ):
+        _, _, _, templates = corpus_files
+        wrong = two_output_weights(tmp_path / "two.weights", 1536 if role == "nn2" else 1024)
+        if role == "eval":
+            argv = [
+                "eval", "--weights", str(wrong),
+                "--data", str(staged / "augment" / "onestep_test.tsv"),
+            ]
+            what = "weight file"
+        else:
+            argv = [
+                "retro", "--target", "OCCCO", "--templates", str(templates),
+                "--nn1", str(staged / "nn1.weights"), f"--{role}", str(wrong),
+            ]
+            what = f"{role} weight file"
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {wrong}: {what} has 2 outputs, expected 1\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("option", ["--beam=0", "--max-steps=0", "--max-steps=-2"])
+    def test_bad_search_option_exits_1_before_work(
+        self, corpus_files, staged, tmp_path, capsys, monkeypatch, option
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("templates were read before the options were checked")
+
+        monkeypatch.setattr(cli, "load_templates", refuse)
+        _, _, _, templates = corpus_files
+        assert main([
+            "retro", "--target", "OCCCO", "--templates", str(templates),
+            "--nn1", str(staged / "nn1.weights"),
+            "--out", str(tmp_path / "r.json"), option,
+        ]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {option.split('=')[0]} must be")
 
     def test_thread_count_invariant(self, corpus_files, staged, tmp_path):
         _, _, _, templates = corpus_files

@@ -250,6 +250,15 @@ class TestSplits:
         assert n_neg == round(0.3 * 80)
         assert ds.subsample_negatives(examples, 0.3, seed=2) == kept
 
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5, 2.0, float("nan")])
+    def test_subsample_fraction_bounds(self, fraction):
+        with pytest.raises(ValueError, match=r"fraction must be in \[0, 1\]"):
+            ds.subsample_negatives(self._examples(), fraction, 1)
+
+    def test_subsample_fraction_one_keeps_everything_in_order(self):
+        examples = self._examples(20, 5)
+        assert ds.subsample_negatives(examples, 1.0, seed=2) == examples
+
 
 class TestFileFormats:
     def test_reaction_and_pathway_round_trip(self, tmp_path):

@@ -112,6 +112,12 @@ class TestForward:
         with pytest.raises(nn.DimensionMismatch):
             forward(model, np.zeros(100))
 
+    def test_more_than_one_output_is_rejected(self):
+        model = zero_model([4, 2], [SIGMOID])
+        for x in (np.zeros(4), np.zeros((3, 4))):
+            with pytest.raises(nn.DimensionMismatch, match="2 outputs"):
+                forward(model, x)
+
     def test_scores_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(0)
         model = initialize((LayerSpec(8, 4, RELU), LayerSpec(4, 1, SIGMOID)), rng)
@@ -122,8 +128,8 @@ class TestForward:
         rng = np.random.default_rng(1)
         model = initialize((LayerSpec(16, 64, RELU, 0.5), LayerSpec(64, 1, SIGMOID)), rng)
         x = np.abs(np.random.default_rng(2).random((8, 16))).astype(np.float32)
-        dropped = forward(model, x, rng=np.random.default_rng(7))
-        clean = forward(model, x)
+        dropped, _, _ = nn._forward_full(model, x, np.random.default_rng(7))
+        clean, _, _ = nn._forward_full(model, x, None)
         assert not np.array_equal(dropped, clean)
 
 
@@ -284,20 +290,19 @@ class TestGradientCheck:
             report = gradient_check(model, rng.normal(size=4), trial % 2)
             assert report.max_relative_error <= 1e-4
 
-    def test_corrupted_backprop_fails(self):
+    def test_corrupted_backprop_fails(self, monkeypatch):
         model = initialize(
             (LayerSpec(4, 3, RELU), LayerSpec(3, 1, SIGMOID)),
             np.random.default_rng(0),
         )
+        backward = nn._backward
 
         def sign_flipped(m, acts, masks, delta):
-            return [(-gw, -gb) for gw, gb in nn._backward(m, acts, masks, delta)]
+            return [(-gw, -gb) for gw, gb in backward(m, acts, masks, delta)]
 
+        monkeypatch.setattr(nn, "_backward", sign_flipped)
         with pytest.raises(GradientMismatch) as excinfo:
-            gradient_check(
-                model, np.random.default_rng(1).normal(size=4), 1,
-                backward=sign_flipped,
-            )
+            gradient_check(model, np.random.default_rng(1).normal(size=4), 1)
         assert "W[" in str(excinfo.value) or "b[" in str(excinfo.value)
 
     def test_zero_everything_passes(self):
