@@ -4,7 +4,8 @@ Command-line front end: ingest, augment, train, eval and retro.
 Every command is deterministic given identical inputs and seeds; all
 randomness flows from the single --seed flag. Options may also be supplied
 through an INI-style config file (one section per subcommand, keys named
-like the long flags); explicit flags override file values.
+like the long flags); explicit flags override file values. ``_SCHEMA`` is
+where an option's type, default and valid values live.
 
 Exit codes: 0 success, 1 input error, 2 empty or degenerate result,
 3 internal invariant violation.
@@ -51,55 +52,81 @@ class CliError(ValueError):
     """An input error: ``main`` prints it and exits 1."""
 
 
-# Option schema per subcommand: name -> (type, default, help).
+_MODEL_SPECS = {"nn1pr": nn1pr_spec, "nn2pr": nn2pr_spec}
+_MODEL_WIDTHS = {name: spec()[0].in_dim for name, spec in _MODEL_SPECS.items()}
+_MODEL_OF_WIDTH = {width: name for name, width in _MODEL_WIDTHS.items()}
+
+
+def _pos_weight(text: str) -> str | float:
+    """'' (no weighting) and 'auto' as given, else a weight in [0, inf)."""
+    if text in ("", "auto"):
+        return text
+    weight = float(text)
+    if not 0 <= weight < math.inf:
+        raise ValueError(f"expected 'auto' or a number in [0, inf), got {text!r}")
+    return weight
+
+
+# Valid values: (rule shown in --help and errors, test). Every test is a
+# comparison, so NaN fails it.
+_AT_LEAST_0 = ("at least 0", lambda v: v >= 0)
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_IN_0_1 = ("in [0, 1]", lambda v: 0 <= v <= 1)
+_IN_OPEN_0_1 = ("in (0, 1)", lambda v: 0 < v < 1)
+_IN_0_OPEN_1 = ("in [0, 1)", lambda v: 0 <= v < 1)
+_POSITIVE = ("in (0, inf)", lambda v: 0 < v < math.inf)
+_NOT_NAN = ("a number, not NaN", lambda v: v == v)
+
+# Option schema per subcommand: name -> (type, default, help, valid values
+# or None). A default of None marks a required option.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "ingest": {
-        "reactions": (str, None, "reactions TSV (id, ecs, reactants, products)"),
-        "compounds": (str, "", "compound table TSV (id, raw_smiles|UNRESOLVED)"),
-        "out-dir": (str, None, "output directory"),
+        "reactions": (str, None, "reactions TSV (id, ecs, reactants, products)", None),
+        "compounds": (str, "", "compound table TSV (id, raw_smiles|UNRESOLVED)", None),
+        "out-dir": (str, None, "output directory", None),
     },
     "augment": {
-        "corpus": (str, None, "mono-product corpus TSV from ingest"),
-        "templates": (str, None, "template TSV"),
-        "out-dir": (str, None, "output directory"),
-        "pathways": (str, "", "optional pathways TSV for two-step chains"),
-        "seed": (int, 0, "random seed"),
-        "neg-fraction": (float, 1.0, "fraction of negatives kept (seeded)"),
-        "test-fraction": (float, 0.1, "group fraction reserved for testing"),
-        "threads": (int, 1, "worker threads for augmentation"),
+        "corpus": (str, None, "mono-product corpus TSV from ingest", None),
+        "templates": (str, None, "template TSV", None),
+        "out-dir": (str, None, "output directory", None),
+        "pathways": (str, "", "optional pathways TSV for two-step chains", None),
+        "seed": (int, 0, "random seed", _AT_LEAST_0),
+        "neg-fraction": (float, 1.0, "fraction of negatives kept (seeded)", _IN_0_1),
+        "test-fraction": (float, 0.1, "group fraction reserved for testing", _IN_OPEN_0_1),
+        "threads": (int, 1, "worker threads for augmentation", _AT_LEAST_1),
     },
     "train": {
-        "model": (str, None, "nn1pr or nn2pr"),
-        "data": (str, None, "training dataset TSV"),
-        "out": (str, None, "output weight file"),
-        "history": (str, "", "optional per-epoch loss/accuracy CSV"),
-        "epochs": (int, 30, "training epochs"),
-        "batch": (int, 128, "batch size"),
-        "lr": (float, 0.001, "Adam learning rate"),
-        "dropout": (float, 0.2, "hidden-layer dropout rate"),
-        "seed": (int, 0, "random seed"),
-        "pos-weight": (str, "", "positive class weight: a number or 'auto'"),
+        "model": (str, None, "model to train", ("nn1pr or nn2pr", lambda v: v in _MODEL_SPECS)),
+        "data": (str, None, "training dataset TSV", None),
+        "out": (str, None, "output weight file", None),
+        "history": (str, "", "optional per-epoch loss/accuracy CSV", None),
+        "epochs": (int, 30, "training epochs", _AT_LEAST_0),
+        "batch": (int, 128, "batch size", _AT_LEAST_1),
+        "lr": (float, 0.001, "Adam learning rate", _POSITIVE),
+        "dropout": (float, 0.2, "hidden-layer dropout rate", _IN_0_OPEN_1),
+        "seed": (int, 0, "random seed", _AT_LEAST_0),
+        "pos-weight": (_pos_weight, "", "positive class weight: a number or 'auto'", None),
     },
     "eval": {
-        "weights": (str, None, "trained weight file"),
-        "data": (str, None, "test dataset TSV"),
-        "out": (str, None, "JSON report path"),
-        "tsv": (str, "", "optional per-group rank TSV"),
+        "weights": (str, None, "trained weight file", None),
+        "data": (str, None, "test dataset TSV", None),
+        "out": (str, None, "JSON report path", None),
+        "tsv": (str, "", "optional per-group rank TSV", None),
     },
     "retro": {
-        "target": (str, None, "target SMILES"),
-        "templates": (str, None, "template TSV"),
-        "nn1": (str, None, "one-step ranker weight file"),
-        "nn2": (str, "", "optional two-step ranker weight file"),
-        "out": (str, None, "JSON search report path"),
-        "max-steps": (int, 3, "maximum backward steps"),
-        "beam": (int, 10, "beam width per level"),
-        "prune": (float, 0.0, "one-step score pruning threshold"),
-        "stop-set": (str, "", "file of stop-set SMILES, one per line"),
-        "gold": (str, "", "gold pathway TSV (product, precursors per step)"),
-        "pathways-tsv": (str, "", "optional reconstructed-pathway TSV"),
-        "max-nodes": (int, 100000, "node budget"),
-        "threads": (int, 1, "accepted and not used: the search runs serially"),
+        "target": (str, None, "target SMILES", None),
+        "templates": (str, None, "template TSV", None),
+        "nn1": (str, None, "one-step ranker weight file", None),
+        "nn2": (str, "", "optional two-step ranker weight file", None),
+        "out": (str, None, "JSON search report path", None),
+        "max-steps": (int, 3, "maximum backward steps", _AT_LEAST_1),
+        "beam": (int, 10, "beam width per level", _AT_LEAST_1),
+        "prune": (float, 0.0, "one-step score pruning threshold", _NOT_NAN),
+        "stop-set": (str, "", "file of stop-set SMILES, one per line", None),
+        "gold": (str, "", "gold pathway TSV (product, precursors per step)", None),
+        "pathways-tsv": (str, "", "optional reconstructed-pathway TSV", None),
+        "max-nodes": (int, 100000, "node budget", _AT_LEAST_1),
+        "threads": (int, 1, "accepted and not used: the search runs serially", _AT_LEAST_1),
     },
 }
 
@@ -139,14 +166,12 @@ def _build_parser() -> argparse.ArgumentParser:
             epilog=_FORMATS_EPILOG,
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        for name, (kind, default, help_text) in options.items():
-            required = default is None
+        for name, (_, default, help_text, valid) in options.items():
+            notes = [] if default is None else [f"default {default}"]
+            notes += [valid[0]] if valid else []
             sub.add_argument(
-                f"--{name}",
-                type=kind,
-                default=argparse.SUPPRESS,
-                required=False,
-                help=help_text + ("" if required else f" (default {default})"),
+                f"--{name}", default=argparse.SUPPRESS,
+                help=help_text + (f" ({'; '.join(notes)})" if notes else ""),
             )
     return parser
 
@@ -154,8 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_options(args: argparse.Namespace) -> dict:
     """Merge precedence: explicit flag > config file section > default.
 
-    Every error in the config file, or in a value read from it, names the
-    file."""
+    Flag and config text are converted and checked alike, and an error names
+    the flag or the file and key; defaults are used as they are."""
     schema = _SCHEMA[args.command]
     file_values: dict[str, str] = {}
     if args.config:
@@ -169,21 +194,24 @@ def _resolve_options(args: argparse.Namespace) -> dict:
             raise CliError(f"{args.config}: {exc}") from exc
     options = {}
     supplied = vars(args)
-    for name, (kind, default, _) in schema.items():
+    for name, (kind, default, _, valid) in schema.items():
         attr = name.replace("-", "_")
         if attr in supplied:
-            options[attr] = supplied[attr]
+            text, source = supplied[attr], f"--{name}"
         elif name in file_values:
-            try:
-                options[attr] = kind(file_values[name])
-            except ValueError as exc:
-                raise CliError(
-                    f"{args.config}: [{args.command}] {name}: {exc}"
-                ) from exc
+            text, source = file_values[name], f"{args.config}: [{args.command}] {name}"
         elif default is None:
             raise CliError(f"missing required option --{name}")
         else:
             options[attr] = default
+            continue
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise CliError(f"{source}: {exc}") from exc
+        if valid and not valid[1](value):
+            raise CliError(f"{source} must be {valid[0]}, got {value!r}")
+        options[attr] = value
     return options
 
 
@@ -238,10 +266,6 @@ def cmd_ingest(options: dict) -> int:
 
 
 def cmd_augment(options: dict) -> int:
-    if not 0 <= options["neg_fraction"] <= 1:
-        raise CliError(f"--neg-fraction must be in [0, 1], got {options['neg_fraction']}")
-    if not 0 < options["test_fraction"] < 1:
-        raise CliError(f"--test-fraction must be in (0, 1), got {options['test_fraction']}")
     corpus = ds.read_reactions_tsv(_require_file(options["corpus"], "corpus file"))
     templates = load_templates(_require_file(options["templates"], "template file"))
     if not templates:
@@ -294,32 +318,8 @@ def cmd_augment(options: dict) -> int:
     return EXIT_OK
 
 
-_MODEL_SPECS = {"nn1pr": nn1pr_spec, "nn2pr": nn2pr_spec}
-_MODEL_WIDTHS = {name: spec()[0].in_dim for name, spec in _MODEL_SPECS.items()}
-_MODEL_OF_WIDTH = {width: name for name, width in _MODEL_WIDTHS.items()}
-
-
 def cmd_train(options: dict) -> int:
     model_name = options["model"]
-    if model_name not in _MODEL_SPECS:
-        raise CliError(f"unknown model {model_name!r}; use nn1pr or nn2pr")
-    if not 0.0 <= options["dropout"] < 1.0:
-        raise CliError(f"--dropout must be in [0, 1), got {options['dropout']}")
-    if options["epochs"] < 0:
-        raise CliError(f"--epochs must be at least 0, got {options['epochs']}")
-    if options["batch"] < 1:
-        raise CliError(f"--batch must be at least 1, got {options['batch']}")
-    if options["seed"] < 0:
-        raise CliError(f"--seed must be at least 0, got {options['seed']}")
-    if not 0 < options["lr"] < math.inf:
-        raise CliError(f"--lr must be in (0, inf), got {options['lr']}")
-    weight = options["pos_weight"]
-    try:
-        bad_weight = weight not in ("", "auto") and not 0 <= float(weight) < math.inf
-    except ValueError:
-        bad_weight = True
-    if bad_weight:
-        raise CliError(f"--pos-weight must be 'auto' or in [0, inf), got {weight!r}")
     data = _require_file(options["data"], "training data")
     rows = ds.read_examples_tsv(data)
     if not rows:
@@ -335,14 +335,12 @@ def cmd_train(options: dict) -> int:
             file=sys.stderr,
         )
         return EXIT_EMPTY
-    pos_weight: float | None = None
-    if options["pos_weight"] == "auto":
+    pos_weight = options["pos_weight"]
+    if pos_weight == "auto":
         n_pos = int(labels.sum())
-        n_neg = len(labels) - n_pos
-        if n_pos:
-            pos_weight = n_neg / n_pos
-    elif options["pos_weight"]:
-        pos_weight = float(options["pos_weight"])
+        pos_weight = (len(labels) - n_pos) / n_pos if n_pos else None
+    elif pos_weight == "":
+        pos_weight = None
     config = TrainConfig(
         learning_rate=options["lr"],
         batch_size=options["batch"],
@@ -434,9 +432,6 @@ def _read_gold_tsv(path: str) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def cmd_retro(options: dict) -> int:
-    for flag, value in (("--max-steps", options["max_steps"]), ("--beam", options["beam"])):
-        if value < 1:
-            raise CliError(f"{flag} must be at least 1, got {value}")
     templates = load_templates(_require_file(options["templates"], "template file"))
     if not templates:
         print("retro: zero templates", file=sys.stderr)
@@ -447,11 +442,13 @@ def cmd_retro(options: dict) -> int:
         if options["nn2"]
         else None
     )
-    stop_set = (
-        _read_stop_set(_require_file(options["stop_set"], "stop-set file"))
-        if options["stop_set"]
-        else frozenset()
-    )
+    stop_set = frozenset()
+    if options["stop_set"]:
+        stop_set = _read_stop_set(_require_file(options["stop_set"], "stop-set file"))
+        if not stop_set:
+            path = options["stop_set"]
+            print(f"retro: stop-set file {path} holds no SMILES", file=sys.stderr)
+            return EXIT_EMPTY
     gold = (
         _read_gold_tsv(_require_file(options["gold"], "gold pathway file"))
         if options["gold"]
@@ -500,8 +497,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage or the help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         options = _resolve_options(args)
         return _COMMANDS[args.command](options)

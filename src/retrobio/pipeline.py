@@ -70,6 +70,10 @@ class SearchConfig:
             raise ValueError("max_steps must be at least 1")
         if self.beam_width < 1:
             raise ValueError("beam_width must be at least 1")
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be at least 1")
+        if math.isnan(self.prune_threshold):
+            raise ValueError("prune_threshold must not be NaN")
 
     def to_dict(self) -> dict:
         return {

@@ -192,9 +192,10 @@ class TestAugment:
         [
             "--neg-fraction=-0.5", "--neg-fraction=2", "--neg-fraction=nan",
             "--test-fraction=1.5", "--test-fraction=0",
+            "--seed=-1", "--threads=0", "--threads=-3",
         ],
     )
-    def test_bad_fraction_exits_1_before_work(
+    def test_bad_option_exits_1_before_work(
         self, corpus_files, staged, tmp_path, capsys, monkeypatch, option
     ):
         def refuse(*args, **kwargs):
@@ -244,7 +245,7 @@ class TestTrain:
         [
             "--pos-weight=nan", "--pos-weight=inf", "--pos-weight=-3", "--pos-weight=abc",
             "--epochs=-1", "--lr=nan", "--lr=inf", "--lr=0", "--batch=0",
-            "--seed=-1",
+            "--seed=-1", "--epochs=1.5",
         ],
     )
     def test_bad_option_exits_1_before_writing(self, staged, tmp_path, capsys, option):
@@ -514,7 +515,13 @@ class TestRetro:
         )
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("option", ["--beam=0", "--max-steps=0", "--max-steps=-2"])
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "--beam=0", "--max-steps=0", "--max-steps=-2", "--prune=nan",
+            "--max-nodes=0", "--max-nodes=-1", "--threads=0", "--beam=ten",
+        ],
+    )
     def test_bad_search_option_exits_1_before_work(
         self, corpus_files, staged, tmp_path, capsys, monkeypatch, option
     ):
@@ -528,7 +535,8 @@ class TestRetro:
             "--nn1", str(staged / "nn1.weights"),
             "--out", str(tmp_path / "r.json"), option,
         ]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith(f"error: {option.split('=')[0]} must be")
+        flag = option.split("=")[0]
+        assert capsys.readouterr().err.startswith((f"error: {flag} must be", f"error: {flag}: "))
 
     def test_thread_count_invariant(self, corpus_files, staged, tmp_path):
         _, _, _, templates = corpus_files
@@ -560,6 +568,26 @@ class TestRetro:
             "--out", str(tmp_path / "r.json"),
             "--max-steps", "2", "--threads", "4",
         ]) == EXIT_OK
+
+    def test_empty_stop_set_exits_2_before_search(
+        self, corpus_files, staged, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search ran without a stop set")
+
+        monkeypatch.setattr(cli, "run_retro", refuse)
+        _, _, _, templates = corpus_files
+        stop = tmp_path / "stop.txt"
+        stop.write_text("# no SMILES here\n", encoding="utf-8")
+        assert main([
+            "retro", "--target", "OCCCO",
+            "--templates", str(templates),
+            "--nn1", str(staged / "nn1.weights"),
+            "--out", str(tmp_path / "r.json"),
+            "--stop-set", str(stop),
+        ]) == EXIT_EMPTY
+        assert capsys.readouterr().err == f"retro: stop-set file {stop} holds no SMILES\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_stop_set_chain_longer_than_recursion_limit(
         self, corpus_files, staged, tmp_path, capsys
@@ -612,8 +640,9 @@ class TestConfigFile:
             (b"[ingest]\nreactions = 100%\n", "ingest", ""),  # bad interpolation
             (b"[ingest]\nreactions = caf\xe9.tsv\n", "ingest", ""),  # not UTF-8
             (b"[retro]\nbeam = ten\n", "retro", "[retro] beam: "),
+            (b"[retro]\nbeam = 0\n", "retro", "[retro] beam must be"),
         ],
-        ids=["no-section", "duplicate-key", "percent", "not-utf8", "bad-value"],
+        ids=["no-section", "duplicate-key", "percent", "not-utf8", "bad-value", "bad-range"],
     )
     def test_malformed_config_exits_1_naming_file(
         self, tmp_path, capsys, content, command, names
@@ -626,3 +655,87 @@ class TestConfigFile:
         }[command]
         assert main(["--config", str(config), command, *flags]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {config}: {names}")
+
+
+# One bad value for every option whose schema entry can refuse a value:
+# a rule, or a converter other than str.
+BAD_VALUES = {
+    ("augment", "seed"): "-1",
+    ("augment", "neg-fraction"): "nan",
+    ("augment", "test-fraction"): "1",
+    ("augment", "threads"): "0",
+    ("train", "model"): "nn3pr",
+    ("train", "epochs"): "-1",
+    ("train", "batch"): "0",
+    ("train", "lr"): "-0.1",
+    ("train", "dropout"): "1",
+    ("train", "seed"): "-1",
+    ("train", "pos-weight"): "-1",
+    ("retro", "max-steps"): "0",
+    ("retro", "beam"): "0",
+    ("retro", "prune"): "nan",
+    ("retro", "max-nodes"): "0",
+    ("retro", "threads"): "-5",
+}
+
+
+class TestOptions:
+    def test_every_refusing_option_has_a_bad_value(self):
+        assert set(BAD_VALUES) == {
+            (command, name)
+            for command, options in cli._SCHEMA.items()
+            for name, (kind, _, _, valid) in options.items()
+            if valid or kind is not str
+        }
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, option", sorted(BAD_VALUES))
+    def test_bad_value_exits_1_naming_it_before_reading_files(
+        self, tmp_path, capsys, monkeypatch, command, option, source
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a file was read before the options were checked")
+
+        for reader in ("read_tsv", "load_templates", "load_weights"):
+            monkeypatch.setattr(cli, reader, refuse)
+        for reader in (
+            "read_reactions_tsv", "read_compounds_tsv",
+            "read_pathways_tsv", "read_examples_tsv",
+        ):
+            monkeypatch.setattr(cli.ds, reader, refuse)
+        argv = [command]
+        for name, (_, default, _, _) in cli._SCHEMA[command].items():
+            if default is None and name != option:
+                path = tmp_path / name
+                path.touch()
+                argv += [f"--{name}", {"model": "nn1pr", "target": "CCO"}.get(name, str(path))]
+        bad = BAD_VALUES[command, option]
+        if source == "flag":
+            argv.append(f"--{option}={bad}")
+            names = f"error: --{option}"
+        else:
+            config = tmp_path / "config.ini"
+            config.write_text(f"[{command}]\n{option} = {bad}\n", encoding="utf-8")
+            argv = ["--config", str(config), *argv]
+            names = f"error: {config}: [{command}] {option}"
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith((f"{names} must be ", f"{names}: ")), err
+        assert sorted(tmp_path.iterdir()) == before
+        assert all(path.stat().st_size == 0 for path in before if path.name != "config.ini")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["retro", "--bogus", "1"], ["bogus"], [], ["--config"]],
+        ids=["unknown-flag", "unknown-command", "no-command", "flag-without-value"],
+    )
+    def test_usage_error_exits_1_with_usage(self, capsys, argv):
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("usage: retrobio")
+
+    def test_help_exits_0_and_shows_each_rule(self, capsys):
+        assert main(["retro", "--help"]) == EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())
+        assert "beam width per level (default 10; at least 1)" in text
+        assert "target SMILES --templates" in text  # required: no note

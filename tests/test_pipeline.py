@@ -50,6 +50,18 @@ def diol_setup(models):
     return [t01, t02, t03, t05]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_steps", 0), ("beam_width", 0), ("beam_width", -1),
+        ("max_nodes", 0), ("max_nodes", -1), ("prune_threshold", float("nan")),
+    ],
+)
+def test_search_config_rejects_values_that_make_no_search(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**{field: value})
+
+
 def canon(smiles: str) -> str:
     return canonicalize(parse_smiles(smiles))
 
