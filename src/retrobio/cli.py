@@ -4,8 +4,8 @@ Command-line front end: ingest, augment, train, eval and retro.
 Every command is deterministic given identical inputs and seeds; all
 randomness flows from the single --seed flag. Options may also be supplied
 through an INI-style config file (one section per subcommand, keys named
-like the long flags); explicit flags override file values. ``_SCHEMA`` is
-where an option's type, default and valid values live.
+like the long flags, no others); explicit flags override file values.
+``_SCHEMA`` is where an option's type, default and valid values live.
 
 Exit codes: 0 success, 1 input error, 2 empty or degenerate result,
 3 internal invariant violation.
@@ -180,7 +180,10 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     """Merge precedence: explicit flag > config file section > default.
 
     Flag and config text are converted and checked alike, and an error names
-    the flag or the file and key; defaults are used as they are."""
+    the flag or the file and key; defaults are used as they are. A config
+    section that is no command, or a key of the command's own section that
+    it does not take, is an error; [DEFAULT] keys apply to every command and
+    are not checked."""
     schema = _SCHEMA[args.command]
     file_values: dict[str, str] = {}
     if args.config:
@@ -188,10 +191,16 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         try:
             if not config.read(args.config, encoding="utf-8"):
                 raise CliError(f"config file not found: {args.config}")
+            for section in config.sections():
+                if section not in _SCHEMA:
+                    raise CliError(f"{args.config}: unknown section [{section}]")
             if config.has_section(args.command):
                 file_values = dict(config.items(args.command))
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise CliError(f"{args.config}: {exc}") from exc
+        for name in file_values:
+            if name not in schema and name not in config.defaults():
+                raise CliError(f"{args.config}: [{args.command}] {name}: unknown key")
     options = {}
     supplied = vars(args)
     for name, (kind, default, _, valid) in schema.items():
@@ -242,22 +251,18 @@ def cmd_ingest(options: dict) -> int:
         if options["compounds"]
         else []
     )
-    stats = ds.CorpusStats()
-    table = ds.build_compound_table(table_entries, stats)
-    usable, clean_stats = ds.clean_reactions(reactions, table)
-    clean_stats.compounds_unresolved += stats.compounds_unresolved
-    clean_stats.generic_fixed = stats.generic_fixed
-    monos = ds.split_mono_product(usable, clean_stats)
-    ds.flag_disjoint_products(monos, clean_stats)
+    usable, stats = ds.clean_reactions(reactions, table_entries)
+    monos = ds.split_mono_product(usable, stats)
+    ds.flag_disjoint_products(monos, stats)
     out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_mono_tsv(out_dir / "mono_reactions.tsv", monos)
-    write_json(out_dir / "corpus_stats.json", clean_stats.to_dict())
+    write_json(out_dir / "corpus_stats.json", stats.to_dict())
     print(
-        f"ingest: {clean_stats.reactions_in} reactions in, "
-        f"{clean_stats.reactions_dropped} dropped, "
-        f"{clean_stats.mono_reactions} mono-product reactions, "
-        f"{clean_stats.unique_products} unique products"
+        f"ingest: {stats.reactions_in} reactions in, "
+        f"{stats.reactions_dropped} dropped, "
+        f"{stats.mono_reactions} mono-product reactions, "
+        f"{stats.unique_products} unique products"
     )
     if not monos:
         print("ingest: no usable reactions", file=sys.stderr)
@@ -271,7 +276,7 @@ def cmd_augment(options: dict) -> int:
     if not templates:
         print("augment: zero templates", file=sys.stderr)
         return EXIT_EMPTY
-    usable, stats = ds.clean_reactions(corpus, {})
+    usable, stats = ds.clean_reactions(corpus, [])
     positives = ds.split_mono_product(usable, stats)
     negatives = ds.augment_negatives(
         positives, templates, max_workers=options["threads"], stats=stats

@@ -2,8 +2,10 @@
 Corpus ingestion, cleaning and template-driven data augmentation.
 
 The pipeline mirrors how metabolic reaction corpora are prepared for the
-ranking models: raw compound strings are repaired (generic atom symbols
-X -> Cl and R/R# -> C) and canonicalized, reactions drop unresolved
+ranking models: every compound string, whether a compound-table entry or a
+raw SMILES token of a reaction, is repaired (generic atom symbols X -> Cl
+and R/R# -> C) and canonicalized by one function, and its repairs and
+losses are counted in one CorpusStats per command. Reactions drop unresolved
 compounds and die when a whole side vanishes, multi-product reactions are
 split into mono-product children, and negative examples are generated by
 applying the full template set to every unique product and removing
@@ -69,7 +71,7 @@ class Unfixable(ValueError):
 @dataclass(frozen=True)
 class CleanedCompound:
     key: str  # canonical SMILES
-    replacements: tuple[tuple[int, str, str], ...]  # (offset, old, new)
+    repaired: bool  # a generic symbol was replaced
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,8 @@ class CorpusStats:
     reactions_dropped: int = 0
     reactions_degraded: int = 0  # kept, but lost compounds on one side
     duplicates_merged: int = 0
-    compounds_unresolved: int = 0
-    generic_fixed: int = 0
+    compounds_unresolved: int = 0  # per table entry and per token occurrence
+    generic_fixed: int = 0  # per repaired table entry and raw token occurrence
     mono_reactions: int = 0
     unique_products: int = 0
     disjoint_product_reactions: int = 0  # product shares no bit with reactants
@@ -159,76 +161,49 @@ def clean_compound(raw_smiles: str) -> CleanedCompound:
     """Repair generic atom symbols and canonicalize.
 
     'X' (any halogen placeholder) becomes Cl and the alkyl placeholders
-    'R#'/'R' become C, recorded per occurrence. Raises Unfixable when the
-    repaired string still does not parse.
+    'R#'/'R' become C. Raises Unfixable when the repaired string still does
+    not parse.
     """
-    replacements = []
-    out = []
-    i = 0
-    while i < len(raw_smiles):
-        ch = raw_smiles[i]
-        if ch == "R":
-            if raw_smiles[i + 1 : i + 2] == "#":
-                replacements.append((i, "R#", "C"))
-                i += 2
-            else:
-                replacements.append((i, "R", "C"))
-                i += 1
-            out.append("C")
-        elif ch == "X":
-            replacements.append((i, "X", "Cl"))
-            out.append("Cl")
-            i += 1
-        else:
-            out.append(ch)
-            i += 1
-    fixed = "".join(out)
+    fixed = raw_smiles.replace("R#", "C").replace("R", "C").replace("X", "Cl")
     try:
         key = canonicalize(parse_smiles(fixed))
     except ValueError as exc:
         raise Unfixable(f"cannot repair compound {raw_smiles!r}: {exc}") from exc
-    return CleanedCompound(key, tuple(replacements))
+    return CleanedCompound(key, fixed != raw_smiles)
+
+
+def _clean(raw: str, stats: CorpusStats) -> str | None:
+    """The canonical key of ``raw``, counting a repair in ``stats``; None
+    for UNRESOLVED or an unfixable string."""
+    if raw == "UNRESOLVED":
+        return None
+    try:
+        cleaned = clean_compound(raw)
+    except Unfixable:
+        return None
+    stats.generic_fixed += cleaned.repaired
+    return cleaned.key
 
 
 def build_compound_table(
-    entries: list[tuple[str, str]], stats: CorpusStats | None = None
+    entries: list[tuple[str, str]], stats: CorpusStats
 ) -> dict[str, str | None]:
     """compound_id -> canonical key, or None for UNRESOLVED/unfixable."""
     table: dict[str, str | None] = {}
     for compound_id, raw in entries:
-        if raw == "UNRESOLVED":
-            table[compound_id] = None
-            if stats:
-                stats.compounds_unresolved += 1
-            continue
-        try:
-            cleaned = clean_compound(raw)
-        except Unfixable:
-            table[compound_id] = None
-            if stats:
-                stats.compounds_unresolved += 1
-            continue
-        table[compound_id] = cleaned.key
-        if stats and cleaned.replacements:
-            stats.generic_fixed += 1
+        table[compound_id] = key = _clean(raw, stats)
+        stats.compounds_unresolved += key is None
     return table
 
 
-def _resolve(token: str, table: dict[str, str | None]) -> str | None:
-    if token in table:
-        return table[token]
-    try:
-        return clean_compound(token).key
-    except Unfixable:
-        return None
-
-
 def clean_reactions(
-    records: list[RawReaction], compound_table: dict[str, str | None]
+    records: list[RawReaction], compounds: list[tuple[str, str]]
 ) -> tuple[list[ReactionRecord], CorpusStats]:
     """Drop unresolved compounds per side, drop reactions losing a whole
-    side, merge canonical duplicates (union of EC numbers)."""
+    side, merge canonical duplicates (union of EC numbers). A token is a
+    ``compounds`` id or else a raw SMILES."""
     stats = CorpusStats(reactions_in=len(records))
+    table = build_compound_table(compounds, stats)
     cleaned: list[ReactionRecord] = []
     for raw in records:
         sides = []
@@ -236,7 +211,7 @@ def clean_reactions(
         for tokens in (raw.reactants, raw.products):
             keys = []
             for token in tokens:
-                key = _resolve(token, compound_table)
+                key = table[token] if token in table else _clean(token, stats)
                 if key is None:
                     stats.compounds_unresolved += 1
                     lost_any = True
@@ -267,7 +242,7 @@ def clean_reactions(
 
 
 def split_mono_product(
-    records: list[ReactionRecord], stats: CorpusStats | None = None
+    records: list[ReactionRecord], stats: CorpusStats
 ) -> list[MonoProductReaction]:
     """A record with k products becomes k children sharing the reactants."""
     children = []
@@ -282,9 +257,8 @@ def split_mono_product(
                     label=POSITIVE,
                 )
             )
-    if stats is not None:
-        stats.mono_reactions = len(children)
-        stats.unique_products = len({c.product_key for c in children})
+    stats.mono_reactions = len(children)
+    stats.unique_products = len({c.product_key for c in children})
     return children
 
 

@@ -14,7 +14,12 @@ string moved. Nothing here depends on BLAS: no weights, no scores.
 - ``fingerprints.tsv``: the default 512-bit fingerprint, in hex, of every
   molecule of the two files above;
 - ``augment/``: the ``ingest`` and ``augment --pathways`` outputs for
-  ``write_corpus_files(max_length=6)`` at seed 7.
+  ``write_corpus_files(max_length=6)`` at seed 7;
+- ``ingest/``: the ``ingest`` outputs for the hand-written
+  ``INGEST_REACTIONS`` and ``INGEST_COMPOUNDS`` below, which reach every
+  cleaning rule: compound-table ids, ``UNRESOLVED`` and unfixable entries,
+  generic ``X``/``R``/``R#`` symbols in both files, merged duplicates,
+  partial and whole-side loss, a multi-product split and a disjoint product.
 
 ``tests/test_golden.py`` recomputes each file and compares. Regenerating
 them is a declared re-baseline:
@@ -200,6 +205,51 @@ def augment_outputs(work: Path) -> dict[str, str]:
     }
 
 
+INGEST_COMPOUNDS = """\
+# compound_id\traw_smiles
+cpd_ethanol\tCCO
+cpd_acetaldehyde\tCC=O
+cpd_chloroethane\tCCX
+cpd_propanoate\tR#CC(=O)O
+cpd_methanol\tRO
+cpd_chloroform\tC(X)(X)X
+cpd_lost\tUNRESOLVED
+cpd_broken\tC1CC
+"""
+
+INGEST_REACTIONS = """\
+# reaction_id\tec_numbers\treactants\tproducts
+r01\t1.1.1.1\tcpd_ethanol\tcpd_acetaldehyde
+r02\t1.1.1.2;1.1.1.1\tCCO\tCC=O
+r03\t2.3.1.1\tcpd_chloroethane.cpd_lost\tCCCO
+r04\t3.1.1.1\tcpd_broken\tCCO
+r05\t3.1.1.2\tCCO\tcpd_lost
+r06\t3.1.1.3\tcpd_propanoate.RCCO\tCCCOC(=O)CC.O
+r07\t4.2.1.1\tCCX.O\tCCO.cpd_missing
+r08\t1.2.1.1\tR#CC=O.cpd_methanol\tCCC(=O)OC
+r09\t2.6.1.1\tCCO.N\tCCN.O
+"""
+
+
+def ingest_outputs(work: Path) -> dict[str, str]:
+    """ingest of INGEST_REACTIONS with the INGEST_COMPOUNDS table."""
+    work.mkdir(parents=True, exist_ok=True)
+    reactions, compounds = work / "reactions.tsv", work / "compounds.tsv"
+    reactions.write_text(INGEST_REACTIONS, encoding="utf-8")
+    compounds.write_text(INGEST_COMPOUNDS, encoding="utf-8")
+    out = work / "out"
+    argv = [
+        "ingest", "--reactions", str(reactions), "--compounds", str(compounds),
+        "--out-dir", str(out),
+    ]
+    if main(argv) != 0:
+        raise RuntimeError("ingest failed")
+    return {
+        f"ingest/{path.name}": path.read_text(encoding="utf-8")
+        for path in sorted(out.iterdir())
+    }
+
+
 def golden_files(work: Path) -> dict[str, str]:
     """Every golden file's path under ``tests/golden`` and its text."""
     keys_text, keys = canonical_keys()
@@ -209,6 +259,7 @@ def golden_files(work: Path) -> dict[str, str]:
         "precursors.tsv": precursor_text,
         "fingerprints.tsv": fingerprints(keys + precursor_keys),
         **augment_outputs(work),
+        **ingest_outputs(work / "ingest"),
     }
 
 

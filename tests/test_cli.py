@@ -90,6 +90,19 @@ class TestIngest:
         assert stats["reactions_in"] == 3
         assert stats["reactions_dropped"] == 2
 
+    def test_generic_fixed_counts_table_and_raw_repairs(self, tmp_path):
+        reactions = tmp_path / "reactions.tsv"
+        reactions.write_text("r1\t\tCCX\tCCO\nr2\t\tc1\tCCCO\n", encoding="utf-8")
+        compounds = tmp_path / "compounds.tsv"
+        compounds.write_text("c1\tCCCX\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([
+            "ingest", "--reactions", str(reactions), "--compounds", str(compounds),
+            "--out-dir", str(out),
+        ]) == EXIT_OK
+        stats = json.loads((out / "corpus_stats.json").read_text())
+        assert stats["generic_fixed"] == 2
+
     def test_empty_corpus_exits_2(self, tmp_path):
         reactions = tmp_path / "empty.tsv"
         reactions.write_text("# nothing here\n", encoding="utf-8")
@@ -623,6 +636,18 @@ class TestConfigFile:
         ]) == EXIT_OK
         assert (out_override / "mono_reactions.tsv").exists()
 
+    def test_default_keys_and_other_sections_are_not_checked(self, corpus_files, tmp_path):
+        _, reactions, _, _ = corpus_files
+        config = tmp_path / "config.ini"
+        out = tmp_path / "out"
+        config.write_text(
+            "[DEFAULT]\nseed = 3\n[augment]\nthreads = 2\n"
+            f"[ingest]\nreactions = {reactions}\nout-dir = {out}\n",
+            encoding="utf-8",
+        )
+        assert main(["--config", str(config), "ingest"]) == EXIT_OK
+        assert (out / "mono_reactions.tsv").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main([
             "--config", str(tmp_path / "nope.ini"), "ingest",
@@ -641,8 +666,13 @@ class TestConfigFile:
             (b"[ingest]\nreactions = caf\xe9.tsv\n", "ingest", ""),  # not UTF-8
             (b"[retro]\nbeam = ten\n", "retro", "[retro] beam: "),
             (b"[retro]\nbeam = 0\n", "retro", "[retro] beam must be"),
+            (b"[retro]\nbeem = 1\n", "retro", "[retro] beem: "),
+            (b"[retor]\nbeam = 1\n", "retro", "unknown section [retor]"),
         ],
-        ids=["no-section", "duplicate-key", "percent", "not-utf8", "bad-value", "bad-range"],
+        ids=[
+            "no-section", "duplicate-key", "percent", "not-utf8", "bad-value",
+            "bad-range", "unknown-key", "unknown-section",
+        ],
     )
     def test_malformed_config_exits_1_naming_file(
         self, tmp_path, capsys, content, command, names

@@ -21,17 +21,17 @@ class TestCleanCompound:
     def test_halogen_placeholder(self):
         cleaned = ds.clean_compound("CX")
         assert cleaned.key == canonicalize(parse_smiles("CCl"))
-        assert cleaned.replacements == ((1, "X", "Cl"),)
+        assert cleaned.repaired
 
     def test_already_clean(self):
         cleaned = ds.clean_compound("CCO")
         assert cleaned.key == "CCO"
-        assert cleaned.replacements == ()
+        assert not cleaned.repaired
 
     def test_alkyl_placeholders(self):
         assert ds.clean_compound("CR").key == "CC"
         assert ds.clean_compound("CR#").key == "CC"
-        assert ds.clean_compound("OR").replacements == ((1, "R", "C"),)
+        assert ds.clean_compound("OR").repaired
 
     def test_unfixable(self):
         with pytest.raises(ds.Unfixable):
@@ -58,7 +58,7 @@ class TestCleanReactions:
             ds.RawReaction("r3", ("3.3.3.3",), ("CCO",), ("CC=O", "C")),
             ds.RawReaction("r4", ("4.4.4.4",), ("OCC",), ("CC=O", "C")),
         ]
-        return ds.clean_reactions(raws, {"???": None})
+        return ds.clean_reactions(raws, [("???", "UNRESOLVED")])
 
     def test_whole_side_loss_drops_reaction(self):
         records, stats = self.make()
@@ -83,18 +83,42 @@ class TestCleanReactions:
             len(records) + stats.duplicates_merged + stats.reactions_dropped
         )
 
+    def test_raw_token_repair_counts(self):
+        raws = [
+            ds.RawReaction("r1", (), ("CCX", "c1"), ("CCO",)),
+            ds.RawReaction("r2", (), ("R#CO",), ("CR",)),
+        ]
+        records, stats = ds.clean_reactions(raws, [("c1", "RO")])
+        assert records[0].reactant_keys == ("CCCl", "CO")
+        assert records[1].reactant_keys == ("CCO",)
+        assert records[1].product_keys == ("CC",)
+        # one table entry and three raw token occurrences were repaired
+        assert stats.generic_fixed == 4
+
+    def test_unresolved_counts_per_entry_and_per_occurrence(self):
+        raws = [
+            ds.RawReaction("r1", (), ("CCO", "lost"), ("CC=O",)),
+            ds.RawReaction("r2", (), ("CCO", "lost", "bad"), ("CC=O", "lost")),
+        ]
+        _, stats = ds.clean_reactions(
+            raws, [("lost", "UNRESOLVED"), ("bad", "C(("), ("unused", "C1CC")]
+        )
+        # three entries, then four occurrences in the reactions
+        assert stats.compounds_unresolved == 3 + 4
+        assert stats.reactions_degraded == 2
+
 
 class TestMonoSplit:
     def test_two_products_two_children(self):
         record = ds.ReactionRecord("r", ("1.1.1.1",), ("CC", "O"), ("CCO", "C"))
-        children = ds.split_mono_product([record])
+        children = ds.split_mono_product([record], ds.CorpusStats())
         assert [c.product_key for c in children] == ["CCO", "C"]
         assert all(c.reactant_keys == ("CC", "O") for c in children)
         assert all(c.parent_id == "r" for c in children)
 
     def test_mono_already(self):
         record = ds.ReactionRecord("r", (), ("CC",), ("CCO",))
-        assert len(ds.split_mono_product([record])) == 1
+        assert len(ds.split_mono_product([record], ds.CorpusStats())) == 1
 
     def test_counting_identity(self):
         import random
