@@ -29,7 +29,7 @@ from .fingerprint import (
     Fingerprint,
     Fingerprinter,
     ReactionFeature,
-    molecule_fingerprint,
+    molecule_fingerprints,
     reaction_feature,
     tanimoto,
     tversky,

@@ -245,7 +245,9 @@ def _write_mono_tsv(path: Path, monos: list[ds.MonoProductReaction]) -> None:
 
 
 def cmd_ingest(options: dict) -> int:
-    reactions = ds.read_reactions_tsv(_require_file(options["reactions"], "reactions file"))
+    reactions = ds.read_reactions_tsv(
+        _require_file(options["reactions"], "reactions file"), unique_ids=True
+    )
     table_entries = (
         ds.read_compounds_tsv(_require_file(options["compounds"], "compounds file"))
         if options["compounds"]
@@ -355,7 +357,9 @@ def cmd_train(options: dict) -> int:
     )
     spec = _MODEL_SPECS[model_name](options["dropout"])
     with ds.naming_dataset(data):
-        model, history = train(spec, features, labels, config, weights)
+        model, history = train(
+            spec, features, labels, config, weights, history=bool(options["history"])
+        )
     print(
         f"train: {model_name} with {model.parameter_count} parameters, "
         f"{options['epochs']} epochs"

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .fingerprint import Fingerprinter, reaction_feature
+from .fingerprint import Fingerprinter, pack_features, reaction_feature
 from .molgraph import parse_smiles, canonicalize
 from .pattern import ReactionTemplate, enumerate_precursors
 from .tsv import read_tsv, write_tsv
@@ -282,6 +282,9 @@ def flag_disjoint_products(
     product slot) are kept but reported, since a structure-based ranker
     has nothing to connect them with."""
     fp = Fingerprinter()
+    fp.memoize(
+        (key, None) for mono in monos for key in (mono.product_key, *mono.reactant_keys)
+    )
     flagged = []
     for mono in monos:
         product_bits = fp.of_key(mono.product_key).bits
@@ -472,9 +475,11 @@ def _pieces(text: str, sep: str) -> tuple[str, ...]:
     return tuple(piece for piece in text.split(sep) if piece)
 
 
-def read_reactions_tsv(path) -> list[RawReaction]:
+def read_reactions_tsv(path, unique_ids: bool = False) -> list[RawReaction]:
     """reaction_id, ec_numbers (';'-sep), reactant_smiles ('.'-sep),
-    product_smiles ('.'-sep)."""
+    product_smiles ('.'-sep). With ``unique_ids``, a repeated reaction id
+    raises ValueError naming path:line; without, rows may share one, as the
+    mono-product children of one reaction do."""
     return read_tsv(
         path,
         4,
@@ -484,12 +489,16 @@ def read_reactions_tsv(path) -> list[RawReaction]:
             _pieces(reactants, "."),
             _pieces(products, "."),
         ),
+        unique="reaction id" if unique_ids else "",
     )
 
 
 def read_compounds_tsv(path) -> list[tuple[str, str]]:
-    """compound_id, raw_smiles | UNRESOLVED."""
-    return read_tsv(path, 2, lambda compound_id, raw: (compound_id, raw))
+    """compound_id, raw_smiles | UNRESOLVED; a repeated compound id raises
+    ValueError naming path:line."""
+    return read_tsv(
+        path, 2, lambda compound_id, raw: (compound_id, raw), unique="compound id"
+    )
 
 
 def read_pathways_tsv(path) -> list[tuple[str, tuple[str, ...]]]:
@@ -531,6 +540,11 @@ class DatasetRow:
     def is_positive(self) -> bool:
         return self.label == POSITIVE
 
+    @property
+    def molecule_keys(self) -> tuple[str, ...]:
+        """The target key, then every step's precursor keys in order."""
+        return (self.target_key, *sum(self.steps, ()))
+
 
 def _dataset_row(label, group_key, target, precursors, weight) -> DatasetRow:
     if label not in (POSITIVE, NEGATIVE):
@@ -563,7 +577,7 @@ def naming_dataset(path):
     except ValueError as exc:
         def row(*fields):
             parsed = _dataset_row(*fields)
-            for key in (parsed.target_key, *sum(parsed.steps, ())):
+            for key in parsed.molecule_keys:
                 parse_smiles(key)
 
         read_tsv(path, 5, row)
@@ -571,22 +585,22 @@ def naming_dataset(path):
 
 
 def features_for(rows: list[DatasetRow]):
-    """Feature matrix, labels and weights for one- or two-step rows."""
-    fp = Fingerprinter()
+    """Feature matrix, labels and weights for one- or two-step rows.
+
+    Every distinct molecule is fingerprinted in one batch; the rows' bits
+    are then packed and unpacked into the float32 matrix in one call."""
     if not rows:
         raise ValueError("no rows to featurize")
     steps = {len(r.steps) for r in rows}
     if len(steps) != 1:
         raise ValueError("mixed one-step and two-step rows in one dataset")
-    features = np.stack(
-        [
-            reaction_feature(
-                fp.of_key(row.target_key),
-                [fp.of_keys(step) for step in row.steps],
-            ).to_array()
-            for row in rows
-        ]
-    )
+    fp = Fingerprinter()
+    fp.memoize((key, None) for row in rows for key in row.molecule_keys)
+    packed = pack_features([
+        reaction_feature(fp.of_key(row.target_key), [fp.of_keys(step) for step in row.steps])
+        for row in rows
+    ])
+    features = np.unpackbits(packed, axis=1, bitorder="little").astype(np.float32)
     labels = np.array(
         [1.0 if row.is_positive else 0.0 for row in rows], dtype=np.float32
     )

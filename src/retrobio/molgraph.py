@@ -529,8 +529,13 @@ def parse_smiles(text: str) -> MolecularGraph:
     """
     tokens, links = _read_chain(text)
     n = len(tokens)
-    # Ring membership depends on topology only, not on bond orders.
-    in_ring = _ring_bonds(n, [(a, b) for a, b, _ in links])
+    # Ring membership depends on topology only, not on bond orders, and
+    # only aromatic atoms read it.
+    in_ring = (
+        _ring_bonds(n, [(a, b) for a, b, _ in links])
+        if any(token["aromatic"] for token in tokens)
+        else set()
+    )
 
     # A bond written without a symbol is aromatic when both ends are
     # aromatic atoms and it lies in a ring, single otherwise.

@@ -11,6 +11,10 @@ ADAM_BETA2 = 0.999 and ADAM_EPSILON = 1e-8.
 
 Training is bit-reproducible given (seed, data order): initialization,
 epoch shuffles and dropout masks all derive from one seeded generator.
+Each step trains only the first-layer rows that some training row
+reaches and runs Adam in cache-sized blocks; both leave every weight bit
+as the whole-array update would (``train`` says why), and the tests keep
+that whole-array loop as the reference.
 Weight files are an exact little-endian binary format (magic "NNPR"), so
 save/load round-trips models bit-identically.
 """
@@ -66,6 +70,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 BLOCK_ROWS = 64  # rows per inference block; fixed, so scores are row-stable
+ADAM_BLOCK = 1 << 16  # elements per Adam block: 256 KiB of float32, in cache
 
 
 class DimensionMismatch(ValueError):
@@ -318,9 +323,17 @@ def _backward(
     activations: list[np.ndarray],
     masks: list[np.ndarray | None],
     delta_out: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Gradients per layer given d(loss)/d(pre-sigmoid output is NOT assumed);
-    ``delta_out`` is d(loss)/d(final activation output)."""
+    ``delta_out`` is d(loss)/d(final activation output).
+
+    With ``rows``, the first layer's weight gradient covers only those
+    input rows, in that order: another row whose inputs are all zero has
+    the exact gradient 0. Not so when the delta reaching the first layer
+    holds an inf or NaN, since 0 * inf is NaN; then the gradient covers
+    every row, which the caller sees from its height.
+    """
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
     delta = delta_out
     for k in range(len(model.layers) - 1, -1, -1):
@@ -338,13 +351,46 @@ def _backward(
             delta = delta * act_out * (1.0 - act_out)
         elif layer.activation == RELU:
             delta = delta * (act_out > 0)
-        grads[k] = (
-            activations[k].T @ delta,
-            delta.sum(axis=0),
-        )
+        inputs = activations[k]
+        if k == 0 and rows is not None and np.isfinite(delta).all():
+            inputs = inputs[:, rows]
+        grads[k] = (inputs.T @ delta, delta.sum(axis=0))
         if k:
             delta = delta @ layer.weights.T
     return grads
+
+
+def _adam_step(
+    param: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    learning_rate: float,
+    step: int,
+    rows: np.ndarray | None = None,
+) -> None:
+    """One Adam update of ``param`` in place, ADAM_BLOCK elements at a time.
+
+    ``grad``, ``m`` and ``v`` hold the parameter's ``rows``, or all of it
+    without ``rows``. Each element sees the same operations in the same
+    order as in one whole-array pass, so blocking changes no bit; it keeps
+    each of the passes over a block in cache instead of streaming the whole
+    array through memory once per pass.
+    """
+    correction1 = 1.0 - ADAM_BETA1**step
+    correction2 = 1.0 - ADAM_BETA2**step
+    block = max(ADAM_BLOCK // max(math.prod(grad.shape[1:]), 1), 1)
+    for lo in range(0, len(grad), block):
+        g, mk, vk = grad[lo : lo + block], m[lo : lo + block], v[lo : lo + block]
+        mk *= ADAM_BETA1
+        mk += (1 - ADAM_BETA1) * g
+        vk *= ADAM_BETA2
+        vk += (1 - ADAM_BETA2) * g * g
+        update = learning_rate * (mk / correction1) / (np.sqrt(vk / correction2) + ADAM_EPSILON)
+        if rows is None:
+            param[lo : lo + block] -= update
+        else:
+            param[rows[lo : lo + block]] -= update
 
 
 def train(
@@ -353,12 +399,27 @@ def train(
     labels: np.ndarray,
     config: TrainConfig,
     sample_weights: np.ndarray | None = None,
+    *,
+    history: bool = False,
 ) -> tuple[MlpModel, TrainingHistory]:
     """Initialize a model of layer specification ``spec`` and train it;
-    returns the trained model and epoch history.
+    returns the trained model and, with ``history``, the per-epoch loss
+    and accuracy on the training data (an empty history without).
 
     The run is bit-reproducible for a fixed (seed, data order); epochs=0
     returns the bare initialization with an empty history.
+
+    Only the first-layer rows that some training row reaches (a feature
+    column that is ever nonzero) can move: every other row has the exact
+    gradient 0 at every step, so its Adam moments stay 0 and its update is
+    0. Its moments are therefore not kept, its gradient is not computed
+    and its weights are not touched, which leaves every weight bit as the
+    full update would. The forward pass still multiplies by the whole
+    first layer, because a product over the reached columns alone sums in
+    another order. If the delta reaching the first layer is ever not
+    finite, its product with a zero input is NaN, not 0, and from that step
+    on every row is trained, with the moments of the rows not kept until
+    then restored as the zeros they were.
     """
     if spec[-1].out_dim != 1 or spec[-1].activation != SIGMOID:
         raise ValueError(
@@ -386,12 +447,18 @@ def train(
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     model = initialize(spec, rng)
-    history = TrainingHistory()
+    record = TrainingHistory()
     # The layers' own arrays are the parameters, updated in place, so
     # ``model`` is always the current model.
     params = [a for l in model.layers for a in (l.weights, l.biases)]
-    m = [np.zeros_like(a) for a in params]
-    v = [np.zeros_like(a) for a in params]
+    # The first-layer rows trained, in order; None while that is every row.
+    reach = np.flatnonzero(x.any(axis=0))
+    reach = None if len(reach) == x.shape[1] else reach
+    shapes = [a.shape for a in params]
+    if reach is not None:
+        shapes[0] = (len(reach), spec[0].out_dim)
+    m = [np.zeros(shape, dtype=np.float32) for shape in shapes]
+    v = [np.zeros(shape, dtype=np.float32) for shape in shapes]
     step = 0
     n = x.shape[0]
     for epoch in range(config.epochs):
@@ -403,32 +470,29 @@ def train(
             delta = _bce_output_delta(out[:, 0], yb, wb)[:, None] / len(batch)
             grads = [
                 g
-                for pair in _backward(model, acts, masks, delta.astype(np.float32))
+                for pair in _backward(model, acts, masks, delta.astype(np.float32), reach)
                 for g in pair
             ]
+            if reach is not None and len(grads[0]) != len(reach):
+                for moments in (m, v):
+                    full = np.zeros_like(params[0])
+                    full[reach] = moments[0]
+                    moments[0] = full
+                reach = None
             step += 1
-            correction1 = 1.0 - ADAM_BETA1**step
-            correction2 = 1.0 - ADAM_BETA2**step
-            for p, g, mk, vk in zip(params, grads, m, v):
-                mk *= ADAM_BETA1
-                mk += (1 - ADAM_BETA1) * g
-                vk *= ADAM_BETA2
-                vk += (1 - ADAM_BETA2) * g * g
-                p -= (
-                    config.learning_rate
-                    * (mk / correction1)
-                    / (np.sqrt(vk / correction2) + ADAM_EPSILON)
-                )
-        # One full-matrix pass plus the clip, not the blocked ``forward``.
-        out, _, _ = _forward_full(model, x, None)
-        scores = np.clip(out[:, 0], LOSS_EPS, 1.0 - LOSS_EPS)
-        losses = -(
-            w * (y * np.log(np.clip(scores, LOSS_EPS, None))
-                 + (1 - y) * np.log(np.clip(1 - scores, LOSS_EPS, None)))
-        )
-        history.loss.append(float(losses.mean()))
-        history.accuracy.append(float(((scores >= 0.5) == (y == 1.0)).mean()))
-    return model, history
+            for k, (p, g, mk, vk) in enumerate(zip(params, grads, m, v)):
+                _adam_step(p, g, mk, vk, config.learning_rate, step, None if k else reach)
+        if history:
+            # One full-matrix pass plus the clip, not the blocked ``forward``.
+            out, _, _ = _forward_full(model, x, None)
+            scores = np.clip(out[:, 0], LOSS_EPS, 1.0 - LOSS_EPS)
+            losses = -(
+                w * (y * np.log(np.clip(scores, LOSS_EPS, None))
+                     + (1 - y) * np.log(np.clip(1 - scores, LOSS_EPS, None)))
+            )
+            record.loss.append(float(losses.mean()))
+            record.accuracy.append(float(((scores >= 0.5) == (y == 1.0)).mean()))
+    return model, record
 
 
 @dataclass(frozen=True)

@@ -276,8 +276,9 @@ def _template_row(template_id, direction, diameter, ecs, smarts):
 def load_templates(path) -> list[ReactionTemplate]:
     """Read the template TSV: template_id, direction, diameter, ec_numbers,
     smarts. '#'-prefixed lines are comments. Only 'bwd' templates are
-    accepted; every malformed row raises TemplateError naming path:line."""
-    return read_tsv(path, 5, _template_row, error=TemplateError)
+    accepted; every malformed row, and a repeated template id, raises
+    TemplateError naming path:line."""
+    return read_tsv(path, 5, _template_row, error=TemplateError, unique="template id")
 
 
 # ---------------------------------------------------------------------------

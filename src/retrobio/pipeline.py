@@ -179,10 +179,11 @@ def expand_level(
     # graphs repeat across nodes: one memo canonicalizes each once.
     keys_of: dict = {}
     # Each candidate as a node, holding its main substrate's graph only if
-    # the next level expands it, and its feature; one batch scores them all.
-    candidates, features = [], []
+    # the next level expands it. The level's molecules, one graph per key,
+    # are fingerprinted in one batch, and its candidates scored in another.
+    candidates = []
+    graphs = {node.molecule_key: node.molecule for node in frontier}
     for node in frontier:
-        parent_fp = fingerprinter.of_key(node.molecule_key, node.molecule)
         ancestor_keys = node.ancestors_keys() | {node.molecule_key}
         expandable = node.depth + 1 < config.max_steps
         listed = enumerate_precursors(node.molecule, templates, keys_of)
@@ -195,14 +196,22 @@ def expand_level(
                     f"node budget {config.max_nodes} exceeded at depth "
                     f"{node.depth + 1}"
                 )
-            block = fingerprinter.of_keys(cand.precursor_keys, cand.precursors)
-            features.append(reaction_feature(parent_fp, [block]))
+            for key, graph in zip(cand.precursor_keys, cand.precursors):
+                graphs.setdefault(key, graph)
             main, graph = _main_substrate(cand)
             child = SearchNode(
                 main, cand.precursor_keys, node.depth + 1, 0.0, node,
                 *cand.provenance[0], molecule=graph if expandable else None,
             )
             candidates.append((child, main in ancestor_keys))
+    fingerprinter.memoize(graphs.items())
+    features = [
+        reaction_feature(
+            fingerprinter.of_key(child.parent.molecule_key),
+            [fingerprinter.of_keys(child.precursor_keys)],
+        )
+        for child, _ in candidates
+    ]
     scores = score_nn1(nn1, features).tolist() if features else []
     children: list[SearchNode] = []
     for (child, cycle), score in zip(candidates, scores):
@@ -378,8 +387,12 @@ def gold_step_ranks(
             "ec_numbers": [],
         }
         if candidates:
-            target_fp = fingerprinter.of_key(product_key, product_mol)
-            blocks = [fingerprinter.of_keys(c.precursor_keys, c.precursors) for c in candidates]
+            fingerprinter.memoize(
+                [(product_key, product_mol)]
+                + [pair for c in candidates for pair in zip(c.precursor_keys, c.precursors)]
+            )
+            target_fp = fingerprinter.of_key(product_key)
+            blocks = [fingerprinter.of_keys(c.precursor_keys) for c in candidates]
             scores = score_nn1(nn1, [reaction_feature(target_fp, [b]) for b in blocks]).tolist()
             for rc in rank_candidates(list(zip(candidates, scores))):
                 if rc.candidate.precursor_keys == gold_key:

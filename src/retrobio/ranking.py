@@ -159,7 +159,8 @@ def group_rows(rows: list[DatasetRow]) -> list[tuple[DatasetRow, list[DatasetRow
 
 def row_scorer(kind: str, fingerprinter: Fingerprinter, model: MlpModel | None = None):
     """Batch scorer over DatasetRows for 'baseline', 'nn1pr' or 'nn2pr': it
-    maps a list of rows to their scores, in order.
+    maps a list of rows to their scores, in order, after fingerprinting
+    the rows' molecules in one batch.
 
     On two-step rows the baseline compares the target with both step blocks
     combined, and the one-step model scores the most recent step (the
@@ -170,9 +171,14 @@ def row_scorer(kind: str, fingerprinter: Fingerprinter, model: MlpModel | None =
     def blocks(row: DatasetRow) -> list[Fingerprint]:
         return [fp.of_keys(step) for step in row.steps]
 
+    def fingerprinted(rows: list[DatasetRow]) -> list[DatasetRow]:
+        fp.memoize((key, None) for row in rows for key in row.molecule_keys)
+        return rows
+
     if kind == "baseline":
         return lambda rows: [
-            score_baseline(fp.of_key(row.target_key), blocks(row)) for row in rows
+            score_baseline(fp.of_key(row.target_key), blocks(row))
+            for row in fingerprinted(rows)
         ]
     if kind not in ("nn1pr", "nn2pr"):
         raise ValueError(f"unknown scorer kind {kind!r}")
@@ -188,7 +194,7 @@ def row_scorer(kind: str, fingerprinter: Fingerprinter, model: MlpModel | None =
         return reaction_feature(fp.of_key(row.target_key), b)
 
     score = score_nn1 if kind == "nn1pr" else score_nn2
-    return lambda rows: score(model, [feature(row) for row in rows])
+    return lambda rows: score(model, [feature(row) for row in fingerprinted(rows)])
 
 
 def evaluate_ranking(

@@ -28,15 +28,19 @@ def read_tsv(
     *,
     error: type[ValueError] = ValueError,
     strip: bool = False,
+    unique: str = "",
 ) -> list[Row]:
     """``parse(*fields)`` for every data row of ``path``, in file order.
 
     A line that is not UTF-8, or a row with other than ``n_fields``
     fields, raises ``error``. ``strip`` trims surrounding whitespace from
-    each line instead of only the line break. Any ValueError from a row
-    keeps its class and gains the ``path:line:`` prefix.
+    each line instead of only the line break. ``unique`` names the first
+    field when it is an id: a row repeating an earlier row's id raises
+    ``error``, since either row could be the one meant. Any ValueError
+    from a row keeps its class and gains the ``path:line:`` prefix.
     """
     rows = []
+    seen: set[str] = set()
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
@@ -53,6 +57,10 @@ def read_tsv(
                         f"expected {n_fields} tab-separated fields, "
                         f"got {len(fields)}"
                     )
+                if unique:
+                    if fields[0] in seen:
+                        raise error(f"repeated {unique} {fields[0]!r}")
+                    seen.add(fields[0])
                 rows.append(parse(*fields))
             except ValueError as exc:
                 exc.args = (f"{path}:{line_no}: {exc}",)

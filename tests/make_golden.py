@@ -34,7 +34,7 @@ import tempfile
 from pathlib import Path
 
 from retrobio.cli import main
-from retrobio.fingerprint import molecule_fingerprint
+from retrobio.fingerprint import molecule_fingerprints
 from retrobio.molgraph import (
     DOUBLE,
     SINGLE,
@@ -179,9 +179,10 @@ def precursors() -> tuple[str, list[str]]:
 
 def fingerprints(keys: list[str]) -> str:
     lines = ["# canonical\tbits_hex"]
-    for key in sorted(set(keys)):
-        bits = molecule_fingerprint(parse_smiles(key)).bits
-        lines.append(f"{key}\t{bits:0128x}")
+    distinct = sorted(set(keys))
+    fps = molecule_fingerprints(parse_smiles(key) for key in distinct)
+    for key, fp in zip(distinct, fps):
+        lines.append(f"{key}\t{fp.bits:0128x}")
     return "\n".join(lines) + "\n"
 
 

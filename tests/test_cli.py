@@ -133,6 +133,36 @@ class TestIngest:
         assert f"{reactions}:3: expected 4 tab-separated fields, got 3" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize(
+        "reactions_text, compounds_text, bad_file, message",
+        [
+            (
+                "r1\t\tc1\tCCO\n",
+                "# id\tsmiles\nc1\tCCX\nc1\tCCCC\n",
+                "compounds", "repeated compound id 'c1'",
+            ),
+            (
+                "# id\tecs\treactants\tproducts\nr1\t1.1.1.1\tCCO\tCC=O\n"
+                "r1\t1.1.1.2\tCCCO\tCCC=O\n",
+                "", "reactions", "repeated reaction id 'r1'",
+            ),
+        ],
+        ids=["compound", "reaction"],
+    )
+    def test_repeated_id_exits_1_naming_file_and_line(
+        self, tmp_path, capsys, reactions_text, compounds_text, bad_file, message
+    ):
+        files = {"reactions": tmp_path / "reactions.tsv", "compounds": tmp_path / "compounds.tsv"}
+        files["reactions"].write_text(reactions_text, encoding="utf-8")
+        files["compounds"].write_text(compounds_text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([
+            "ingest", "--reactions", str(files["reactions"]),
+            "--compounds", str(files["compounds"]), "--out-dir", str(out),
+        ]) == EXIT_INPUT
+        assert f"{files[bad_file]}:3: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, corpus_files, tmp_path):
         _, reactions, _, _ = corpus_files
         outs = []
@@ -157,6 +187,41 @@ class TestAugment:
             "--templates", str(empty),
             "--out-dir", str(tmp_path / "out"),
         ]) == EXIT_EMPTY
+
+    def test_repeated_template_id_exits_1_naming_file_and_line(
+        self, corpus_files, staged, tmp_path, capsys
+    ):
+        _, _, _, templates = corpus_files
+        rows = [line for line in templates.read_text(encoding="utf-8").splitlines()
+                if line and not line.startswith("#")]
+        doubled = tmp_path / "templates.tsv"
+        doubled.write_text("\n".join([rows[0], rows[1], rows[0]]) + "\n", encoding="utf-8")
+        template_id = rows[0].split("\t")[0]
+        assert main([
+            "augment",
+            "--corpus", str(staged / "ingest" / "mono_reactions.tsv"),
+            "--templates", str(doubled),
+            "--out-dir", str(tmp_path / "out"),
+        ]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{doubled}:3: repeated template id {template_id!r}" in err
+
+    def test_corpus_rows_may_share_a_reaction_id(self, corpus_files, tmp_path):
+        # ingest writes one row per product of a reaction, each under the
+        # reaction's id, and augment reads that file back.
+        _, _, _, templates = corpus_files
+        reactions = tmp_path / "reactions.tsv"
+        reactions.write_text("r1\t1.1.1.1\tOCCCO\tO=CCCO.O\n", encoding="utf-8")
+        assert main([
+            "ingest", "--reactions", str(reactions), "--out-dir", str(tmp_path / "in"),
+        ]) == EXIT_OK
+        corpus = tmp_path / "in" / "mono_reactions.tsv"
+        ids = [line.split("\t")[0] for line in corpus.read_text().splitlines()[1:]]
+        assert ids == ["r1", "r1"]
+        assert main([
+            "augment", "--corpus", str(corpus), "--templates", str(templates),
+            "--out-dir", str(tmp_path / "out"),
+        ]) == EXIT_OK
 
     def test_outputs_exist(self, staged):
         for name in (

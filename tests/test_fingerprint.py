@@ -13,7 +13,7 @@ from retrobio.fingerprint import (
     combine_fingerprints,
     hash_words,
     mix64,
-    molecule_fingerprint,
+    molecule_fingerprints,
     reaction_feature,
     tanimoto,
     tversky,
@@ -21,6 +21,11 @@ from retrobio.fingerprint import (
 from retrobio.molgraph import Atom, Bond, MolecularGraph, parse_smiles
 
 from conftest import molecules, permute_graph
+
+
+def molecule_fingerprint(mol, width=512, radius=2):
+    """One molecule's fingerprint, as a batch of one."""
+    return molecule_fingerprints([mol], width, radius)[0]
 
 # Frozen test vectors pin the documented mixing hash; these define the
 # cross-implementation bit layout together with the invariant encoding.
@@ -83,9 +88,22 @@ class TestMoleculeFingerprint:
         assert both.bits == ethanol.bits | ethane.bits
 
 
-def full_eccentricity_fingerprint(mol, width, radius):
-    """The fingerprint rule with every eccentricity taken in full, by an
-    all-pairs BFS: the reference for the depth-capped ball growth."""
+def atom_invariant_word(mol, idx: int) -> int:
+    atom = mol.atoms[idx]
+    number = fingerprint._ELEMENT_NUMBER.get(atom.element, 0)
+    return (
+        number
+        | (min(mol.degree(idx), 15) << 8)
+        | ((atom.charge & 0xFF) << 12)
+        | (min(mol.total_hydrogens(idx), 15) << 20)
+        | (int(atom.aromatic) << 24)
+    )
+
+
+def scalar_fingerprint(mol, width=512, radius=2):
+    """The fingerprint rule atom by atom on Python ints, with every
+    eccentricity taken in full by an all-pairs BFS: the reference for the
+    batched arrays and for the capped ball growth."""
     n = len(mol.atoms)
     ecc = []
     for start in range(n):
@@ -100,7 +118,7 @@ def full_eccentricity_fingerprint(mol, width, radius):
                         nxt.append(v)
             queue = nxt
         ecc.append(max(dist.values()))
-    codes = [hash_words([fingerprint._atom_invariant_word(mol, i)]) for i in range(n)]
+    codes = [hash_words([atom_invariant_word(mol, i)]) for i in range(n)]
     bits = 0
     for code in codes:
         bits |= 1 << (code % width)
@@ -141,7 +159,7 @@ class TestBallGrowthDepth:
     @given(graphs(), st.integers(0, 6), st.sampled_from([8, 64, 512, 2048]))
     @settings(max_examples=300, deadline=None)
     def test_equals_full_eccentricity_reference(self, mol, radius, width):
-        assert molecule_fingerprint(mol, width, radius) == full_eccentricity_fingerprint(
+        assert molecule_fingerprint(mol, width, radius) == scalar_fingerprint(
             mol, width, radius
         )
 
@@ -154,8 +172,64 @@ class TestBallGrowthDepth:
         for radius in range(7):
             for width in (8, 512):
                 assert molecule_fingerprint(mol, width, radius) == (
-                    full_eccentricity_fingerprint(mol, width, radius)
+                    scalar_fingerprint(mol, width, radius)
                 )
+
+
+def int_mix64(x: int) -> int:
+    """SplitMix64 finalizer on Python ints: the reference for the uint64
+    array mixer."""
+    m64 = (1 << 64) - 1
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & m64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & m64
+    return x ^ (x >> 31)
+
+
+class TestBatchedEqualsScalar:
+    """One batch of many molecules sets, for each molecule, the bits of the
+    scalar rule run on that molecule alone."""
+
+    @given(st.lists(st.integers(0, (1 << 64) - 1), max_size=20))
+    @settings(max_examples=200)
+    def test_array_mixer_equals_int_mixer(self, values):
+        mixed = fingerprint._mix64(np.array(values, dtype=np.uint64))
+        assert [int(v) for v in mixed] == [int_mix64(v) for v in values]
+        assert [mix64(v) for v in values] == [int_mix64(v) for v in values]
+
+    @given(st.lists(st.one_of(molecules(), graphs()), min_size=1, max_size=12),
+           st.integers(0, 3), st.sampled_from([64, 512]))
+    @settings(max_examples=200, deadline=None)
+    def test_generated_batches(self, mols, radius, width):
+        assert molecule_fingerprints(mols, width, radius) == [
+            scalar_fingerprint(m, width, radius) for m in mols
+        ]
+
+    def test_corpus_in_one_batch(self):
+        from synthdata import build_corpus
+
+        _, _, positives, _ = build_corpus(max_length=6)
+        keys = sorted({k for p in positives for k in (p.product_key, *p.reactant_keys)})
+        mols = [parse_smiles(k) for k in keys]
+        for width in (64, 512):
+            for radius in range(4):
+                assert molecule_fingerprints(iter(mols), width, radius) == [
+                    scalar_fingerprint(m, width, radius) for m in mols
+                ]
+
+    def test_empty_batch(self):
+        assert molecule_fingerprints([]) == []
+
+    def test_fingerprinter_batch_equals_batches_of_one(self):
+        keys = ["CCO", "OCC", "c1ccccc1", "[H][H]", "C.N", "CC(=O)[O-]"]
+        batched = fingerprint.Fingerprinter()
+        batched.memoize((k, None) for k in keys)
+        # A key may come with its graph, and a key already held is skipped.
+        batched.memoize([("CCC", parse_smiles("CCC")), ("CCO", None)])
+        for key in keys + ["CCC"]:
+            assert batched.of_key(key) == fingerprint.Fingerprinter().of_key(key)
+            assert batched.of_key(key) == scalar_fingerprint(parse_smiles(key))
 
 
 class TestSimilarity:

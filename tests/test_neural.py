@@ -1,6 +1,10 @@
 import functools
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,8 @@ from retrobio.neural import (
     save_weights,
     train,
 )
+
+from train_oracle import CASES, same_as_reference
 
 
 def zero_model(dims, activations):
@@ -196,7 +202,9 @@ class TestTrain:
     def test_separable_data_reaches_high_accuracy(self):
         x, y = separable_toy()
         spec = (LayerSpec(2, 8, RELU), LayerSpec(8, 1, SIGMOID))
-        _, history = train(spec, x, y, TrainConfig(epochs=200, batch_size=16, seed=11))
+        _, history = train(
+            spec, x, y, TrainConfig(epochs=200, batch_size=16, seed=11), history=True
+        )
         assert history.accuracy[-1] >= 0.99
 
     def test_zero_epochs_returns_initialization(self):
@@ -250,7 +258,9 @@ class TestTrain:
         x = (rng.random((150, 64)) < 0.3).astype(np.float32)
         y = (x[:, :8].sum(axis=1) > 2).astype(np.float32)
         spec = (LayerSpec(64, 16, RELU, 0.2), LayerSpec(16, 1, SIGMOID))
-        model, history = train(spec, x, y, TrainConfig(epochs=3, batch_size=32, seed=2))
+        model, history = train(
+            spec, x, y, TrainConfig(epochs=3, batch_size=32, seed=2), history=True
+        )
         out, _, _ = nn._forward_full(model, x, None)
         p = np.clip(out[:, 0], nn.LOSS_EPS, 1.0 - nn.LOSS_EPS)
         losses = -(y * np.log(np.clip(p, nn.LOSS_EPS, None))
@@ -258,11 +268,48 @@ class TestTrain:
         assert history.loss[-1] == float(losses.mean())
         assert history.accuracy[-1] == float(((p >= 0.5) == (y == 1.0)).mean())
 
+    def test_history_only_on_request(self):
+        x, y = separable_toy()
+        spec = (LayerSpec(2, 8, RELU, 0.2), LayerSpec(8, 1, SIGMOID))
+        config = TrainConfig(epochs=4, batch_size=32, seed=3)
+        plain, none = train(spec, x, y, config)
+        tracked, history = train(spec, x, y, config, history=True)
+        assert none.loss == [] and none.accuracy == []
+        assert len(history.loss) == len(history.accuracy) == 4
+        assert save_weights(plain) == save_weights(tracked)
+
     def test_training_needs_sigmoid_output(self):
         x, y = separable_toy()
         spec = (LayerSpec(2, 4, RELU), LayerSpec(4, 1, RELU))
         with pytest.raises(ValueError):
             train(spec, x, y, TrainConfig(epochs=1))
+
+
+class TestTrainEqualsReference:
+    """Training only the reached first-layer rows, with blocked Adam, gives
+    the weight bytes and history of the whole-array loop in
+    ``tests/train_oracle.py``."""
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_bytes(self, name):
+        assert same_as_reference(name)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_same_bytes_at_blas_thread_count(self, threads):
+        # The thread count is read once, when numpy loads OpenBLAS, so each
+        # count needs its own process. The row-restricted gradient product
+        # must match the full product's rows however BLAS splits the work.
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        done = subprocess.run(
+            [sys.executable, str(tests / "train_oracle.py")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert sorted(line.split("\t")[0] for line in lines) == sorted(CASES)
+        assert [line for line in lines if not line.endswith("\tsame")] == []
 
 
 def random_model(spec, rng):

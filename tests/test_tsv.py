@@ -37,6 +37,12 @@ BAD_INPUTS = {
     "reactions, not UTF-8": (
         ds.read_reactions_tsv, READERS["reactions"][1], "r2\t1.1.1.1\tCCO\tCC\udce9O",
     ),
+    "reactions, repeated id": (
+        lambda path: ds.read_reactions_tsv(path, unique_ids=True),
+        READERS["reactions"][1], "r1\t1.1.1.2\tCCCO\tCCC=O",
+    ),
+    "compounds, repeated id": (ds.read_compounds_tsv, "C1\tCCO", "C1\tCCCC"),
+    "templates, repeated id": (load_templates, READERS["templates"][1], READERS["templates"][1]),
     **{
         f"dataset, {what}": (ds.read_examples_tsv, _DATASET_GOOD, bad)
         for what, bad in (

@@ -1,0 +1,148 @@
+"""The training loop before row-restricted Adam, kept as the reference for
+``neural.train``: every first-layer row gets a gradient, and each Adam
+moment is updated in one whole-array pass.
+
+``neural.train`` must give the same weight bytes and the same history as
+``reference_train`` on every case of ``CASES``. Run as a script, this
+prints one ``name<TAB>same|differs`` line per case, so the comparison can
+run in a fresh process with another BLAS thread count:
+
+    OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python3 tests/train_oracle.py
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+
+from retrobio import neural as nn
+from retrobio.neural import (
+    RELU,
+    SIGMOID,
+    LayerSpec,
+    TrainConfig,
+    TrainingHistory,
+    nn1pr_spec,
+    nn2pr_spec,
+    save_weights,
+)
+
+
+def reference_train(spec, features, labels, config, sample_weights=None):
+    x = np.asarray(features, dtype=np.float32)
+    y = np.asarray(labels, dtype=np.float32).reshape(-1)
+    w = (
+        np.ones_like(y)
+        if sample_weights is None
+        else np.asarray(sample_weights, dtype=np.float32).reshape(-1)
+    )
+    if config.positive_weight is not None:
+        w = np.where(y == 1.0, w * np.float32(config.positive_weight), w)
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    model = nn.initialize(spec, rng)
+    history = TrainingHistory()
+    params = [a for l in model.layers for a in (l.weights, l.biases)]
+    m = [np.zeros_like(a) for a in params]
+    v = [np.zeros_like(a) for a in params]
+    step = 0
+    n = x.shape[0]
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, config.batch_size):
+            batch = order[lo : lo + config.batch_size]
+            xb, yb, wb = x[batch], y[batch], w[batch]
+            out, acts, masks = nn._forward_full(model, xb, rng)
+            delta = nn._bce_output_delta(out[:, 0], yb, wb)[:, None] / len(batch)
+            grads = [
+                g
+                for pair in nn._backward(model, acts, masks, delta.astype(np.float32))
+                for g in pair
+            ]
+            step += 1
+            correction1 = 1.0 - nn.ADAM_BETA1**step
+            correction2 = 1.0 - nn.ADAM_BETA2**step
+            for p, g, mk, vk in zip(params, grads, m, v):
+                mk *= nn.ADAM_BETA1
+                mk += (1 - nn.ADAM_BETA1) * g
+                vk *= nn.ADAM_BETA2
+                vk += (1 - nn.ADAM_BETA2) * g * g
+                p -= (
+                    config.learning_rate
+                    * (mk / correction1)
+                    / (np.sqrt(vk / correction2) + nn.ADAM_EPSILON)
+                )
+        out, _, _ = nn._forward_full(model, x, None)
+        scores = np.clip(out[:, 0], nn.LOSS_EPS, 1.0 - nn.LOSS_EPS)
+        losses = -(
+            w * (y * np.log(np.clip(scores, nn.LOSS_EPS, None))
+                 + (1 - y) * np.log(np.clip(1 - scores, nn.LOSS_EPS, None)))
+        )
+        history.loss.append(float(losses.mean()))
+        history.accuracy.append(float(((scores >= 0.5) == (y == 1.0)).mean()))
+    return model, history
+
+
+def sparse_rows(rng, n, width, used, per_row):
+    """0/1 rows setting ``per_row`` of ``used`` random columns each; every
+    other column is never set. Labels hold both classes."""
+    x = np.zeros((n, width), dtype=np.float32)
+    columns = rng.choice(width, used, replace=False)
+    for row in x:
+        row[rng.choice(columns, per_row)] = 1.0
+    y = (rng.random(n) < 0.4).astype(np.float32)
+    y[:2] = (1.0, 0.0)
+    return x, y
+
+
+def _case(spec, n, used, config, weighted=False, seed=0):
+    rng = np.random.default_rng(seed)
+    x, y = sparse_rows(rng, n, spec[0].in_dim, used, min(used, 12))
+    weights = rng.random(n).astype(np.float32) + 0.5 if weighted else None
+    return spec, x, y, config, weights
+
+
+# name -> (spec, features, labels, config, sample weights), built on demand.
+CASES = {
+    "nn1_dropout0": lambda: _case(nn1pr_spec(0.0), 96, 300, TrainConfig(batch_size=32, epochs=2, seed=1)),
+    "nn1_dropout_batch_not_dividing": lambda: _case(
+        nn1pr_spec(0.2), 100, 300, TrainConfig(batch_size=48, epochs=2, seed=2), weighted=True
+    ),
+    "nn2_dropout0": lambda: _case(nn2pr_spec(0.0), 96, 500, TrainConfig(batch_size=32, epochs=2, seed=3)),
+    "nn2_dropout_batch_not_dividing": lambda: _case(
+        nn2pr_spec(0.2), 100, 500,
+        TrainConfig(batch_size=48, epochs=2, seed=4, positive_weight=1.5),
+    ),
+    "nn1_lr_1e30": lambda: _case(
+        nn1pr_spec(0.2), 70, 300, TrainConfig(learning_rate=1e30, batch_size=32, epochs=2, seed=5)
+    ),
+    "nn2_lr_1e30": lambda: _case(
+        nn2pr_spec(0.0), 70, 500, TrainConfig(learning_rate=1e30, batch_size=32, epochs=2, seed=6)
+    ),
+    "every_column_set": lambda: _case(
+        (LayerSpec(16, 8, RELU, 0.2), LayerSpec(8, 1, SIGMOID)), 90, 16,
+        TrainConfig(batch_size=16, epochs=3, seed=7),
+    ),
+    "no_column_set": lambda: _case(
+        (LayerSpec(16, 8, RELU), LayerSpec(8, 1, SIGMOID)), 40, 0,
+        TrainConfig(batch_size=16, epochs=2, seed=8),
+    ),
+}
+
+
+def same_as_reference(name: str) -> bool:
+    """Whether ``neural.train`` and ``reference_train`` give the same weight
+    bytes and history on case ``name``."""
+    spec, x, y, config, weights = CASES[name]()
+    with warnings.catch_warnings():
+        # lr=1e30 overflows to inf and NaN on purpose.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model, history = nn.train(spec, x, y, config, weights, history=True)
+        ref_model, ref_history = reference_train(spec, x, y, config, weights)
+    # repr, because a NaN loss never equals itself.
+    return save_weights(model) == save_weights(ref_model) and repr(history) == repr(ref_history)
+
+
+if __name__ == "__main__":
+    for name in CASES:
+        print(f"{name}\t{'same' if same_as_reference(name) else 'differs'}")
