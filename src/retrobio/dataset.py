@@ -25,6 +25,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -266,10 +267,9 @@ def split_mono_product(
 # Augmentation
 
 
-def _augment_product(args):
+def _augment_product(product_key, templates, keys_of):
     # Keys and first EC numbers only: the graphs are not held until the merge.
-    product_key, templates = args
-    candidates = enumerate_precursors(parse_smiles(product_key), templates)
+    candidates = enumerate_precursors(parse_smiles(product_key), templates, keys_of)
     return [(c.precursor_keys, c.provenance[0][1]) for c in candidates]
 
 
@@ -306,18 +306,18 @@ def augment_negatives(
     Works per unique product; the strict check removes any precursor
     multiset equal to the reactants of ANY positive with that product.
     Output order is (product key, candidate order) regardless of the
-    worker count.
+    worker count. All products share one key memo; threads that race store equal keys.
     """
     by_product: dict[str, list[MonoProductReaction]] = {}
     for pos in positives:
         by_product.setdefault(pos.product_key, []).append(pos)
     products = sorted(by_product)
-    tasks = [(p, templates) for p in products]
-    if max_workers > 1 and len(tasks) > 1:
+    augment = partial(_augment_product, templates=templates, keys_of={})
+    if max_workers > 1 and len(products) > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            candidate_lists = list(pool.map(_augment_product, tasks))
+            candidate_lists = list(pool.map(augment, products))
     else:
-        candidate_lists = [_augment_product(t) for t in tasks]
+        candidate_lists = [augment(p) for p in products]
 
     negatives: list[MonoProductReaction] = []
     histogram: Counter = Counter()

@@ -163,6 +163,15 @@ class MolecularGraph:
             adj[bond.b].append((bond.a, bond.order))
         object.__setattr__(self, "_adjacency", tuple(tuple(x) for x in adj))
 
+    @classmethod
+    def _built(cls, atoms, bonds, adjacency) -> "MolecularGraph":
+        """A graph whose caller vouches for its atoms and bonds and gives
+        the ``_adjacency`` that ``__post_init__`` would build."""
+        mol = object.__new__(cls)
+        for name, value in (("atoms", atoms), ("bonds", bonds), ("_adjacency", adjacency)):
+            object.__setattr__(mol, name, value)
+        return mol
+
     def neighbors(self, idx: int) -> tuple[tuple[int, str], ...]:
         """(neighbor index, bond order) pairs for one atom."""
         return self._adjacency[idx]
@@ -787,7 +796,8 @@ def _without_map_indices(mol: MolecularGraph) -> MolecularGraph:
     """``mol`` with every atom map index dropped; ``mol`` itself if none."""
     if all(a.map_index is None for a in mol.atoms):
         return mol
-    return MolecularGraph(tuple(replace(a, map_index=None) for a in mol.atoms), mol.bonds)
+    atoms = tuple(replace(a, map_index=None) for a in mol.atoms)
+    return MolecularGraph._built(atoms, mol.bonds, mol._adjacency)
 
 
 def canonicalize(mol: MolecularGraph) -> str:

@@ -341,16 +341,16 @@ def _backward(
         h_out = activations[k + 1]
         if masks[k] is not None:
             delta = delta * masks[k]
-            # h_out = act(z) * mask; recover act(z) where the unit was kept
-            # (delta is already zero where it was not).
-            safe = np.where(masks[k] == 0, 1, masks[k])
-            act_out = np.where(masks[k] > 0, h_out / safe, 0)
-        else:
+        if layer.activation == RELU:
+            # h_out = relu(z) * mask with mask 0 or 1/keep, so h_out > 0
+            # exactly where relu(z) > 0 and the unit was kept (NaN: neither).
+            delta = delta * (h_out > 0)
+        elif layer.activation == SIGMOID:
             act_out = h_out
-        if layer.activation == SIGMOID:
+            if masks[k] is not None:  # recover act(z) where the unit was kept
+                safe = np.where(masks[k] == 0, 1, masks[k])
+                act_out = np.where(masks[k] > 0, h_out / safe, 0)
             delta = delta * act_out * (1.0 - act_out)
-        elif layer.activation == RELU:
-            delta = delta * (act_out > 0)
         inputs = activations[k]
         if k == 0 and rows is not None and np.isfinite(delta).all():
             inputs = inputs[:, rows]

@@ -6,9 +6,9 @@ A template is ``lhs>>rhs`` where the lhs pattern is matched against the
 target molecule and the rhs describes the rewrite. Atom-atom map indices
 ``[C:1]`` pair atoms across the two sides: mapped atoms are kept and
 updated, unmapped lhs atoms are deleted, unmapped rhs atoms are created
-fresh. Templates that mention explicit hydrogen atoms are applied on the
-hydrogen-expanded form of the target and results are reported with
-hydrogens folded back into counts.
+fresh. Templates that mention explicit hydrogen atoms are matched on the
+hydrogen-expanded target; a rewrite copies only the hydrogens its match
+claims and folds them back into counts. A deleted atom takes its H along.
 
 Matching returns every injective constraint-satisfying assignment,
 including permutations of interchangeable atoms. Rewriting happens once per
@@ -434,25 +434,54 @@ def _rewrite_plan(template: ReactionTemplate):
     return deleted, broken, made
 
 
+class _Prepared:
+    """What the templates applied to one target share: its bond table, the
+    canonical-key memo ``keys_of`` by (atoms, bonds), and per hydrogen form
+    the graph matched, with its ``_site_tokens``."""
+
+    def __init__(self, target: MolecularGraph, keys_of: dict):
+        self.target, self.keys_of, self.forms = target, keys_of, {}
+        self.bonds = {(b.a, b.b): b.order for b in target.bonds}
+
+    def form(self, explicit: bool) -> tuple[MolecularGraph, list]:
+        if explicit not in self.forms:
+            work = add_explicit_hydrogens(self.target) if explicit else self.target
+            self.forms[explicit] = (work, _site_tokens(work))
+        return self.forms[explicit]
+
+
 def _rewrite(
     template: ReactionTemplate,
     work: MolecularGraph,
     match: tuple[int, ...],
     plan,
-    keys_of: dict,
+    prepared: _Prepared,
 ) -> tuple[tuple[MolecularGraph, ...], tuple[str, ...]] | None:
-    """Apply the rewrite at one match site; ``plan`` is the template's
-    ``_rewrite_plan``, ``keys_of`` the canonical keys by (atoms, bonds).
+    """Apply the rewrite at one match site of ``work``, a ``prepared.form``,
+    to the target plus the hydrogens ``match`` claims (as atoms after the
+    target's, in ``work`` order); ``plan`` is the template's ``_rewrite_plan``.
+    An anchor keeps its unclaimed hydrogens as a count, on top of any count
+    the rewrite sets; a deleted atom takes them with it.
 
     Returns (precursor graphs, sorted canonical keys), or None when the
     result fails valence/aromaticity sanitization.
     """
     deleted_lhs, broken, made = plan
     rhs = template.rhs
-    atoms: list[Atom] = list(work.atoms)
-    bonds: dict[tuple[int, int], str] = {
-        (b.a, b.b): b.order for b in work.bonds
-    }
+    atoms: list[Atom] = list(prepared.target.atoms)
+    n = len(atoms)
+    bonds = dict(prepared.bonds)
+    place: dict[int, int] = {}
+    for h in sorted(i for i in match if i >= n):
+        anchor = work.neighbors(h)[0][0]
+        place[h] = len(atoms)
+        bonds[anchor, len(atoms)] = SINGLE
+        atoms.append(work.atoms[h])
+        atoms[anchor] = _with_gained(atoms[anchor], -1)
+    # Below ``counted``, an atom's stored hydrogens are unclaimed ones it
+    # keeps; without expansion, a changed atom's count is recomputed whole.
+    counted = len(atoms) if work is not prepared.target else 0
+    match = tuple(place.get(i, i) for i in match)
     rhs_to_target = {r: match[l] for _, l, r in template.mapping}
 
     # Unmapped lhs atoms delete their matched target atom.
@@ -472,9 +501,8 @@ def _rewrite(
             bonds[key] = order
             dirty.update(key)
 
-    for t in deleted:
-        for v, _ in work.neighbors(t):
-            drop_bond(t, v)
+    for u, v in [pair for pair in bonds if pair[0] in deleted or pair[1] in deleted]:
+        drop_bond(u, v)
 
     # Fresh atoms for unmapped rhs atoms.
     for r, p in enumerate(rhs.atoms):
@@ -506,7 +534,7 @@ def _rewrite(
         if p.charge is not None and p.charge != atom.charge:
             atom = replace(atom, charge=p.charge)
         if p.h_count is not None:
-            atom = replace(atom, hydrogens=p.h_count)
+            atom = replace(atom, hydrogens=p.h_count + (atom.hydrogens if t < counted else 0))
             h_fixed.add(t)
         atoms[t] = atom
         dirty.add(t)
@@ -519,7 +547,8 @@ def _rewrite(
     for a, b, order in made:
         set_bond(rhs_to_target[a], rhs_to_target[b], order)
 
-    # Recompute stored hydrogens where the environment changed.
+    # Recompute stored hydrogens where the environment changed; unclaimed
+    # hydrogens weigh as single bonds and are kept.
     survivors = [i for i in range(len(atoms)) if i not in deleted]
     adjacency: dict[int, list[tuple[int, str]]] = {i: [] for i in survivors}
     for (u, v), order in bonds.items():
@@ -531,18 +560,20 @@ def _rewrite(
         atom = atoms[t]
         if atom.element not in VALENCES:
             continue
-        bond_valence = sum(ORDER_VALENCE[o] for _, o in adjacency[t])
+        spare = atom.hydrogens if t < counted else 0
+        bond_valence = sum(ORDER_VALENCE[o] for _, o in adjacency[t]) + spare
         h = implied_hydrogens(atom.element, bond_valence, atom.charge)
         if h is None:
             return None  # valence blown; sanitization failure
-        if h != atom.hydrogens:
-            atoms[t] = replace(atom, hydrogens=h)
+        if h + spare != atom.hydrogens:
+            atoms[t] = replace(atom, hydrogens=h + spare)
 
     if not survivors:
         raise RewriteProducedEmptyGraph(
             f"template {template.template_id or template.smarts!r} deleted "
             "every atom of the target"
         )
+    keys_of = prepared.keys_of
     precursors = []
     keys = []
     for sub in _fold_and_split(atoms, bonds, survivors, adjacency):
@@ -567,13 +598,13 @@ def _fold_and_split(
     survivors: list[int],
     adjacency: dict[int, list[tuple[int, str]]],
 ) -> list[MolecularGraph]:
-    """One graph per connected component of the rewritten atoms, with plain
-    explicit H folded into their anchors.
+    """One graph per connected component of the rewritten atoms, with each
+    plain H atom folded into its anchor's count.
 
     Each graph equals ``remove_explicit_hydrogens`` of the component's
-    induced subgraph, atom and bond order included: components come in
-    order of their lowest atom index, atoms keep index order, bonds are
-    sorted by their (low, high) indices.
+    induced subgraph, atom and bond order and ``_adjacency`` included:
+    components come in order of their lowest atom index, atoms keep index
+    order, bonds are sorted by their (low, high) indices.
     """
     folded: set[int] = set()
     gained: dict[int, int] = {}
@@ -601,15 +632,20 @@ def _fold_and_split(
         local.update((old, new) for new, old in enumerate(kept))
         members.append(kept)
     comp_bonds: list[list[Bond]] = [[] for _ in members]
+    comp_adj = [[[] for _ in kept] for kept in members]
     for (u, v), order in sorted(bonds.items()):
         if u not in folded and v not in folded:
-            comp_bonds[comp_of[u]].append(Bond(local[u], local[v], order))
+            a, b, c = local[u], local[v], comp_of[u]
+            comp_bonds[c].append(Bond(a, b, order))
+            comp_adj[c][a].append((b, order))
+            comp_adj[c][b].append((a, order))
     return [
-        MolecularGraph(
+        MolecularGraph._built(
             tuple(_with_gained(atoms[i], gained.get(i, 0)) for i in kept),
             tuple(comp_bond),
+            tuple(map(tuple, adj)),
         )
-        for kept, comp_bond in zip(members, comp_bonds)
+        for kept, comp_bond, adj in zip(members, comp_bonds, comp_adj)
     ]
 
 
@@ -633,34 +669,28 @@ def apply_template(
     template: ReactionTemplate,
     target: MolecularGraph,
     *,
-    prepared: dict | None = None,
+    prepared: _Prepared | None = None,
 ) -> list[CandidatePrecursor]:
     """Apply a template at every distinct match site and deduplicate outcomes.
 
-    The target is hydrogen-expanded first when the template mentions
-    explicit hydrogens. Matching still returns every permutation, but
+    A template that mentions explicit hydrogens is matched on the
+    hydrogen-expanded target. Matching returns every permutation, but
     matches that differ only by which sibling plain H fills a pattern atom
     are one site, and only a site's first match (in deterministic match
-    order) is rewritten: the others are its images under an automorphism
-    of the target, so they give its outcome. Results failing sanitization
-    are dropped; distinct outcomes are keyed by the multiset of component
-    canonical SMILES, and the first match wins, as if every match were
-    rewritten. Each outcome carries the template's one provenance record.
+    order) is rewritten, copying only the hydrogens it claims: the others
+    are its images under an automorphism of the target. Results failing
+    sanitization are dropped; distinct outcomes are keyed by the multiset
+    of component canonical SMILES, and the first match wins, as if every
+    match were rewritten. Each outcome carries the template's one record.
 
     ``prepared`` lets a caller that applies many templates to one target
     expand its hydrogens once and canonicalize each precursor graph once:
-    pass the same dict, empty at first, on each call for that target. Its
-    ``"keys"`` entry, the canonical keys by (atoms, bonds), may be shared
-    with other targets.
+    ``enumerate_precursors`` passes one per target.
     """
     explicit = template.uses_explicit_hydrogens
     if prepared is None:
-        prepared = {}
-    keys_of = prepared.setdefault("keys", {})
-    if explicit not in prepared:
-        work = add_explicit_hydrogens(target) if explicit else target
-        prepared[explicit] = (work, _site_tokens(work))
-    work, tokens = prepared[explicit]
+        prepared = _Prepared(target, {})
+    work, tokens = prepared.form(explicit)
     plan = _rewrite_plan(template)
     record = ((template.template_id, template.ec_numbers),)
     out: list[CandidatePrecursor] = []
@@ -671,7 +701,7 @@ def apply_template(
         if site in sites:
             continue
         sites.add(site)
-        rewritten = _rewrite(template, work, match, plan, keys_of)
+        rewritten = _rewrite(template, work, match, plan, prepared)
         if rewritten is None:
             continue
         precursors, keys = rewritten
@@ -700,7 +730,7 @@ def enumerate_precursors(
     once. By default each call starts a fresh one.
     """
     merged: dict[tuple[str, ...], tuple[tuple[MolecularGraph, ...], list]] = {}
-    prepared: dict = {"keys": {} if keys_of is None else keys_of}
+    prepared = _Prepared(target, {} if keys_of is None else keys_of)
     for template in sorted(templates, key=lambda t: t.template_id):
         try:
             outcomes = apply_template(template, target, prepared=prepared)

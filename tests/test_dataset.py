@@ -1,8 +1,12 @@
+import sys
+from collections import Counter
+
 import pytest
 
+import retrobio.pattern
 from retrobio import dataset as ds
 from retrobio.molgraph import canonicalize, parse_smiles
-from retrobio.pattern import parse_smarts_template
+from retrobio.pattern import enumerate_precursors, parse_smarts_template
 
 ALDEHYDE = parse_smarts_template(
     "[C:1]([H])([H:2])[O:3][H]>>[C:1]([H:2])=[O:3]",
@@ -195,6 +199,60 @@ class TestAugmentation:
         flagged = ds.flag_disjoint_products(monos, stats)
         assert flagged == ["flag"]
         assert stats.disjoint_product_reactions == 1
+
+
+def fresh_memo_per_call(target, templates, keys_of=None):
+    return enumerate_precursors(target, templates)
+
+
+class TestAugmentKeyMemo:
+    """One canonical-key memo per augment run must give what one memo per
+    product gives."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        from synthdata import build_corpus
+
+        _, templates, positives, _ = build_corpus(max_length=6)
+        return positives, templates
+
+    @staticmethod
+    def augment(corpus, workers):
+        positives, templates = corpus
+        stats = ds.CorpusStats()
+        negatives = ds.augment_negatives(positives, templates, max_workers=workers, stats=stats)
+        return negatives, stats
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_shared_memo_equals_fresh_memo_per_product(self, corpus, workers, monkeypatch):
+        # More threads than cores, switching often, so they share the memo
+        # mid-rewrite.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            shared = self.augment(corpus, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(shared[0]) > 300
+        monkeypatch.setattr(ds, "enumerate_precursors", fresh_memo_per_call)
+        assert self.augment(corpus, workers) == shared
+
+    def test_one_canonicalize_per_distinct_graph(self, corpus, monkeypatch):
+        calls = Counter()
+
+        def counting(mol):
+            calls[mol.atoms, mol.bonds] += 1
+            return canonicalize(mol)
+
+        monkeypatch.setattr(retrobio.pattern, "canonicalize", counting)
+        self.augment(corpus, 1)
+        assert calls and max(calls.values()) == 1
+        shared = sum(calls.values())
+        calls.clear()
+        monkeypatch.setattr(ds, "enumerate_precursors", fresh_memo_per_call)
+        self.augment(corpus, 1)
+        # different products do rewrite to the same graphs
+        assert sum(calls.values()) > shared
 
 
 class TestPathwayPairs:

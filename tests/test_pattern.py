@@ -18,8 +18,11 @@ from retrobio.molgraph import (
     ORDER_VALENCE,
     SINGLE,
     VALENCES,
+    _fold_anchor,
+    _with_gained,
     add_explicit_hydrogens,
     canonicalize,
+    implied_hydrogens,
     lowest_feasible_valence,
     parse_smiles,
     remove_explicit_hydrogens,
@@ -29,6 +32,7 @@ from retrobio.pattern import (
     MissingArrow,
     PatternAtom,
     PatternGraph,
+    ReactionTemplate,
     RewriteProducedEmptyGraph,
     TemplateError,
     UnmappedRewriteReference,
@@ -166,6 +170,245 @@ ORACLE_TEMPLATES = make_templates() + [
         )
     )
 ]
+
+
+# ---------------------------------------------------------------------------
+# The rewrite before it copied only claimed hydrogens, kept as the reference
+# for ``pattern._rewrite``: it copies the whole hydrogen-expanded target,
+# rewrites it and folds every plain H back. The two must give the same
+# graphs, atom order, adjacency and keys at every site whose deleted atoms
+# are all hydrogens; where a heavy atom is deleted, this one leaves that
+# atom's unclaimed hydrogens behind (see TestUnclaimedHydrogens).
+
+
+def reference_rewrite(
+    template: ReactionTemplate,
+    work: MolecularGraph,
+    match: tuple[int, ...],
+    plan,
+    keys_of: dict,
+) -> tuple[tuple[MolecularGraph, ...], tuple[str, ...]] | None:
+    """Apply the rewrite at one match site; ``plan`` is the template's
+    ``_rewrite_plan``, ``keys_of`` the canonical keys by (atoms, bonds).
+
+    Returns (precursor graphs, sorted canonical keys), or None when the
+    result fails valence/aromaticity sanitization.
+    """
+    deleted_lhs, broken, made = plan
+    rhs = template.rhs
+    atoms: list[Atom] = list(work.atoms)
+    bonds: dict[tuple[int, int], str] = {
+        (b.a, b.b): b.order for b in work.bonds
+    }
+    rhs_to_target = {r: match[l] for _, l, r in template.mapping}
+
+    # Unmapped lhs atoms delete their matched target atom.
+    deleted = {match[i] for i in deleted_lhs}
+
+    dirty: set[int] = set()
+
+    def drop_bond(u: int, v: int):
+        key = (min(u, v), max(u, v))
+        if key in bonds:
+            del bonds[key]
+            dirty.update(key)
+
+    def set_bond(u: int, v: int, order: str):
+        key = (min(u, v), max(u, v))
+        if bonds.get(key) != order:
+            bonds[key] = order
+            dirty.update(key)
+
+    for t in deleted:
+        for v, _ in work.neighbors(t):
+            drop_bond(t, v)
+
+    # Fresh atoms for unmapped rhs atoms.
+    for r, p in enumerate(rhs.atoms):
+        if p.map_index is not None:
+            continue
+        idx = len(atoms)
+        atoms.append(
+            Atom(
+                element=p.element,
+                aromatic=bool(p.aromatic),
+                hydrogens=p.h_count or 0,
+                charge=p.charge or 0,
+            )
+        )
+        rhs_to_target[r] = idx
+        if p.h_count is None:
+            dirty.add(idx)
+
+    # Property updates on mapped atoms.
+    h_fixed: set[int] = set()
+    for _, l, r in template.mapping:
+        t = match[l]
+        p = rhs.atoms[r]
+        atom = atoms[t]
+        if p.element is not None and p.element != atom.element:
+            atom = replace(atom, element=p.element)
+        if p.aromatic is not None and p.aromatic != atom.aromatic:
+            atom = replace(atom, aromatic=p.aromatic)
+        if p.charge is not None and p.charge != atom.charge:
+            atom = replace(atom, charge=p.charge)
+        if p.h_count is not None:
+            atom = replace(atom, hydrogens=p.h_count)
+            h_fixed.add(t)
+        atoms[t] = atom
+        dirty.add(t)
+
+    # lhs bonds between two mapped atoms: deleted unless rhs repeats them.
+    for a, b in broken:
+        drop_bond(match[a], match[b])
+
+    # rhs bonds, covering order changes, new bonds and fresh-atom bonds.
+    for a, b, order in made:
+        set_bond(rhs_to_target[a], rhs_to_target[b], order)
+
+    # Recompute stored hydrogens where the environment changed.
+    survivors = [i for i in range(len(atoms)) if i not in deleted]
+    adjacency: dict[int, list[tuple[int, str]]] = {i: [] for i in survivors}
+    for (u, v), order in bonds.items():
+        adjacency[u].append((v, order))
+        adjacency[v].append((u, order))
+    for t in sorted(dirty - deleted):
+        if t in h_fixed:
+            continue
+        atom = atoms[t]
+        if atom.element not in VALENCES:
+            continue
+        bond_valence = sum(ORDER_VALENCE[o] for _, o in adjacency[t])
+        h = implied_hydrogens(atom.element, bond_valence, atom.charge)
+        if h is None:
+            return None  # valence blown; sanitization failure
+        if h != atom.hydrogens:
+            atoms[t] = replace(atom, hydrogens=h)
+
+    if not survivors:
+        raise RewriteProducedEmptyGraph(
+            f"template {template.template_id or template.smarts!r} deleted "
+            "every atom of the target"
+        )
+    precursors = []
+    keys = []
+    for sub in reference_fold_and_split(atoms, bonds, survivors, adjacency):
+        # Only sanitized graphs get a key, so a known graph is sane.
+        key = keys_of.get(graph := (sub.atoms, sub.bonds))
+        if key is None:
+            if not pattern._sanitize(sub):
+                return None
+            key = keys_of[graph] = canonicalize(sub)
+        precursors.append(sub)
+        keys.append(key)
+    order_idx = sorted(range(len(keys)), key=lambda i: keys[i])
+    return (
+        tuple(precursors[i] for i in order_idx),
+        tuple(keys[i] for i in order_idx),
+    )
+
+
+def reference_fold_and_split(
+    atoms: list[Atom],
+    bonds: dict[tuple[int, int], str],
+    survivors: list[int],
+    adjacency: dict[int, list[tuple[int, str]]],
+) -> list[MolecularGraph]:
+    """One graph per connected component of the rewritten atoms, with plain
+    explicit H folded into their anchors.
+
+    Each graph equals ``remove_explicit_hydrogens`` of the component's
+    induced subgraph, atom and bond order included: components come in
+    order of their lowest atom index, atoms keep index order, bonds are
+    sorted by their (low, high) indices.
+    """
+    folded: set[int] = set()
+    gained: dict[int, int] = {}
+    for t in survivors:
+        anchor = _fold_anchor(atoms[t], adjacency[t], atoms)
+        if anchor is not None:
+            folded.add(t)
+            gained[anchor] = gained.get(anchor, 0) + 1
+    comp_of: dict[int, int] = {}
+    local: dict[int, int] = {}
+    members: list[list[int]] = []
+    for start in survivors:
+        if start in comp_of:
+            continue
+        comp_of[start] = len(members)
+        stack, comp = [start], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v, _ in adjacency[u]:
+                if v not in comp_of:
+                    comp_of[v] = len(members)
+                    stack.append(v)
+        kept = [i for i in sorted(comp) if i not in folded]
+        local.update((old, new) for new, old in enumerate(kept))
+        members.append(kept)
+    comp_bonds: list[list[Bond]] = [[] for _ in members]
+    for (u, v), order in sorted(bonds.items()):
+        if u not in folded and v not in folded:
+            comp_bonds[comp_of[u]].append(Bond(local[u], local[v], order))
+    return [
+        MolecularGraph(
+            tuple(_with_gained(atoms[i], gained.get(i, 0)) for i in kept),
+            tuple(comp_bond),
+        )
+        for kept, comp_bond in zip(members, comp_bonds)
+    ]
+
+
+# The oracle templates plus rewrites whose outcome depends on how an
+# anchor's unclaimed hydrogens are counted: an rhs-fixed count, a raised
+# bond order on multivalent S and P with and without named hydrogens, and
+# two claimed hydrogens that stay atoms.
+REWRITE_TEMPLATES = ORACLE_TEMPLATES + [
+    parse_smarts_template(s, template_id=f"R{i}")
+    for i, s in enumerate(
+        (
+            "[C:1]([H])[O:2][H]>>[CH0:1]=[O:2]",
+            "[*:1]([H])[*:2]>>[*:1]=[*:2]",
+            "[C:1][S:2]>>[C:1]=[S:2]",
+            "[C:1]([H:2])[H:3]>>[C:1]([F:2])[Cl:3]",
+        )
+    )
+]
+
+
+def rewrite_pairs(template, target):
+    """(``_rewrite``, ``reference_rewrite``) of ``template`` at the first
+    match of every site on ``target``, skipping sites that delete a heavy
+    atom; each side as graphs with their adjacency and keys, None, or the
+    exception class."""
+    prepared = pattern._Prepared(target, {})
+    work, tokens = prepared.form(template.uses_explicit_hydrogens)
+    plan = pattern._rewrite_plan(template)
+    sites, pairs = set(), []
+    for match in find_matches(template.lhs, work):
+        site = tuple(tokens[i] for i in match)
+        if site in sites or any(work.atoms[match[i]].element != "H" for i in plan[0]):
+            continue
+        sites.add(site)
+        pairs.append(
+            (
+                rewritten(pattern._rewrite, template, work, match, plan, prepared),
+                rewritten(reference_rewrite, template, work, match, plan, {}),
+            )
+        )
+    return pairs
+
+
+def rewritten(fn, *args):
+    try:
+        result = fn(*args)
+    except RewriteProducedEmptyGraph:
+        return RewriteProducedEmptyGraph
+    if result is None:
+        return None
+    graphs, keys = result
+    return [(g.atoms, g.bonds, g._adjacency) for g in graphs], keys
 
 
 class TestParseTemplate:
@@ -474,6 +717,70 @@ class TestSitePruning:
         assert keyed(permute_graph(target, rng)) == keyed(target)
 
 
+class TestRewriteOracle:
+    """``_rewrite`` on the target plus the claimed hydrogens gives what
+    ``reference_rewrite`` gives on the whole expanded target."""
+
+    def test_corpus(self, synth_corpus):
+        alcohols, _, positives, _ = synth_corpus
+        keys = alcohols + sorted({k for p in positives for k in p.reactant_keys})
+        checked = 0
+        for key in keys:
+            for template in REWRITE_TEMPLATES:
+                for new, ref in rewrite_pairs(template, parse_smiles(key)):
+                    assert new == ref, (key, template.smarts)
+                    checked += new is not None
+        assert checked > 3000
+
+    @given(molecules())
+    @settings(max_examples=80, deadline=None)
+    def test_generated_molecules(self, target):
+        for template in REWRITE_TEMPLATES:
+            for new, ref in rewrite_pairs(template, target):
+                assert new == ref, template.smarts
+
+    @pytest.mark.parametrize(
+        "smiles",
+        [
+            "[H]OCC", "[H]C([H])([H])CO", "C[NH3+]", "CC(=O)[O-]", "[H]N([H])CC=O",
+            "OCC.[H][H]", "CS", "OCCS", "CCP", "CS(C)=O",
+        ],
+    )
+    def test_other_targets(self, smiles):
+        pairs = [p for t in REWRITE_TEMPLATES for p in rewrite_pairs(t, parse_smiles(smiles))]
+        assert pairs and all(new == ref for new, ref in pairs)
+
+
+class TestUnclaimedHydrogens:
+    """Hydrogens a match does not claim stay counts, whether or not the
+    template names hydrogens: a deleted atom's go with it instead of being
+    left behind as H2."""
+
+    @pytest.mark.parametrize(
+        "smarts, smiles, expected",
+        [
+            ("[C:1][O]>>[C:1]", "CCO", [("CC",)]),
+            ("[C:1]([H])[O]>>[C:1]", "CCO", [("CC",)]),
+            ("[O:1][C]>>[O:1]", "OCC", [("C", "O")]),
+            ("[O:1][C][H]>>[O:1]", "OCC", [("C", "O")]),
+            ("[O:1][C]([H])[H]>>[O:1]", "OCC", [("C", "O")]),
+        ],
+    )
+    def test_no_hydrogen_left_behind(self, smarts, smiles, expected):
+        template = parse_smarts_template(smarts)
+        apps = apply_template(template, parse_smiles(smiles))
+        assert [a.precursor_keys for a in apps] == expected
+
+    def test_untouched_hydrogen_molecule_keeps_its_form(self):
+        # An [HH] the match does not claim stays one atom with a count, as
+        # it does under a template that names no hydrogens.
+        named = parse_smarts_template("[C:1]([H])([H:2])[O:3][H]>>[C:1]([H:2])=[O:3]")
+        unnamed = parse_smarts_template("[C:1][O:2]>>[C:1][S:2]")
+        target = parse_smiles("OCC.[HH]")
+        assert [a.precursor_keys for a in apply_template(named, target)] == [("CC=O", "[HH]")]
+        assert [a.precursor_keys for a in apply_template(unnamed, target)] == [("CCS", "[HH]")]
+
+
 class TestFoldAndSplit:
     @given(molecules(), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
@@ -497,7 +804,9 @@ class TestFoldAndSplit:
             tuple(Bond(remap[u], remap[v], o) for (u, v), o in sorted(bonds.items())),
         )
         expected = [remove_explicit_hydrogens(rest.subgraph(c)) for c in rest.components()]
-        assert pattern._fold_and_split(list(mol.atoms), bonds, survivors, adjacency) == expected
+        built = pattern._fold_and_split(list(mol.atoms), bonds, survivors, adjacency)
+        assert built == expected
+        assert [g._adjacency for g in built] == [g._adjacency for g in expected]
 
 
 def eager_sanitize(mol: MolecularGraph) -> bool:

@@ -1,6 +1,7 @@
 """The training loop before row-restricted Adam, kept as the reference for
-``neural.train``: every first-layer row gets a gradient, and each Adam
-moment is updated in one whole-array pass.
+``neural.train``: every first-layer row gets a gradient, each Adam moment
+is updated in one whole-array pass, and the backward pass recovers each
+dropout layer's activation through its mask.
 
 ``neural.train`` must give the same weight bytes and the same history as
 ``reference_train`` on every case of ``CASES``. Run as a script, this
@@ -27,6 +28,30 @@ from retrobio.neural import (
     nn2pr_spec,
     save_weights,
 )
+
+
+def reference_backward(model, activations, masks, delta_out):
+    grads = [None] * len(model.layers)
+    delta = delta_out
+    for k in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[k]
+        h_out = activations[k + 1]
+        if masks[k] is not None:
+            delta = delta * masks[k]
+            # h_out = act(z) * mask; recover act(z) where the unit was kept
+            # (delta is already zero where it was not).
+            safe = np.where(masks[k] == 0, 1, masks[k])
+            act_out = np.where(masks[k] > 0, h_out / safe, 0)
+        else:
+            act_out = h_out
+        if layer.activation == SIGMOID:
+            delta = delta * act_out * (1.0 - act_out)
+        elif layer.activation == RELU:
+            delta = delta * (act_out > 0)
+        grads[k] = (activations[k].T @ delta, delta.sum(axis=0))
+        if k:
+            delta = delta @ layer.weights.T
+    return grads
 
 
 def reference_train(spec, features, labels, config, sample_weights=None):
@@ -56,7 +81,7 @@ def reference_train(spec, features, labels, config, sample_weights=None):
             delta = nn._bce_output_delta(out[:, 0], yb, wb)[:, None] / len(batch)
             grads = [
                 g
-                for pair in nn._backward(model, acts, masks, delta.astype(np.float32))
+                for pair in reference_backward(model, acts, masks, delta.astype(np.float32))
                 for g in pair
             ]
             step += 1
