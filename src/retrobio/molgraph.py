@@ -16,14 +16,15 @@ nitrogen) must be written in brackets ([o], [nH]) because implicit
 hydrogen counting treats an aromatic bond as order 1.5.
 
 Canonicalization uses iterative invariant refinement with deterministic
-tie-breaking, so any atom permutation of the same graph yields the same
-string. The canonical string is the molecule identity used across the
-whole engine.
+tie-breaking, pruned by the automorphisms it finds, so any atom permutation
+of the same graph yields the same string. The canonical string is the
+molecule identity used across the whole engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 __all__ = [
     "Atom",
@@ -35,6 +36,7 @@ __all__ = [
     "MalformedBracketAtom",
     "UnbalancedRingClosure",
     "ValenceExceeded",
+    "RingLabelsExhausted",
     "parse_smiles",
     "write_smiles",
     "canonicalize",
@@ -54,7 +56,6 @@ TRIPLE = "triple"
 AROMATIC = "aromatic"
 
 BOND_SYMBOLS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
-ORDER_SYMBOLS = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
 #: Fractional contribution of each bond order to an atom's valence.
 ORDER_VALENCE = {SINGLE: 1.0, DOUBLE: 2.0, TRIPLE: 3.0, AROMATIC: 1.5}
 
@@ -105,6 +106,11 @@ class UnbalancedRingClosure(SmilesSyntaxError):
 
 class ValenceExceeded(ValueError):
     """An atom's bonds exceed the largest valence allowed for its element."""
+
+
+class RingLabelsExhausted(ValueError):
+    """A SMILES string of the graph would need more than 99 ring labels
+    open at once."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -602,194 +608,367 @@ def parse_smiles(text: str) -> MolecularGraph:
 # Writing
 
 
-def _atom_token(mol: MolecularGraph, idx: int) -> str:
-    atom = mol.atoms[idx]
-    bond_valence = sum(ORDER_VALENCE[o] for _, o in mol.neighbors(idx))
-    symbol = atom.element.lower() if atom.aromatic else atom.element
+_ORDER_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
+#: A bond's token, indexed by whether both of its atoms are aromatic.
+_BOND_TOKENS = {SINGLE: ("", "-"), DOUBLE: ("=", "="), TRIPLE: ("#", "#"), AROMATIC: (":", "")}
+
+
+@cache
+def _token(element, aromatic, hydrogens, charge, bond_valence, map_index) -> str:
+    """The SMILES token of an atom with these fields and bond valence."""
+    symbol = element.lower() if aromatic else element
     bare_ok = (
-        atom.charge == 0
-        and atom.map_index is None
-        and atom.element != "H"
-        and atom.element in ORGANIC_SUBSET
-        and (not atom.aromatic or atom.element in AROMATIC_SUBSET)
-        and atom.hydrogens == implied_hydrogens(atom.element, bond_valence)
+        charge == 0
+        and map_index is None
+        and element in ORGANIC_SUBSET
+        and (not aromatic or element in AROMATIC_SUBSET)
+        and hydrogens == implied_hydrogens(element, bond_valence)
     )
     if bare_ok:
         return symbol
     parts = [symbol]
-    if atom.hydrogens == 1:
+    if hydrogens == 1:
         parts.append("H")
-    elif atom.hydrogens > 1:
-        parts.append(f"H{atom.hydrogens}")
-    if atom.charge != 0:
-        sign = "+" if atom.charge > 0 else "-"
-        parts.append(sign if abs(atom.charge) == 1 else f"{sign}{abs(atom.charge)}")
-    if atom.map_index is not None:
-        parts.append(f":{atom.map_index}")
+    elif hydrogens > 1:
+        parts.append(f"H{hydrogens}")
+    if charge != 0:
+        sign = "+" if charge > 0 else "-"
+        parts.append(sign if abs(charge) == 1 else f"{sign}{abs(charge)}")
+    if map_index is not None:
+        parts.append(f":{map_index}")
     return "[" + "".join(parts) + "]"
 
 
-def _bond_token(mol: MolecularGraph, a: int, b: int, order: str) -> str:
-    both_aromatic = mol.atoms[a].aromatic and mol.atoms[b].aromatic
-    if order == SINGLE:
-        return "-" if both_aromatic else ""
-    if order == AROMATIC:
-        return "" if both_aromatic else ":"
-    return ORDER_SYMBOLS[order]
+def _component_tables(mol: MolecularGraph, comp: list[int], keep_maps: bool) -> tuple:
+    """What labelling and writing read of one connected component, built
+    once; ``comp`` lists its atoms in index order, and they are numbered
+    0..n-1 in that order. The tables are:
 
-
-def _write_component(mol: MolecularGraph, start: int, rank: list[int]) -> str:
-    """Write one connected component, visiting neighbours by ascending rank.
-
-    Both walks keep an explicit stack, so chain length is not bounded by
-    Python's recursion limit.
+    - ``tokens``: each atom's SMILES token, with its map index only if
+      ``keep_maps``;
+    - ``invariants``: (element, degree, charge, total hydrogens, aromatic);
+    - ``nbrs``: per atom, (bond order code * n, neighbour, bond token)
+      triples, so that ``code + rank[neighbour]`` sorts as the pair (code,
+      rank) does;
+    - ``cyclic``: whether the component has a ring.
     """
-    by_rank = lambda pair: rank[pair[0]]
+    n = len(comp)
+    atoms, adjacency = mol.atoms, mol._adjacency
+    local = None if n == len(atoms) else {old: new for new, old in enumerate(comp)}
+    code_of = {order: code * n for order, code in _ORDER_CODE.items()}
+    tokens, invariants, nbrs = [], [], []
+    bond_ends = 0
+    for old in comp:
+        atom = atoms[old]
+        valence = 0.0
+        hydrogens = atom.hydrogens
+        row = []
+        for j, order in adjacency[old]:
+            other = atoms[j]
+            valence += ORDER_VALENCE[order]
+            if other.element == "H":
+                hydrogens += 1
+            bond = _BOND_TOKENS[order][atom.aromatic and other.aromatic]
+            row.append((code_of[order], j if local is None else local[j], bond))
+        bond_ends += len(row)
+        tokens.append(
+            _token(
+                atom.element, atom.aromatic, atom.hydrogens, atom.charge, valence,
+                atom.map_index if keep_maps else None,
+            )
+        )
+        invariants.append((atom.element, len(row), atom.charge, hydrogens, atom.aromatic))
+        nbrs.append(row)
+    return tokens, invariants, nbrs, bond_ends // 2 >= n
 
-    # Pre-walk (depth first) to split edges into tree edges and ring
-    # closures; the ring digit for each closure is fixed by traversal order,
-    # so the output is a pure function of (graph, rank).
-    ring_lookup: dict[tuple[int, int], tuple[str, str]] = {}
-    parent: dict[int, int | None] = {start: None}
-    ordered = {start: sorted(mol.neighbors(start), key=by_rank)}
+
+def _write_component(tables: tuple, start: int, rank: list[int]) -> tuple[str, list[int]]:
+    """Write one component from ``start`` in one depth-first pass that
+    visits neighbours by ascending ``rank`` (distinct per atom): each atom,
+    its ring digits (with the bond symbol where a ring opens), then its
+    branches, each but the last in parentheses. Also the atoms in writing
+    order. The pass keeps an explicit stack, so chain length is not bounded
+    by Python's recursion limit."""
+    tokens, _, nbrs, cyclic = tables
+    n = len(tokens)
+    labels = _ring_labels(nbrs, start, rank) if cyclic else None
+    opened: set[int] = set()
+    parts, order = [], []
+    parent = [-1] * n
+    lead = [""] * n  # what precedes an atom: its bond, after "(" on a branch
+    pending = [start]  # atoms, and -1 where a branch closes
+    while pending:
+        u = pending.pop()
+        if u < 0:
+            parts.append(")")
+            continue
+        parts.append(lead[u])
+        parts.append(tokens[u])
+        order.append(u)
+        p = parent[u]
+        kids = [(rank[v], v, bond) for _, v, bond in nbrs[u] if v != p]
+        kids.sort()
+        if labels:
+            branches = []
+            for kid in kids:
+                _, v, bond = kid
+                ring = u * n + v if u < v else v * n + u
+                label = labels.get(ring)
+                if label is None:
+                    branches.append(kid)
+                elif ring in opened:
+                    parts.append(label)
+                else:
+                    opened.add(ring)
+                    parts.append(bond + label)
+            kids = branches
+        if not kids:
+            continue
+        # Stacked in reverse, so the first branch is written first.
+        _, v, lead[v] = kids.pop()
+        parent[v] = u
+        pending.append(v)
+        for _, v, bond in reversed(kids):
+            parent[v] = u
+            lead[v] = "(" + bond
+            pending += (-1, v)
+    return "".join(parts), order
+
+
+def _ring_labels(nbrs: list, start: int, rank: list[int]) -> dict[int, str]:
+    """The label text of each ring closure that writing from ``start`` by
+    ``rank`` makes, keyed by bond (low * n + high).
+
+    A depth-first walk in writing order finds the closures: the bonds to a
+    visited atom other than the parent. Labels 1 to 99 go to the closures
+    in the order found, so the output is a pure function of (graph, rank).
+    Then, in the order they open, each further closure takes the lowest
+    label that no other closure holds anywhere from its opening to its
+    closing. Raises RingLabelsExhausted when there is none.
+    """
+    n = len(nbrs)
+    by_rank = lambda link: rank[link[1]]
+    parent = [-1] * n
+    ordered: list = [None] * n
+    ordered[start] = sorted(nbrs[start], key=by_rank)
+    visit = [start]
+    found: dict[int, int] = {}  # bond -> its place in ``ends``
+    ends: list[tuple[int, int]] = []  # per closure: (opening, closing) atom
     stack = [(start, iter(ordered[start]))]
     while stack:
         u, rest = stack[-1]
-        for v, o in rest:
-            edge = (min(u, v), max(u, v))
-            if v == parent[u] or edge in ring_lookup:
+        for _, v, _ in rest:
+            if v == parent[u]:
                 continue
-            if v in parent:
-                n = len(ring_lookup) + 1
-                digit = str(n) if n < 10 else f"%{n:02d}"
-                ring_lookup[edge] = (digit, o)
-            else:
+            if ordered[v] is None:
                 parent[v] = u
-                ordered[v] = sorted(mol.neighbors(v), key=by_rank)
+                ordered[v] = sorted(nbrs[v], key=by_rank)
+                visit.append(v)
                 stack.append((v, iter(ordered[v])))
                 break
+            # A visited atom other than the parent is an ancestor, which
+            # opens the ring; each closure is met first from its far end.
+            bond = u * n + v if u < v else v * n + u
+            if bond not in found:
+                found[bond] = len(ends)
+                ends.append((v, u))
         else:
             stack.pop()
+    numbers = list(range(1, len(ends) + 1))
+    if len(ends) > 99:
+        # Positions in writing order: an atom's place in ``visit``, then
+        # its ring digits in the order of its ``ordered`` neighbours.
+        place = [0] * n
+        for pos, u in enumerate(visit):
+            place[u] = pos
 
-    # Emit in the same pre-order: an atom, its ring digits (with the bond
-    # symbol where the ring opens), then its branches, the last unbracketed.
-    opened: set[tuple[int, int]] = set()
-    parts: list[str] = []
-    pending: list[int | str] = [start]
-    while pending:
-        u = pending.pop()
-        if isinstance(u, str):
-            parts.append(u)
-            continue
-        parts.append(_atom_token(mol, u))
-        branches = []
-        for v, o in ordered[u]:
-            edge = (min(u, v), max(u, v))
-            if edge in ring_lookup:
-                digit, order = ring_lookup[edge]
-                if edge in opened:
-                    parts.append(digit)
-                else:
-                    opened.add(edge)
-                    parts.append(_bond_token(mol, u, v, order) + digit)
-            elif v != parent[u]:
-                branches.append((v, _bond_token(mol, u, v, o)))
-        # Stacked in reverse, so the first branch is written first.
-        for pos, (v, bond) in enumerate(reversed(branches)):
-            pending += [v, bond] if pos == 0 else [")", v, "(" + bond]
-    return "".join(parts)
+        def position(x: int, y: int) -> int:  # of the digit atom x writes for y
+            return place[x] * n + [w for _, w, _ in ordered[x]].index(y)
+
+        spans = [(position(a, b), position(b, a)) for a, b in ends]
+        last_close = [-1] * 100
+        for k in sorted(range(99, len(ends)), key=lambda k: spans[k][0]):
+            opens, closes = spans[k]
+            for label in range(1, 100):
+                first_open, first_close = spans[label - 1]
+                if last_close[label] < opens and (first_close < opens or first_open > closes):
+                    numbers[k] = label
+                    last_close[label] = closes
+                    break
+            else:
+                raise RingLabelsExhausted("ring closures need more than 99 labels at once")
+    return {
+        bond: str(numbers[k]) if numbers[k] < 10 else f"%{numbers[k]:02d}"
+        for bond, k in found.items()
+    }
 
 
 def write_smiles(mol: MolecularGraph) -> str:
     """Write a SMILES string that re-parses to a graph isomorphic to ``mol``.
 
     Components are joined with '.'; atom order follows the input graph.
+    Raises RingLabelsExhausted when more than 99 rings are open at once.
     """
-    rank = list(range(len(mol.atoms)))
-    return ".".join(_write_component(mol, comp[0], rank) for comp in mol.components())
+    return ".".join(
+        _write_component(_component_tables(mol, comp, True), 0, list(range(len(comp))))[0]
+        for comp in mol.components()
+    )
 
 
 # ---------------------------------------------------------------------------
 # Canonicalization
+#
+# Refine-then-break-ties labelling (Weininger et al., JCICS 29:97, 1989)
+# with pruning by the automorphisms that equal leaves reveal (McKay &
+# Piperno, J. Symb. Comput. 60:94, 2014). An atom's rank is the position
+# where its class starts in the ordered partition, so splitting one class
+# moves no other atom's rank, and ranks compare as dense class numbers do.
 
 
-def _initial_invariants(mol: MolecularGraph) -> list[tuple]:
-    out = []
-    for idx, atom in enumerate(mol.atoms):
-        out.append(
-            (
-                atom.element,
-                mol.degree(idx),
-                atom.charge,
-                mol.total_hydrogens(idx),
-                atom.aromatic,
-            )
-        )
-    return out
+def _place(rank: list[int], cells: dict, start: int, parts: dict) -> list[int]:
+    """Lay the parts of a class (key -> members in index order) out in key
+    order from ``start``: each member's rank becomes its part's start, and
+    a part of more than one atom becomes a tied class. Returns the atoms
+    whose rank moved."""
+    moved = []
+    at = start
+    for key in sorted(parts):
+        part = parts[key]
+        if at != start:
+            for i in part:
+                rank[i] = at
+            moved += part
+        if len(part) > 1:
+            cells[at] = part
+        at += len(part)
+    return moved
 
 
-_ORDER_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
+def _refine(rank: list[int], cells: dict, nbrs: list, moved: list[int] | None) -> None:
+    """Split tied classes in place by their members' sorted (bond order,
+    neighbour rank) lists until no class splits. Each round reads only the
+    classes next to an atom whose rank the previous round moved (every
+    class when ``moved`` is None): no other class can split. Stops once
+    every atom has its own class."""
+    todo = list(cells) if moved is None else {rank[j] for i in moved for _, j, _ in nbrs[i]}
+    while cells:
+        splits = []
+        for start in todo:
+            members = cells.get(start)
+            if members is None:
+                continue
+            parts: dict[tuple, list[int]] = {}
+            for i in members:
+                key = tuple(sorted([code + rank[j] for code, j, _ in nbrs[i]]))
+                part = parts.get(key)
+                if part is None:
+                    parts[key] = [i]
+                else:
+                    part.append(i)
+            if len(parts) > 1:
+                splits.append((start, parts))
+        if not splits:
+            return
+        moved = []
+        for start, parts in splits:
+            del cells[start]
+            moved += _place(rank, cells, start, parts)
+        todo = {rank[j] for i in moved for _, j, _ in nbrs[i]}
 
 
-def _refine(mol: MolecularGraph, keys: list) -> list[int]:
-    """Iteratively refine atom classes until the partition stabilizes."""
-    ranks, n_classes = _dense_ranks(keys)
-    while True:
-        keys2 = [
-            (
-                ranks[i],
-                tuple(
-                    sorted(
-                        (_ORDER_CODE[o], ranks[j]) for j, o in mol.neighbors(i)
-                    )
-                ),
-            )
-            for i in range(len(mol.atoms))
-        ]
-        ranks, n_classes2 = _dense_ranks(keys2)
-        if n_classes2 == n_classes:
-            return ranks
-        n_classes = n_classes2
+class _Node:
+    """A node of the tie-break search: a refined partition, the atoms
+    individualized on the way to it, and the members of its first tied
+    class still to try. Of tied leaf atoms on one anchor only the first is
+    tried (they are interchangeable), and a member is skipped when an
+    automorphism that fixes ``path`` maps it to one already tried."""
+
+    __slots__ = ("rank", "cells", "path", "members", "tried", "orbit", "seen")
+
+    def __init__(self, rank, cells, path, nbrs):
+        self.rank, self.cells, self.path = rank, cells, path
+        anchors = set()
+        self.members = []
+        for m in cells[min(cells)]:
+            if len(nbrs[m]) == 1:
+                anchor = nbrs[m][0][1]
+                if anchor in anchors:
+                    continue
+                anchors.add(anchor)
+            self.members.append(m)
+        self.members.reverse()
+        self.tried: list[int] = []
+        self.orbit: dict[int, int] = {}  # union-find parent links
+        self.seen = 0  # automorphisms already merged into ``orbit``
+
+    def _root(self, i: int) -> int:
+        orbit = self.orbit
+        while i in orbit:
+            i = orbit[i]
+        return i
+
+    def next_member(self, automorphisms: list[dict[int, int]]) -> int | None:
+        for gamma in automorphisms[self.seen :]:
+            if gamma.keys().isdisjoint(self.path):
+                for i, j in gamma.items():
+                    a, b = self._root(i), self._root(j)
+                    if a != b:
+                        self.orbit[max(a, b)] = min(a, b)
+        self.seen = len(automorphisms)
+        while self.members:
+            m = self.members.pop()
+            root = self._root(m)
+            if all(self._root(t) != root for t in self.tried):
+                self.tried.append(m)
+                return m
+        return None
 
 
-def _dense_ranks(keys: list) -> tuple[list[int], int]:
-    """Each key's index among the sorted distinct keys, and their count."""
-    rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
-    return [rank_of[k] for k in keys], len(rank_of)
-
-
-def _leaf_signature(mol: MolecularGraph, idx: int):
-    """Signature making leaf siblings (e.g. hydrogens on one atom)
-    recognizably automorphic so tie-breaking skips duplicates."""
-    if mol.degree(idx) > 1:
-        return ("nonleaf", idx)
-    nbr = mol.neighbors(idx)
-    anchor = nbr[0] if nbr else None
-    return ("leaf", mol.atoms[idx], anchor)
-
-
-def _canonical_component(mol: MolecularGraph, base_keys: list) -> str:
-    ranks = _refine(mol, base_keys)
-    n = len(mol.atoms)
-    class_members: dict[int, list[int]] = {}
-    for i, r in enumerate(ranks):
-        class_members.setdefault(r, []).append(i)
-    ambiguous = sorted(
-        (r, members) for r, members in class_members.items() if len(members) > 1
-    )
-    if not ambiguous:
-        return _write_component(mol, ranks.index(min(ranks)), ranks)
-    _, members = ambiguous[0]
-    candidates = []
-    seen_sigs = set()
-    for m in members:
-        sig = _leaf_signature(mol, m)
-        if sig[0] == "leaf" and sig in seen_sigs:
+def _canonical_component(tables: tuple) -> tuple[str, int]:
+    """The least string any leaf of the tie-break search writes, and the
+    number of leaves written. The search runs on an explicit stack; when
+    two leaves write the same string, the map between their writing orders
+    is an automorphism, kept for pruning."""
+    _, invariants, nbrs, _ = tables
+    rank, cells = [0] * len(nbrs), {}
+    classes: dict[tuple, list[int]] = {}
+    for i, key in enumerate(invariants):
+        classes.setdefault(key, []).append(i)
+    _place(rank, cells, 0, classes)
+    _refine(rank, cells, nbrs, None)
+    if not cells:
+        return _write_component(tables, rank.index(0), rank)[0], 1
+    best, leaves = None, 0
+    first_order: dict[str, list[int]] = {}
+    automorphisms: list[dict[int, int]] = []  # each maps the atoms it moves
+    stack = [_Node(rank, cells, (), nbrs)]
+    while stack:
+        node = stack[-1]
+        m = node.next_member(automorphisms)
+        if m is None:
+            stack.pop()
             continue
-        seen_sigs.add(sig)
-        promoted = [(ranks[i], 1 if i == m else 0) for i in range(n)]
-        candidates.append(_canonical_component(mol, promoted))
-    return min(candidates)
+        if not node.members:
+            stack.pop()  # its last member: the path is all a child needs
+        # m gets a class of its own, ordered just after the rest of its own.
+        rank, cells = node.rank.copy(), dict(node.cells)
+        start = rank[m]
+        members = cells.pop(start)
+        rank[m] = start + len(members) - 1
+        if len(members) > 2:
+            cells[start] = [i for i in members if i != m]
+        _refine(rank, cells, nbrs, [m])
+        if cells:
+            stack.append(_Node(rank, cells, node.path + (m,), nbrs))
+            continue
+        text, order = _write_component(tables, rank.index(0), rank)
+        leaves += 1
+        first = first_order.setdefault(text, order)
+        if first is not order:
+            automorphisms.append({a: b for a, b in zip(first, order) if a != b})
+        if best is None or text < best:
+            best = text
+    return best, leaves
 
 
 def _without_map_indices(mol: MolecularGraph) -> MolecularGraph:
@@ -804,15 +983,12 @@ def canonicalize(mol: MolecularGraph) -> str:
     """Canonical SMILES: invariant under atom permutation, map indices
     stripped, components sorted. ``canonicalize(parse_smiles(s))`` is a fixed
     point for any s already in canonical form."""
-    mol = _without_map_indices(mol)
-    comps = mol.components()
-    if len(comps) == 1:
-        return _canonical_component(mol, _initial_invariants(mol))
-    pieces = []
-    for comp in comps:
-        sub = mol.subgraph(comp)
-        pieces.append(_canonical_component(sub, _initial_invariants(sub)))
-    return ".".join(sorted(pieces))
+    return ".".join(
+        sorted(
+            _canonical_component(_component_tables(mol, comp, False))[0]
+            for comp in mol.components()
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

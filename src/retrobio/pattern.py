@@ -26,6 +26,7 @@ are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 from .molgraph import (
     AROMATIC,
@@ -592,6 +593,11 @@ def _rewrite(
     )
 
 
+# Each (low, high, order) bond is one shared object, so the graphs that a
+# run-wide key memo holds share their bonds instead of each keeping copies.
+_bond = cache(Bond)
+
+
 def _fold_and_split(
     atoms: list[Atom],
     bonds: dict[tuple[int, int], str],
@@ -636,7 +642,7 @@ def _fold_and_split(
     for (u, v), order in sorted(bonds.items()):
         if u not in folded and v not in folded:
             a, b, c = local[u], local[v], comp_of[u]
-            comp_bonds[c].append(Bond(a, b, order))
+            comp_bonds[c].append(_bond(a, b, order))
             comp_adj[c][a].append((b, order))
             comp_adj[c][b].append((a, order))
     return [

@@ -80,6 +80,13 @@ SHAPES = [
     "O=C1CCC(=O)CC1",
     "OCC(O)C(O)C(O)C(O)CO",
 ] + ["C" + "C(CO)(CO)" * k for k in range(1, 7)]
+# Larger symmetric graphs, each also written once in a permuted atom order.
+# Their lines come after all others and draw from their own random stream,
+# and their keys stay out of ``fingerprints.tsv``, so adding them moved no
+# earlier line.
+SYMMETRIC = [("ring", f"C1{'C' * (n - 1)}1") for n in (40, 60, 100)] + [
+    ("shape", "C" + "C(CO)(CO)" * k) for k in range(7, 11)
+]
 
 
 def random_graph(rng: random.Random, max_heavy: int = 9) -> MolecularGraph:
@@ -137,7 +144,7 @@ def _corpus_keys() -> list[str]:
 
 
 def canonical_keys() -> tuple[str, list[str]]:
-    """The file text and the keys it lists, in order."""
+    """The file text and the keys it lists, in order, but for ``SYMMETRIC``."""
     rng = random.Random(SEED)
     graphs = [("corpus", parse_smiles(s)) for s in _corpus_keys()]
     graphs += [("ring", parse_smiles(s)) for s in RINGS]
@@ -154,6 +161,11 @@ def canonical_keys() -> tuple[str, list[str]]:
         key = canonicalize(mol)
         keys.append(key)
         lines.append(f"{kind}\t{write_smiles(mol)}\t{key}")
+    rng = random.Random(SEED)
+    for kind, smiles in SYMMETRIC:
+        mol = parse_smiles(smiles)
+        for graph in (mol, permuted(mol, rng)):
+            lines.append(f"{kind}\t{write_smiles(graph)}\t{canonicalize(graph)}")
     return "\n".join(lines) + "\n", keys
 
 
