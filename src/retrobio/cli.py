@@ -19,27 +19,12 @@ import math
 import sys
 from pathlib import Path
 
+# Only numpy-free modules are imported here, so augment never loads numpy
+# or starts its OpenBLAS threads; train, eval and retro import the neural,
+# fingerprint, ranking and pipeline names they run.
 from . import dataset as ds
-from .fingerprint import Fingerprinter
 from .molgraph import canonicalize, parse_smiles
-from .neural import (
-    MlpModel,
-    TrainConfig,
-    load_weights,
-    nn1pr_spec,
-    nn2pr_spec,
-    save_weights,
-    train,
-)
 from .pattern import load_templates
-from .pipeline import SearchConfig, run_retro
-from .ranking import (
-    evaluate_ranking,
-    group_rows,
-    row_scorer,
-    write_report_json,
-    write_report_tsv,
-)
 from .tsv import read_tsv, write_json, write_tsv
 
 EXIT_OK = 0
@@ -52,9 +37,17 @@ class CliError(ValueError):
     """An input error: ``main`` prints it and exits 1."""
 
 
-_MODEL_SPECS = {"nn1pr": nn1pr_spec, "nn2pr": nn2pr_spec}
-_MODEL_WIDTHS = {name: spec()[0].in_dim for name, spec in _MODEL_SPECS.items()}
-_MODEL_OF_WIDTH = {width: name for name, width in _MODEL_WIDTHS.items()}
+_MODELS = ("nn1pr", "nn2pr")
+
+
+def _model_spec(name: str):
+    from .neural import nn1pr_spec, nn2pr_spec
+
+    return {"nn1pr": nn1pr_spec, "nn2pr": nn2pr_spec}[name]
+
+
+def _model_width(name: str) -> int:
+    return _model_spec(name)()[0].in_dim
 
 
 def _pos_weight(text: str) -> str | float:
@@ -96,7 +89,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "threads": (int, 1, "worker threads for augmentation", _AT_LEAST_1),
     },
     "train": {
-        "model": (str, None, "model to train", ("nn1pr or nn2pr", lambda v: v in _MODEL_SPECS)),
+        "model": (str, None, "model to train", ("nn1pr or nn2pr", lambda v: v in _MODELS)),
         "data": (str, None, "training dataset TSV", None),
         "out": (str, None, "output weight file", None),
         "history": (str, "", "optional per-epoch loss/accuracy CSV", None),
@@ -326,6 +319,8 @@ def cmd_augment(options: dict) -> int:
 
 
 def cmd_train(options: dict) -> int:
+    from .neural import TrainConfig, save_weights, train
+
     model_name = options["model"]
     data = _require_file(options["data"], "training data")
     rows = ds.read_examples_tsv(data)
@@ -334,7 +329,7 @@ def cmd_train(options: dict) -> int:
         return EXIT_EMPTY
     with ds.naming_dataset(data):
         features, labels, weights = ds.features_for(rows)
-    expected = _MODEL_WIDTHS[model_name]
+    expected = _model_width(model_name)
     if features.shape[1] != expected:
         print(
             f"train: feature width {features.shape[1]} does not match "
@@ -355,7 +350,7 @@ def cmd_train(options: dict) -> int:
         seed=options["seed"],
         positive_weight=pos_weight,
     )
-    spec = _MODEL_SPECS[model_name](options["dropout"])
+    spec = _model_spec(model_name)(options["dropout"])
     with ds.naming_dataset(data):
         model, history = train(
             spec, features, labels, config, weights, history=bool(options["history"])
@@ -376,9 +371,12 @@ def cmd_train(options: dict) -> int:
     return EXIT_OK
 
 
-def _load_model(path: str, what: str, input_dim: int | None = None) -> MlpModel:
-    """Load a weight file; every error, an output width other than 1 and
-    an input width other than ``input_dim`` when given name the file."""
+def _load_model(path: str, what: str, input_dim: int | None = None):
+    """Load a weight file into an ``MlpModel``; every error, an output width
+    other than 1 and an input width other than ``input_dim`` when given name
+    the file."""
+    from .neural import load_weights
+
     with open(_require_file(path, what), "rb") as fh:
         try:
             model = load_weights(fh)
@@ -395,13 +393,17 @@ def _load_model(path: str, what: str, input_dim: int | None = None) -> MlpModel:
 
 
 def cmd_eval(options: dict) -> int:
+    from .fingerprint import Fingerprinter
+    from .ranking import evaluate_ranking, group_rows, row_scorer
+    from .ranking import write_report_json, write_report_tsv
+
     model = _load_model(options["weights"], "weight file")
     data = _require_file(options["data"], "test data")
     rows = ds.read_examples_tsv(data)
     if not rows:
         print("eval: empty dataset", file=sys.stderr)
         return EXIT_EMPTY
-    kind = _MODEL_OF_WIDTH.get(model.input_dim)
+    kind = next((name for name in _MODELS if _model_width(name) == model.input_dim), None)
     if kind is None:
         raise CliError(f"{options['weights']}: unexpected input width {model.input_dim}")
     fingerprinter = Fingerprinter()
@@ -441,13 +443,15 @@ def _read_gold_tsv(path: str) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def cmd_retro(options: dict) -> int:
+    from .pipeline import SearchConfig, run_retro
+
     templates = load_templates(_require_file(options["templates"], "template file"))
     if not templates:
         print("retro: zero templates", file=sys.stderr)
         return EXIT_EMPTY
-    nn1 = _load_model(options["nn1"], "nn1 weight file", _MODEL_WIDTHS["nn1pr"])
+    nn1 = _load_model(options["nn1"], "nn1 weight file", _model_width("nn1pr"))
     nn2 = (
-        _load_model(options["nn2"], "nn2 weight file", _MODEL_WIDTHS["nn2pr"])
+        _load_model(options["nn2"], "nn2 weight file", _model_width("nn2pr"))
         if options["nn2"]
         else None
     )

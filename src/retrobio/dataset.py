@@ -15,7 +15,8 @@ Dataset rows are written as TSV: label, group_key, target, precursors,
 weight. The precursors column joins molecules of one step with '.' and
 steps with ';', so one-step and two-step datasets share the schema. All
 randomness is seeded; identical inputs and seeds give byte-identical
-files.
+files. numpy and fingerprint are imported only by the two functions that
+fingerprint, so augmentation runs without numpy.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
-import numpy as np
-
-from .fingerprint import Fingerprinter, pack_features, reaction_feature
 from .molgraph import parse_smiles, canonicalize
 from .pattern import ReactionTemplate, enumerate_precursors
 from .tsv import read_tsv, write_tsv
@@ -281,6 +279,8 @@ def flag_disjoint_products(
     any reactant. Such rows (typically small by-products promoted to the
     product slot) are kept but reported, since a structure-based ranker
     has nothing to connect them with."""
+    from .fingerprint import Fingerprinter
+
     fp = Fingerprinter()
     fp.memoize(
         (key, None) for mono in monos for key in (mono.product_key, *mono.reactant_keys)
@@ -594,6 +594,10 @@ def features_for(rows: list[DatasetRow]):
     steps = {len(r.steps) for r in rows}
     if len(steps) != 1:
         raise ValueError("mixed one-step and two-step rows in one dataset")
+    import numpy as np
+
+    from .fingerprint import Fingerprinter, pack_features, reaction_feature
+
     fp = Fingerprinter()
     fp.memoize((key, None) for row in rows for key in row.molecule_keys)
     packed = pack_features([

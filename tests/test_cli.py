@@ -4,6 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import retrobio.neural
+import retrobio.pipeline
 from retrobio import cli
 from retrobio.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, main
 from retrobio.neural import SIGMOID, LayerSpec, initialize, nn2pr_spec, save_weights
@@ -528,7 +530,7 @@ class TestRetro:
         def refuse(*args, **kwargs):
             raise AssertionError("the search ran before the gold file was read")
 
-        monkeypatch.setattr(cli, "run_retro", refuse)
+        monkeypatch.setattr(retrobio.pipeline, "run_retro", refuse)
         _, _, _, templates = corpus_files
         gold = tmp_path / "g.tsv"
         gold.write_text(f"OCCCCCC\t{precursors}\n", encoding="utf-8")
@@ -653,7 +655,7 @@ class TestRetro:
         def refuse(*args, **kwargs):
             raise AssertionError("the search ran without a stop set")
 
-        monkeypatch.setattr(cli, "run_retro", refuse)
+        monkeypatch.setattr(retrobio.pipeline, "run_retro", refuse)
         _, _, _, templates = corpus_files
         stop = tmp_path / "stop.txt"
         stop.write_text("# no SMILES here\n", encoding="utf-8")
@@ -791,8 +793,9 @@ class TestOptions:
         def refuse(*args, **kwargs):
             raise AssertionError("a file was read before the options were checked")
 
-        for reader in ("read_tsv", "load_templates", "load_weights"):
+        for reader in ("read_tsv", "load_templates"):
             monkeypatch.setattr(cli, reader, refuse)
+        monkeypatch.setattr(retrobio.neural, "load_weights", refuse)
         for reader in (
             "read_reactions_tsv", "read_compounds_tsv",
             "read_pathways_tsv", "read_examples_tsv",

@@ -1,0 +1,90 @@
+"""The package's public names and what each command loads."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import retrobio
+from synthdata import write_corpus_files
+
+# Every name ``retrobio`` exports, by the module that defines it.
+EXPORTS = {
+    "molgraph": (
+        "Atom", "Bond", "MolecularGraph", "add_explicit_hydrogens", "canonicalize",
+        "parse_smiles", "remove_explicit_hydrogens", "write_smiles",
+    ),
+    "pattern": (
+        "CandidatePrecursor", "ReactionTemplate", "apply_template", "enumerate_precursors",
+        "find_matches", "load_templates", "parse_smarts", "parse_smarts_template",
+    ),
+    "fingerprint": (
+        "Fingerprint", "Fingerprinter", "ReactionFeature", "molecule_fingerprints",
+        "reaction_feature", "tanimoto", "tversky",
+    ),
+    "neural": (
+        "MlpModel", "TrainConfig", "forward", "gradient_check", "load_weights",
+        "nn1pr_spec", "nn2pr_spec", "save_weights", "train",
+    ),
+    "ranking": (
+        "evaluate_ranking", "rank_candidates", "score_baseline", "score_nn1", "score_nn2",
+    ),
+    "pipeline": ("Pathway", "SearchConfig", "SearchNode", "run_retro"),
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+class TestExports:
+    @pytest.mark.parametrize("module, name", NAMES)
+    def test_name_is_the_defining_modules_object(self, module, name):
+        defined = getattr(importlib.import_module(f"retrobio.{module}"), name)
+        assert getattr(retrobio, name) is defined
+        assert name in dir(retrobio)
+        namespace = {}
+        exec(f"from retrobio import {name}", namespace)
+        assert namespace[name] is defined
+
+    def test_all_lists_every_export(self):
+        assert sorted(retrobio.__all__) == sorted(name for _, name in NAMES)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            retrobio.no_such_name
+        assert not hasattr(retrobio, "no_such_name")
+        assert retrobio.__version__ == "0.1.0"
+
+
+def test_augment_loads_no_numpy(tmp_path):
+    # A fresh interpreter, since this one has loaded every module already.
+    reactions, pathways, templates = write_corpus_files(tmp_path / "corpus", max_length=5)
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    child = (
+        "import sys\n"
+        "import retrobio.cli\n"
+        "code = retrobio.cli.main(sys.argv[2:])\n"
+        "open(sys.argv[1], 'w').write('\\n'.join(sorted(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    modules = tmp_path / "modules.txt"
+    done = subprocess.run(
+        [
+            sys.executable, "-c", child, str(modules), "augment",
+            "--corpus", str(reactions), "--templates", str(templates),
+            "--pathways", str(pathways), "--out-dir", str(tmp_path / "out"),
+            "--threads", "2",
+        ],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(modules.read_text().split())
+    assert {"retrobio.cli", "retrobio.dataset", "retrobio.pattern"} <= loaded
+    numpy_backed = {
+        "numpy", "retrobio.fingerprint", "retrobio.neural", "retrobio.ranking",
+        "retrobio.pipeline",
+    }
+    assert not numpy_backed & loaded
+    assert (tmp_path / "out" / "onestep_train.tsv").is_file()
