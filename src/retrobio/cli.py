@@ -260,7 +260,8 @@ def cmd_ingest(options: dict) -> int:
         f"{stats.unique_products} unique products"
     )
     if not monos:
-        print("ingest: no usable reactions", file=sys.stderr)
+        path = options["reactions"]
+        print(f"ingest: reactions file {path} holds no usable reactions", file=sys.stderr)
         return EXIT_EMPTY
     return EXIT_OK
 
@@ -269,7 +270,8 @@ def cmd_augment(options: dict) -> int:
     corpus = ds.read_reactions_tsv(_require_file(options["corpus"], "corpus file"))
     templates = load_templates(_require_file(options["templates"], "template file"))
     if not templates:
-        print("augment: zero templates", file=sys.stderr)
+        path = options["templates"]
+        print(f"augment: template file {path} holds no templates", file=sys.stderr)
         return EXIT_EMPTY
     usable, stats = ds.clean_reactions(corpus, [])
     positives = ds.split_mono_product(usable, stats)
@@ -325,14 +327,14 @@ def cmd_train(options: dict) -> int:
     data = _require_file(options["data"], "training data")
     rows = ds.read_examples_tsv(data)
     if not rows:
-        print("train: empty dataset", file=sys.stderr)
+        print(f"train: training data {data} holds no rows", file=sys.stderr)
         return EXIT_EMPTY
     with ds.naming_dataset(data):
         features, labels, weights = ds.features_for(rows)
     expected = _model_width(model_name)
     if features.shape[1] != expected:
         print(
-            f"train: feature width {features.shape[1]} does not match "
+            f"train: {data}: feature width {features.shape[1]} does not match "
             f"{model_name} input width {expected}",
             file=sys.stderr,
         )
@@ -401,7 +403,7 @@ def cmd_eval(options: dict) -> int:
     data = _require_file(options["data"], "test data")
     rows = ds.read_examples_tsv(data)
     if not rows:
-        print("eval: empty dataset", file=sys.stderr)
+        print(f"eval: test data {data} holds no rows", file=sys.stderr)
         return EXIT_EMPTY
     kind = next((name for name in _MODELS if _model_width(name) == model.input_dim), None)
     if kind is None:
@@ -447,7 +449,8 @@ def cmd_retro(options: dict) -> int:
 
     templates = load_templates(_require_file(options["templates"], "template file"))
     if not templates:
-        print("retro: zero templates", file=sys.stderr)
+        path = options["templates"]
+        print(f"retro: template file {path} holds no templates", file=sys.stderr)
         return EXIT_EMPTY
     nn1 = _load_model(options["nn1"], "nn1 weight file", _model_width("nn1pr"))
     nn2 = (

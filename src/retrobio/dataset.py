@@ -16,7 +16,8 @@ weight. The precursors column joins molecules of one step with '.' and
 steps with ';', so one-step and two-step datasets share the schema. All
 randomness is seeded; identical inputs and seeds give byte-identical
 files. numpy and fingerprint are imported only by the two functions that
-fingerprint, so augmentation runs without numpy.
+fingerprint, so augmentation runs without numpy, and ingestion loads it only
+for a product that shares no atom word with its reactants.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
-from .molgraph import parse_smiles, canonicalize
+from .molgraph import atom_words, canonicalize, parse_smiles
 from .pattern import ReactionTemplate, enumerate_precursors
 from .tsv import read_tsv, write_tsv
 
@@ -278,19 +279,38 @@ def flag_disjoint_products(
     """Count mono reactions whose product shares no fingerprint bit with
     any reactant. Such rows (typically small by-products promoted to the
     product slot) are kept but reported, since a structure-based ranker
-    has nothing to connect them with."""
-    from .fingerprint import Fingerprinter
+    has nothing to connect them with.
 
-    fp = Fingerprinter()
-    fp.memoize(
-        (key, None) for mono in monos for key in (mono.product_key, *mono.reactant_keys)
-    )
+    A product that shares an atom word with a reactant shares that word's
+    r=0 bit with it, so only the reactions whose product shares no word are
+    fingerprinted, and a corpus without them never loads numpy."""
+    words: dict[str, frozenset[int]] = {}
+
+    def words_of(key: str) -> frozenset[int]:
+        if key not in words:
+            words[key] = frozenset(atom_words(parse_smiles(key)))
+        return words[key]
+
+    undecided = [
+        mono for mono in monos
+        if words_of(mono.product_key).isdisjoint(
+            word for key in mono.reactant_keys for word in words_of(key)
+        )
+    ]
     flagged = []
-    for mono in monos:
-        product_bits = fp.of_key(mono.product_key).bits
-        reactant_bits = fp.of_keys(mono.reactant_keys).bits
-        if product_bits & reactant_bits == 0:
-            flagged.append(mono.parent_id)
+    if undecided:
+        from .fingerprint import Fingerprinter
+
+        fp = Fingerprinter()
+        fp.memoize(
+            (key, None) for mono in undecided
+            for key in (mono.product_key, *mono.reactant_keys)
+        )
+        for mono in undecided:
+            product_bits = fp.of_key(mono.product_key).bits
+            reactant_bits = fp.of_keys(mono.reactant_keys).bits
+            if product_bits & reactant_bits == 0:
+                flagged.append(mono.parent_id)
     stats.disjoint_product_reactions = len(flagged)
     return flagged
 

@@ -3,7 +3,7 @@ Circular hashed fingerprints and similarity math.
 
 A molecule fingerprint is a fixed-width bit vector. Every atom contributes
 one code per radius r = 0..R. The r=0 code is ``hash_words([w])`` of the
-atom invariant word
+atom invariant word that ``molgraph.atom_words`` computes,
 
     w = element number | min(degree, 15) << 8 | (charge & 0xFF) << 12
         | min(total hydrogens, 15) << 20 | aromatic << 24
@@ -16,6 +16,12 @@ once its neighbourhood ball stopped growing in the previous round, so an
 isolated atom yields exactly two codes (r=0 and r=1) no matter the radius.
 Round r reads only whether the ball grew in round r - 1, so ball growth is
 followed for ``radius - 1`` rounds. Each code sets bit ``code mod width``.
+
+Every atom sets its r=0 bit, which depends on its word alone, so two
+molecules that share an atom word share a bit at every width and radius
+(the radius-0 property of circular fingerprints, Rogers & Hahn, JCIM 50,
+742, 2010). ``dataset.flag_disjoint_products`` decides most reactions from
+the words alone by it.
 
 The 64-bit mixing hash is fixed and documented here so fingerprints are
 bit-exact across implementations; test vectors live in the test suite.
@@ -36,6 +42,7 @@ a single block before concatenation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,6 +54,7 @@ from .molgraph import (
     MolecularGraph,
     SINGLE,
     TRIPLE,
+    atom_words,
     parse_smiles,
 )
 
@@ -108,10 +116,6 @@ def hash_words(words: Iterable[int]) -> int:
     return int(h[0])
 
 
-_ELEMENT_NUMBER = {
-    "H": 1, "C": 6, "N": 7, "O": 8, "F": 9,
-    "P": 15, "S": 16, "Cl": 17, "Br": 35, "I": 53,
-}
 _BOND_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 
 
@@ -178,21 +182,17 @@ def molecule_fingerprints(
     """
     if width <= 0 or width & (width - 1):
         raise ValueError(f"width must be a power of two, got {width}")
-    words: list[int] = []  # invariant bits known from the atom alone
-    hydrogens: list[int] = []
-    is_h: list[bool] = []
+    # Packed uint64, not a list: a word with its degree bits is too large to
+    # be one of Python's shared small ints, so a list would hold one int
+    # object per atom of the batch.
+    words = array("Q")
     ends: list[int] = []  # bond end atoms, pairwise
     bond_codes: list[int] = []
     grown: list[int] = []
     sizes: list[int] = []
     for mol in mols:
         base = len(words)
-        words += [
-            _ELEMENT_NUMBER.get(a.element, 0) | (a.charge & 0xFF) << 12 | a.aromatic << 24
-            for a in mol.atoms
-        ]
-        hydrogens += [a.hydrogens for a in mol.atoms]
-        is_h += [a.element == "H" for a in mol.atoms]
+        words.extend(atom_words(mol))
         for bond in mol.bonds:
             ends += (bond.a + base, bond.b + base)
         bond_codes += [_BOND_CODE[bond.order] for bond in mol.bonds]
@@ -210,16 +210,8 @@ def molecule_fingerprints(
     bond = np.tile(np.array(bond_codes, dtype=np.uint64), 2)
     n = len(words)
     degree = np.bincount(src, minlength=n)
-    total_h = np.array(hydrogens, dtype=np.int64) + np.bincount(
-        src[np.array(is_h, dtype=bool)[dst]], minlength=n
-    )
-    word = (
-        np.array(words, dtype=np.uint64)
-        | np.minimum(degree, 15).astype(np.uint64) << np.uint64(8)
-        | np.minimum(total_h, 15).astype(np.uint64) << np.uint64(20)
-    )
     seed = np.uint64(_SEED)
-    codes = _mix64(word ^ seed)
+    codes = _mix64(np.frombuffer(words, dtype=np.uint64) ^ seed)
 
     # After the lexsort, atom i's pairs are the edges start[i] onward; at
     # position p the atoms of degree above p hash their p-th pair.

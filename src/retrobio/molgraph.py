@@ -47,6 +47,8 @@ __all__ = [
     "TRIPLE",
     "AROMATIC",
     "VALENCES",
+    "ELEMENT_NUMBER",
+    "atom_words",
 ]
 
 # Bond orders.
@@ -72,6 +74,13 @@ VALENCES: dict[str, tuple[int, ...]] = {
     "Br": (1,),
     "I": (1,),
     "H": (1,),
+}
+
+#: Atomic number of every element the parser accepts; the low byte of an
+#: atom's invariant word (``atom_words``).
+ELEMENT_NUMBER: dict[str, int] = {
+    "H": 1, "C": 6, "N": 7, "O": 8, "F": 9,
+    "P": 15, "S": 16, "Cl": 17, "Br": 35, "I": 53,
 }
 
 #: Elements writable without brackets.
@@ -269,6 +278,27 @@ def _ring_bonds(n: int, pairs: list[tuple[int, int]]) -> set[tuple[int, int]]:
                     bridges.add(in_edge)
     # Non-bridge edges are exactly the edges lying on a cycle.
     return {pair for k, pair in enumerate(pairs) if k not in bridges}
+
+
+def atom_words(mol: MolecularGraph) -> list[int]:
+    """Per atom, the invariant word that seeds its circular fingerprint codes
+    (see ``fingerprint``):
+
+        element number | min(degree, 15) << 8 | (charge & 0xFF) << 12
+        | min(total hydrogens, 15) << 20 | aromatic << 24
+
+    where degree and total hydrogens count explicit H neighbours."""
+    atoms, adjacency = mol.atoms, mol._adjacency
+    hydrogens = [atom.hydrogens for atom in atoms]
+    for j in [j for j, atom in enumerate(atoms) if atom.element == "H"]:
+        for i, _ in adjacency[j]:
+            hydrogens[i] += 1
+    # Conditional expressions, not min(): this runs for every fingerprinted atom.
+    return [
+        ELEMENT_NUMBER.get(atom.element, 0) | (len(nbrs) if len(nbrs) < 15 else 15) << 8
+        | (atom.charge & 0xFF) << 12 | (h if h < 15 else 15) << 20 | atom.aromatic << 24
+        for atom, nbrs, h in zip(atoms, adjacency, hydrogens)
+    ]
 
 
 def effective_valences(element: str, charge: int = 0) -> tuple[int, ...] | None:

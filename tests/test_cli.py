@@ -105,13 +105,15 @@ class TestIngest:
         stats = json.loads((out / "corpus_stats.json").read_text())
         assert stats["generic_fixed"] == 2
 
-    def test_empty_corpus_exits_2(self, tmp_path):
+    def test_empty_corpus_exits_2(self, tmp_path, capsys):
         reactions = tmp_path / "empty.tsv"
         reactions.write_text("# nothing here\n", encoding="utf-8")
         assert main([
             "ingest", "--reactions", str(reactions),
             "--out-dir", str(tmp_path / "out"),
         ]) == EXIT_EMPTY
+        err = capsys.readouterr().err
+        assert err == f"ingest: reactions file {reactions} holds no usable reactions\n"
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main([
@@ -179,8 +181,7 @@ class TestIngest:
 
 
 class TestAugment:
-    def test_zero_templates_exits_2(self, corpus_files, staged, tmp_path):
-        directory, _, _, _ = corpus_files
+    def test_zero_templates_exits_2(self, staged, tmp_path, capsys):
         empty = tmp_path / "templates.tsv"
         empty.write_text("# no rows\n", encoding="utf-8")
         assert main([
@@ -189,6 +190,7 @@ class TestAugment:
             "--templates", str(empty),
             "--out-dir", str(tmp_path / "out"),
         ]) == EXIT_EMPTY
+        assert capsys.readouterr().err == f"augment: template file {empty} holds no templates\n"
 
     def test_repeated_template_id_exits_1_naming_file_and_line(
         self, corpus_files, staged, tmp_path, capsys
@@ -367,13 +369,26 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {data}: {message}\n"
         assert not weights.exists()
 
-    def test_width_mismatch_exits_2(self, staged):
+    def test_width_mismatch_exits_2(self, staged, capsys):
+        data = staged / "augment" / "onestep_train.tsv"
         assert main([
-            "train", "--model", "nn2pr",
-            "--data", str(staged / "augment" / "onestep_train.tsv"),
-            "--out", str(staged / "bad.weights"),
-            "--epochs", "1",
+            "train", "--model", "nn2pr", "--data", str(data),
+            "--out", str(staged / "bad.weights"), "--epochs", "1",
         ]) == EXIT_EMPTY
+        assert capsys.readouterr().err == (
+            f"train: {data}: feature width 1024 does not match nn2pr input width 1536\n"
+        )
+        assert not (staged / "bad.weights").exists()
+
+    def test_empty_dataset_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.tsv"
+        data.write_text("# label\tgroup\ttarget\tprecursors\tweight\n", encoding="utf-8")
+        weights = tmp_path / "out.weights"
+        assert main([
+            "train", "--model", "nn1pr", "--data", str(data), "--out", str(weights),
+        ]) == EXIT_EMPTY
+        assert capsys.readouterr().err == f"train: training data {data} holds no rows\n"
+        assert not weights.exists()
 
     def test_history_has_one_row_per_epoch(self, staged):
         lines = (staged / "nn1_history.csv").read_text().splitlines()
@@ -474,6 +489,17 @@ class TestEval:
         assert capsys.readouterr().err == f"error: {data}: {message}\n"
         assert not report.exists()
 
+    def test_empty_dataset_exits_2(self, staged, tmp_path, capsys):
+        data = tmp_path / "data.tsv"
+        data.write_text("", encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main([
+            "eval", "--weights", str(staged / "nn1.weights"),
+            "--data", str(data), "--out", str(report),
+        ]) == EXIT_EMPTY
+        assert capsys.readouterr().err == f"eval: test data {data} holds no rows\n"
+        assert not report.exists()
+
 
 class TestRetro:
     def test_search_report(self, corpus_files, staged, tmp_path):
@@ -496,6 +522,17 @@ class TestRetro:
         assert payload["gold_ranks"][0]["found"] is True
         assert payload["pathways"]
         assert (tmp_path / "paths.tsv").exists()
+
+    def test_zero_templates_exits_2(self, staged, tmp_path, capsys):
+        empty = tmp_path / "templates.tsv"
+        empty.write_text("# template_id\tdirection\tdiameter\tec_numbers\tsmarts\n",
+                         encoding="utf-8")
+        assert main([
+            "retro", "--target", "OCCCO", "--templates", str(empty),
+            "--nn1", str(staged / "nn1.weights"), "--out", str(tmp_path / "r.json"),
+        ]) == EXIT_EMPTY
+        assert capsys.readouterr().err == f"retro: template file {empty} holds no templates\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_unparsable_target_exits_1(self, corpus_files, staged, tmp_path):
         _, _, _, templates = corpus_files

@@ -2,11 +2,17 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import retrobio.fingerprint
 import retrobio.pattern
 from retrobio import dataset as ds
-from retrobio.molgraph import canonicalize, parse_smiles
+from retrobio.fingerprint import Fingerprinter
+from retrobio.molgraph import atom_words, canonicalize, parse_smiles
 from retrobio.pattern import enumerate_precursors, parse_smarts_template
+
+from conftest import molecules
 
 ALDEHYDE = parse_smarts_template(
     "[C:1]([H])([H:2])[O:3][H]>>[C:1]([H:2])=[O:3]",
@@ -190,15 +196,139 @@ class TestAugmentation:
         four = ds.augment_negatives(positives, templates, max_workers=4)
         assert one == four
 
-    def test_disjoint_product_flagging(self):
+    def test_disjoint_product_flagging(self, fallback_keys):
+        # "O" shares no atom word with "CCCCCCCC", so the fingerprint
+        # fallback decides it, and it alone.
         monos = [
             ds.MonoProductReaction("keep", (), ("CC=O",), "CCO"),
             ds.MonoProductReaction("flag", (), ("CCCCCCCC",), "O"),
         ]
         stats = ds.CorpusStats()
         flagged = ds.flag_disjoint_products(monos, stats)
-        assert flagged == ["flag"]
+        assert flagged == ["flag"] == fingerprint_flags(monos)
         assert stats.disjoint_product_reactions == 1
+        assert not shares_a_word("O", ("CCCCCCCC",))
+        assert sorted(fallback_keys) == ["CCCCCCCC", "O"]
+
+
+def fingerprint_flags(monos):
+    """Ids of the mono reactions whose product fingerprint shares no bit
+    with its OR-ed reactant fingerprints, every reaction fingerprinted: the
+    reference for the word prefilter."""
+    fp = Fingerprinter()
+    fp.memoize((k, None) for m in monos for k in (m.product_key, *m.reactant_keys))
+    return [
+        m.parent_id for m in monos
+        if fp.of_key(m.product_key).bits & fp.of_keys(m.reactant_keys).bits == 0
+    ]
+
+
+def flags_and_count(monos):
+    stats = ds.CorpusStats()
+    flagged = ds.flag_disjoint_products(monos, stats)
+    return flagged, stats.disjoint_product_reactions
+
+
+def shares_a_word(product, reactants):
+    words = {w for key in reactants for w in atom_words(parse_smiles(key))}
+    return not words.isdisjoint(atom_words(parse_smiles(product)))
+
+
+class CountingFingerprinter(Fingerprinter):
+    """Records every key the prefilter hands to the fingerprint fallback."""
+
+    keys: list[str] = []
+
+    def memoize(self, pairs):
+        pairs = list(pairs)
+        type(self).keys += [key for key, _ in pairs]
+        super().memoize(pairs)
+
+
+@pytest.fixture
+def fallback_keys(monkeypatch):
+    monkeypatch.setattr(CountingFingerprinter, "keys", [])
+    monkeypatch.setattr(retrobio.fingerprint, "Fingerprinter", CountingFingerprinter)
+    return CountingFingerprinter.keys
+
+
+# Small molecules with no carbon, and carbon-only ones: no word of one kind
+# is a word of the other.
+NO_CARBON = ["O", "N", "S", "P", "F", "Cl", "Br", "I", "OO", "NN", "N#N", "O=O", "NO",
+             "N=O", "SS", "[O-]", "[NH4+]", "ClCl", "BrBr", "FF", "II", "OS", "[H][H]"]
+CARBON_ONLY = ["C" * n for n in range(1, 13)] + [
+    "C=C", "C#C", "CC(C)C", "CC(C)(C)C", "C1CC1", "C1CCCCC1", "c1ccccc1", "C=CC=C",
+]
+
+
+def collision_pair():
+    """The first word-disjoint (reactant, product) pair whose 512-bit
+    fingerprints still share a bit."""
+    fp = Fingerprinter()
+    for reactant in CARBON_ONLY:
+        for product in NO_CARBON:
+            if fp.of_key(reactant).bits & fp.of_key(product).bits:
+                return reactant, product
+    raise AssertionError("no colliding pair among the small molecules")
+
+
+@st.composite
+def mono_reactions(draw):
+    """Mono reactions over drawn C/N/O molecules and the small fixed
+    molecules above, so that both shared and disjoint words occur."""
+    key = st.one_of(
+        molecules(max_heavy=4).map(canonicalize),
+        st.sampled_from([canonicalize(parse_smiles(s)) for s in NO_CARBON + CARBON_ONLY]),
+    )
+    monos = []
+    for i in range(draw(st.integers(1, 6))):
+        reactants = tuple(sorted(draw(st.lists(key, min_size=1, max_size=3))))
+        monos.append(ds.MonoProductReaction(f"r{i}", (), reactants, draw(key)))
+    return monos
+
+
+class TestDisjointProducts:
+    """The atom-word prefilter flags exactly what fingerprinting every
+    reaction flags."""
+
+    def test_decided_by_words_fingerprints_nothing(self, fallback_keys):
+        monos = [ds.MonoProductReaction("keep", (), ("CC=O",), "CCO")]
+        assert shares_a_word("CCO", ("CC=O",))
+        assert flags_and_count(monos) == ([], 0) == (fingerprint_flags(monos), 0)
+        assert fallback_keys == []
+
+    def test_word_disjoint_bit_collision_is_not_flagged(self, fallback_keys):
+        reactant, product = collision_pair()
+        assert not shares_a_word(product, (reactant,))
+        monos = [ds.MonoProductReaction("collide", (), (reactant,), product)]
+        assert flags_and_count(monos) == ([], 0)
+        assert fingerprint_flags(monos) == []
+        assert sorted(fallback_keys) == sorted([reactant, product])
+
+    @pytest.mark.parametrize("max_length", [5, 8, 9])
+    def test_synthetic_corpus(self, max_length):
+        from synthdata import build_corpus
+
+        _, _, positives, _ = build_corpus(max_length)
+        flagged = fingerprint_flags(positives)
+        assert flags_and_count(positives) == (flagged, len(flagged))
+
+    def test_golden_ingest_corpus(self):
+        from make_golden import GOLDEN
+
+        rows = ds.read_reactions_tsv(GOLDEN / "ingest" / "mono_reactions.tsv")
+        monos = [
+            ds.MonoProductReaction(r.reaction_id, r.ec_numbers, r.reactants, r.products[0])
+            for r in rows
+        ]
+        assert flags_and_count(monos) == (["r06", "r09"], 2)
+        assert fingerprint_flags(monos) == ["r06", "r09"]
+
+    @given(mono_reactions())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_reactions(self, monos):
+        flagged = fingerprint_flags(monos)
+        assert flags_and_count(monos) == (flagged, len(flagged))
 
 
 def fresh_memo_per_call(target, templates, keys_of=None):

@@ -18,7 +18,14 @@ from retrobio.fingerprint import (
     tanimoto,
     tversky,
 )
-from retrobio.molgraph import Atom, Bond, MolecularGraph, parse_smiles
+from retrobio.molgraph import (
+    ELEMENT_NUMBER,
+    Atom,
+    Bond,
+    MolecularGraph,
+    atom_words,
+    parse_smiles,
+)
 
 from conftest import molecules, permute_graph
 
@@ -90,7 +97,7 @@ class TestMoleculeFingerprint:
 
 def atom_invariant_word(mol, idx: int) -> int:
     atom = mol.atoms[idx]
-    number = fingerprint._ELEMENT_NUMBER.get(atom.element, 0)
+    number = ELEMENT_NUMBER.get(atom.element, 0)
     return (
         number
         | (min(mol.degree(idx), 15) << 8)
@@ -150,6 +157,23 @@ def graphs(draw):
         bonds += [Bond(b.a + len(atoms), b.b + len(atoms), b.order) for b in part.bonds]
         atoms += part.atoms
     return MolecularGraph(tuple(atoms), tuple(bonds))
+
+
+class TestAtomWords:
+    """``molgraph.atom_words`` is the documented invariant word, and it alone
+    sets each atom's r=0 bit, so a shared word means a shared bit."""
+
+    @given(graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_documented_word(self, mol):
+        assert atom_words(mol) == [atom_invariant_word(mol, i) for i in range(len(mol.atoms))]
+
+    @given(graphs(), st.integers(0, 3), st.sampled_from([8, 512]))
+    @settings(max_examples=100, deadline=None)
+    def test_every_word_sets_its_bit_at_any_radius(self, mol, radius, width):
+        bits = molecule_fingerprint(mol, width, radius).bits
+        for word in atom_words(mol):
+            assert bits >> (hash_words([word]) % width) & 1
 
 
 class TestBallGrowthDepth:

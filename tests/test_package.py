@@ -1,6 +1,7 @@
 """The package's public names and what each command loads."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -57,9 +58,16 @@ class TestExports:
         assert retrobio.__version__ == "0.1.0"
 
 
-def test_augment_loads_no_numpy(tmp_path):
-    # A fresh interpreter, since this one has loaded every module already.
-    reactions, pathways, templates = write_corpus_files(tmp_path / "corpus", max_length=5)
+NUMPY_BACKED = {
+    "numpy", "retrobio.fingerprint", "retrobio.neural", "retrobio.ranking",
+    "retrobio.pipeline",
+}
+
+
+def modules_loaded_by(argv, directory):
+    """The modules a fresh interpreter has loaded after running the command
+    ``argv``, which must exit 0; this interpreter has loaded every module
+    already."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
     child = (
@@ -69,22 +77,38 @@ def test_augment_loads_no_numpy(tmp_path):
         "open(sys.argv[1], 'w').write('\\n'.join(sorted(sys.modules)))\n"
         "sys.exit(code)\n"
     )
-    modules = tmp_path / "modules.txt"
+    modules = directory / "modules.txt"
     done = subprocess.run(
-        [
-            sys.executable, "-c", child, str(modules), "augment",
-            "--corpus", str(reactions), "--templates", str(templates),
-            "--pathways", str(pathways), "--out-dir", str(tmp_path / "out"),
-            "--threads", "2",
-        ],
+        [sys.executable, "-c", child, str(modules), *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    loaded = set(modules.read_text().split())
+    return set(modules.read_text().split())
+
+
+def test_augment_loads_no_numpy(tmp_path):
+    reactions, pathways, templates = write_corpus_files(tmp_path / "corpus", max_length=5)
+    loaded = modules_loaded_by(
+        [
+            "augment", "--corpus", reactions, "--templates", templates,
+            "--pathways", pathways, "--out-dir", tmp_path / "out", "--threads", "2",
+        ],
+        tmp_path,
+    )
     assert {"retrobio.cli", "retrobio.dataset", "retrobio.pattern"} <= loaded
-    numpy_backed = {
-        "numpy", "retrobio.fingerprint", "retrobio.neural", "retrobio.ranking",
-        "retrobio.pipeline",
-    }
-    assert not numpy_backed & loaded
+    assert not NUMPY_BACKED & loaded
     assert (tmp_path / "out" / "onestep_train.tsv").is_file()
+
+
+def test_ingest_of_word_sharing_products_loads_no_numpy(tmp_path):
+    # Every product of the synthetic corpus shares an atom word with its
+    # reactants, so no reaction needs a fingerprint.
+    reactions, _, _ = write_corpus_files(tmp_path / "corpus", max_length=5)
+    loaded = modules_loaded_by(
+        ["ingest", "--reactions", reactions, "--out-dir", tmp_path / "out"], tmp_path
+    )
+    assert {"retrobio.cli", "retrobio.dataset", "retrobio.molgraph"} <= loaded
+    assert not NUMPY_BACKED & loaded
+    stats = json.loads((tmp_path / "out" / "corpus_stats.json").read_text())
+    assert stats["disjoint_product_reactions"] == 0
+    assert stats["mono_reactions"] > 0
