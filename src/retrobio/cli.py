@@ -37,6 +37,11 @@ class CliError(ValueError):
     """An input error: ``main`` prints it and exits 1."""
 
 
+class EmptyResult(Exception):
+    """An empty or degenerate input: ``main`` prints it after the command's
+    name and exits 2."""
+
+
 _MODELS = ("nn1pr", "nn2pr")
 
 
@@ -130,7 +135,7 @@ file formats (all TSV files are UTF-8 with '#' comment lines):
   compounds:   compound_id  raw_smiles|UNRESOLVED
   templates:   template_id  direction(bwd)  diameter  ec_numbers(';')  smarts
   pathways:    pathway_id   reaction_ids(';', ordered from the final target)
-  datasets:    label(positive|negative)  group_key  target  precursors(steps ';',
+  datasets:    label(positive|negative)  group_key  target  precursors(1 or 2 steps ';',
                molecules '.')  weight(finite, >= 0)
   stop set:    one SMILES per line
   gold:        product_smiles  precursor_smiles('.')  -- one row per backward step
@@ -224,6 +229,13 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _load_templates(path: str) -> list:
+    templates = load_templates(_require_file(path, "template file"))
+    if not templates:
+        raise EmptyResult(f"template file {path} holds no templates")
+    return templates
+
+
 def _write_mono_tsv(path: Path, monos: list[ds.MonoProductReaction]) -> None:
     # The parent reaction id is kept verbatim (children of one parent share
     # it) so pathway files can still reference their reactions.
@@ -260,19 +272,13 @@ def cmd_ingest(options: dict) -> int:
         f"{stats.unique_products} unique products"
     )
     if not monos:
-        path = options["reactions"]
-        print(f"ingest: reactions file {path} holds no usable reactions", file=sys.stderr)
-        return EXIT_EMPTY
+        raise EmptyResult(f"reactions file {options['reactions']} holds no usable reactions")
     return EXIT_OK
 
 
 def cmd_augment(options: dict) -> int:
     corpus = ds.read_reactions_tsv(_require_file(options["corpus"], "corpus file"))
-    templates = load_templates(_require_file(options["templates"], "template file"))
-    if not templates:
-        path = options["templates"]
-        print(f"augment: template file {path} holds no templates", file=sys.stderr)
-        return EXIT_EMPTY
+    templates = _load_templates(options["templates"])
     usable, stats = ds.clean_reactions(corpus, [])
     positives = ds.split_mono_product(usable, stats)
     negatives = ds.augment_negatives(
@@ -327,18 +333,15 @@ def cmd_train(options: dict) -> int:
     data = _require_file(options["data"], "training data")
     rows = ds.read_examples_tsv(data)
     if not rows:
-        print(f"train: training data {data} holds no rows", file=sys.stderr)
-        return EXIT_EMPTY
+        raise EmptyResult(f"training data {data} holds no rows")
     with ds.naming_dataset(data):
         features, labels, weights = ds.features_for(rows)
     expected = _model_width(model_name)
     if features.shape[1] != expected:
-        print(
-            f"train: {data}: feature width {features.shape[1]} does not match "
-            f"{model_name} input width {expected}",
-            file=sys.stderr,
+        raise EmptyResult(
+            f"{data}: feature width {features.shape[1]} does not match "
+            f"{model_name} input width {expected}"
         )
-        return EXIT_EMPTY
     pos_weight = options["pos_weight"]
     if pos_weight == "auto":
         n_pos = int(labels.sum())
@@ -403,8 +406,7 @@ def cmd_eval(options: dict) -> int:
     data = _require_file(options["data"], "test data")
     rows = ds.read_examples_tsv(data)
     if not rows:
-        print(f"eval: test data {data} holds no rows", file=sys.stderr)
-        return EXIT_EMPTY
+        raise EmptyResult(f"test data {data} holds no rows")
     kind = next((name for name in _MODELS if _model_width(name) == model.input_dim), None)
     if kind is None:
         raise CliError(f"{options['weights']}: unexpected input width {model.input_dim}")
@@ -447,11 +449,7 @@ def _read_gold_tsv(path: str) -> list[tuple[str, tuple[str, ...]]]:
 def cmd_retro(options: dict) -> int:
     from .pipeline import SearchConfig, run_retro
 
-    templates = load_templates(_require_file(options["templates"], "template file"))
-    if not templates:
-        path = options["templates"]
-        print(f"retro: template file {path} holds no templates", file=sys.stderr)
-        return EXIT_EMPTY
+    templates = _load_templates(options["templates"])
     nn1 = _load_model(options["nn1"], "nn1 weight file", _model_width("nn1pr"))
     nn2 = (
         _load_model(options["nn2"], "nn2 weight file", _model_width("nn2pr"))
@@ -462,9 +460,7 @@ def cmd_retro(options: dict) -> int:
     if options["stop_set"]:
         stop_set = _read_stop_set(_require_file(options["stop_set"], "stop-set file"))
         if not stop_set:
-            path = options["stop_set"]
-            print(f"retro: stop-set file {path} holds no SMILES", file=sys.stderr)
-            return EXIT_EMPTY
+            raise EmptyResult(f"stop-set file {options['stop_set']} holds no SMILES")
     gold = (
         _read_gold_tsv(_require_file(options["gold"], "gold pathway file"))
         if options["gold"]
@@ -520,6 +516,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         options = _resolve_options(args)
         return _COMMANDS[args.command](options)
+    except EmptyResult as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_EMPTY
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

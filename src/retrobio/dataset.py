@@ -301,16 +301,13 @@ def flag_disjoint_products(
     if undecided:
         from .fingerprint import Fingerprinter
 
-        fp = Fingerprinter()
-        fp.memoize(
-            (key, None) for mono in undecided
-            for key in (mono.product_key, *mono.reactant_keys)
+        features = Fingerprinter().features(
+            [((mono.product_key,), mono.reactant_keys) for mono in undecided]
         )
-        for mono in undecided:
-            product_bits = fp.of_key(mono.product_key).bits
-            reactant_bits = fp.of_keys(mono.reactant_keys).bits
-            if product_bits & reactant_bits == 0:
-                flagged.append(mono.parent_id)
+        flagged = [
+            mono.parent_id for mono, f in zip(undecided, features)
+            if f.block(0).bits & f.block(1).bits == 0
+        ]
     stats.disjoint_product_reactions = len(flagged)
     return flagged
 
@@ -574,6 +571,8 @@ def _dataset_row(label, group_key, target, precursors, weight) -> DatasetRow:
     steps = tuple(_pieces(step, ".") for step in precursors.split(";"))
     if not all(steps):
         raise ValueError(f"empty precursor step in {precursors!r}")
+    if len(steps) > 2:
+        raise ValueError(f"{len(steps)} precursor steps in {precursors!r}, at most 2 are scored")
     value = float(weight)
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"weight must be finite and at least 0, got {weight!r}")
@@ -582,8 +581,8 @@ def _dataset_row(label, group_key, target, precursors, weight) -> DatasetRow:
 
 def read_examples_tsv(path) -> list[DatasetRow]:
     """Rows as written by write_examples_tsv; a bad label, an empty target
-    or step, or a weight that is not finite or is negative raises
-    ValueError naming path:line."""
+    or step, more than two steps, or a weight that is not finite or is
+    negative raises ValueError naming path:line."""
     return read_tsv(path, 5, _dataset_row)
 
 
@@ -616,14 +615,11 @@ def features_for(rows: list[DatasetRow]):
         raise ValueError("mixed one-step and two-step rows in one dataset")
     import numpy as np
 
-    from .fingerprint import Fingerprinter, pack_features, reaction_feature
+    from .fingerprint import Fingerprinter, pack_features
 
-    fp = Fingerprinter()
-    fp.memoize((key, None) for row in rows for key in row.molecule_keys)
-    packed = pack_features([
-        reaction_feature(fp.of_key(row.target_key), [fp.of_keys(step) for step in row.steps])
-        for row in rows
-    ])
+    packed = pack_features(
+        Fingerprinter().features([((row.target_key,), *row.steps) for row in rows])
+    )
     features = np.unpackbits(packed, axis=1, bitorder="little").astype(np.float32)
     labels = np.array(
         [1.0 if row.is_positive else 0.0 for row in rows], dtype=np.float32

@@ -36,8 +36,9 @@ against.
 
 Reaction feature vectors concatenate the target block first, then one block
 per precursor step (1024 bits for one step, 1536 for two at the default
-512-bit molecule width). Multi-molecule precursor sets are OR-combined into
-a single block before concatenation.
+512-bit molecule width). ``Fingerprinter.features`` is where both rules of a
+ranker row live: the row layout (each group of keys OR-combined into one
+block) and the batching (every key of the call fingerprinted in one batch).
 """
 
 from __future__ import annotations
@@ -247,6 +248,8 @@ def combine_fingerprints(fps: Sequence[Fingerprint]) -> Fingerprint:
     """OR a non-empty group of equal-width fingerprints into one block."""
     if not fps:
         raise ValueError("cannot combine an empty fingerprint group")
+    if len(fps) == 1:  # a Fingerprint is immutable, so it is its own block
+        return fps[0]
     width = fps[0].width
     bits = 0
     for fp in fps:
@@ -333,11 +336,8 @@ def tversky(a: Fingerprint, b: Fingerprint, alpha: float, beta: float) -> float:
 class Fingerprinter:
     """Memoizing fingerprint factory keyed by canonical SMILES, at the
     default 512-bit width and radius 2. The memo lives in memory only.
-
-    A batch of one molecule costs about twice the time of the scalar rule
-    while a large batch costs a fraction of it, so a caller ``memoize``s
-    every key it is about to read in one batch, and ``of_key`` and
-    ``of_keys`` then read the memo."""
+    ``features`` builds ranker rows; a caller that already holds graphs
+    hands them to ``memoize`` first, so their keys are not parsed again."""
 
     def __init__(self):
         self._cache: dict[str, Fingerprint] = {}
@@ -364,3 +364,20 @@ class Fingerprinter:
     def of_keys(self, keys: Sequence[str]) -> Fingerprint:
         """OR-combined block for a molecule set."""
         return combine_fingerprints([self.of_key(k) for k in keys])
+
+    def features(
+        self, rows: Sequence[Sequence[Sequence[str]]]
+    ) -> list[ReactionFeature]:
+        """One ``reaction_feature`` per row, in order. A row is a sequence
+        of two or three key groups, each OR-combined into one block: the
+        first group's block first, then one per later group, so a ranker
+        row is ``((target,), *steps)``.
+
+        A batch of one molecule costs about twice the time of the scalar
+        rule while a large batch costs a fraction of it, so every key of
+        ``rows`` that the memo lacks is fingerprinted first, in one batch."""
+        self.memoize((key, None) for row in rows for group in row for key in group)
+        return [
+            reaction_feature(self.of_keys(row[0]), [self.of_keys(group) for group in row[1:]])
+            for row in rows
+        ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fingerprint import Fingerprinter, reaction_feature
+from .fingerprint import Fingerprinter
 from .molgraph import MolecularGraph, _without_map_indices, canonicalize, parse_smiles
 from .pattern import CandidatePrecursor, ReactionTemplate, enumerate_precursors
 from .ranking import rank_candidates, score_nn1, score_nn2
@@ -205,13 +205,9 @@ def expand_level(
             )
             candidates.append((child, main in ancestor_keys))
     fingerprinter.memoize(graphs.items())
-    features = [
-        reaction_feature(
-            fingerprinter.of_key(child.parent.molecule_key),
-            [fingerprinter.of_keys(child.precursor_keys)],
-        )
-        for child, _ in candidates
-    ]
+    features = fingerprinter.features(
+        [((child.parent.molecule_key,), child.precursor_keys) for child, _ in candidates]
+    )
     scores = score_nn1(nn1, features).tolist() if features else []
     children: list[SearchNode] = []
     for (child, cycle), score in zip(candidates, scores):
@@ -240,14 +236,10 @@ def rank_level(
     if not children:
         return []
     if nn2 is not None and children[0].depth >= 2:
-        fp = fingerprinter
-        features = [
-            reaction_feature(
-                fp.of_key(c.parent.parent.molecule_key),
-                [fp.of_keys(c.parent.precursor_keys), fp.of_keys(c.precursor_keys)],
-            )
+        features = fingerprinter.features([
+            ((c.parent.parent.molecule_key,), c.parent.precursor_keys, c.precursor_keys)
             for c in children
-        ]
+        ])
         for child, score in zip(children, score_nn2(nn2, features).tolist()):
             child.nn2_score = score
         ranked = rank_candidates([(c, c.nn2_score) for c in children])
@@ -391,9 +383,10 @@ def gold_step_ranks(
                 [(product_key, product_mol)]
                 + [pair for c in candidates for pair in zip(c.precursor_keys, c.precursors)]
             )
-            target_fp = fingerprinter.of_key(product_key)
-            blocks = [fingerprinter.of_keys(c.precursor_keys) for c in candidates]
-            scores = score_nn1(nn1, [reaction_feature(target_fp, [b]) for b in blocks]).tolist()
+            features = fingerprinter.features(
+                [((product_key,), c.precursor_keys) for c in candidates]
+            )
+            scores = score_nn1(nn1, features).tolist()
             for rc in rank_candidates(list(zip(candidates, scores))):
                 if rc.candidate.precursor_keys == gold_key:
                     entry["found"] = True

@@ -28,7 +28,6 @@ from .fingerprint import (
     ReactionFeature,
     combine_fingerprints,
     pack_features,
-    reaction_feature,
     tanimoto,
 )
 from .neural import MlpModel, forward
@@ -166,35 +165,25 @@ def row_scorer(kind: str, fingerprinter: Fingerprinter, model: MlpModel | None =
     combined, and the one-step model scores the most recent step (the
     [step1 || step2] pair), using no information about the target.
     """
-    fp = fingerprinter
-
-    def blocks(row: DatasetRow) -> list[Fingerprint]:
-        return [fp.of_keys(step) for step in row.steps]
-
-    def fingerprinted(rows: list[DatasetRow]) -> list[DatasetRow]:
-        fp.memoize((key, None) for row in rows for key in row.molecule_keys)
-        return rows
-
     if kind == "baseline":
         return lambda rows: [
-            score_baseline(fp.of_key(row.target_key), blocks(row))
-            for row in fingerprinted(rows)
+            score_baseline(f.block(0), [f.block(k) for k in range(1, f.blocks)])
+            for f in fingerprinter.features([((row.target_key,), *row.steps) for row in rows])
         ]
     if kind not in ("nn1pr", "nn2pr"):
         raise ValueError(f"unknown scorer kind {kind!r}")
     if model is None:
         raise ValueError(f"{kind} scorer needs a model")
 
-    def feature(row: DatasetRow) -> ReactionFeature:
-        b = blocks(row)
-        if kind == "nn2pr" and len(b) != 2:
+    def feature_row(row: DatasetRow) -> tuple:
+        if kind == "nn2pr" and len(row.steps) != 2:
             raise ValueError("nn2pr scores two-step rows only")
-        if kind == "nn1pr" and len(b) != 1:
-            return reaction_feature(b[0], [b[1]])
-        return reaction_feature(fp.of_key(row.target_key), b)
+        if kind == "nn1pr" and len(row.steps) != 1:
+            return row.steps
+        return ((row.target_key,), *row.steps)
 
     score = score_nn1 if kind == "nn1pr" else score_nn2
-    return lambda rows: score(model, [feature(row) for row in fingerprinted(rows)])
+    return lambda rows: score(model, fingerprinter.features([feature_row(row) for row in rows]))
 
 
 def evaluate_ranking(

@@ -2,7 +2,7 @@
 
 Every file is plain text computed from ``tests/synthdata.py`` and a
 fixed-seed ``random.Random`` graph builder, so a diff shows exactly which
-string moved. Nothing here depends on BLAS: no weights, no scores.
+string moved. Nothing here depends on BLAS: no file holds a weight or a score.
 
 - ``canonical_keys.tsv``: canonical SMILES of the corpus molecules, of
   rings, cages and ``C(CO)(CO)`` repeats, of random graphs and of permuted
@@ -19,7 +19,12 @@ string moved. Nothing here depends on BLAS: no weights, no scores.
   ``INGEST_REACTIONS`` and ``INGEST_COMPOUNDS`` below, which reach every
   cleaning rule: compound-table ids, ``UNRESOLVED`` and unfixable entries,
   generic ``X``/``R``/``R#`` symbols in both files, merged duplicates,
-  partial and whole-side loss, a multi-product split and a disjoint product.
+  partial and whole-side loss, a multi-product split and a disjoint product;
+- ``search_levels.tsv``: the candidates each level of a 2-step search of
+  ``SEARCH_TARGET`` keeps under ``make_templates()``, sorted. The beam is
+  unbounded and the prune threshold 0, which no sigmoid score falls below,
+  so the sets do not depend on the seeded random one-step model that
+  scores them, and the file holds no scores.
 
 ``tests/test_golden.py`` recomputes each file and compares. Regenerating
 them is a declared re-baseline:
@@ -33,8 +38,10 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from retrobio.cli import main
-from retrobio.fingerprint import molecule_fingerprints
+from retrobio.fingerprint import Fingerprinter, molecule_fingerprints
 from retrobio.molgraph import (
     DOUBLE,
     SINGLE,
@@ -47,7 +54,9 @@ from retrobio.molgraph import (
     parse_smiles,
     write_smiles,
 )
+from retrobio.neural import initialize, nn1pr_spec
 from retrobio.pattern import enumerate_precursors
+from retrobio.pipeline import SearchConfig, SearchNode, expand_level, rank_level
 from synthdata import build_corpus, make_templates, skeleton_smiles, write_corpus_files
 
 HERE = Path(__file__).resolve().parent
@@ -263,6 +272,34 @@ def ingest_outputs(work: Path) -> dict[str, str]:
     }
 
 
+SEARCH_TARGET = "OCCCC(C)CCCC"
+
+
+def search_levels(seed: int = SEED) -> str:
+    """depth, product and precursor keys of every candidate each level of
+    the search keeps, a level's lines sorted; ``run_retro``'s level loop,
+    scored by a one-step model drawn from ``seed``."""
+    templates = make_templates()
+    nn1 = initialize(nn1pr_spec(), np.random.default_rng(seed))
+    config = SearchConfig(max_steps=2, beam_width=10**9, prune_threshold=0.0)
+    fingerprinter = Fingerprinter()
+    target = parse_smiles(SEARCH_TARGET)
+    frontier = [SearchNode(canonicalize(target), (), 0, 1.0, None, molecule=target)]
+    lines = ["# depth\tproduct\tprecursor_keys"]
+    nodes_made = 0
+    for depth in range(1, config.max_steps + 1):
+        children, stats = expand_level(
+            frontier, templates, nn1, config, fingerprinter, nodes_made
+        )
+        nodes_made += stats["generated"]
+        frontier = rank_level(children, None, config, fingerprinter)
+        lines += sorted(
+            f"{depth}\t{node.parent.molecule_key}\t{'.'.join(node.precursor_keys)}"
+            for node in frontier
+        )
+    return "\n".join(lines) + "\n"
+
+
 def golden_files(work: Path) -> dict[str, str]:
     """Every golden file's path under ``tests/golden`` and its text."""
     keys_text, keys = canonical_keys()
@@ -273,6 +310,7 @@ def golden_files(work: Path) -> dict[str, str]:
         "fingerprints.tsv": fingerprints(keys + precursor_keys),
         **augment_outputs(work),
         **ingest_outputs(work / "ingest"),
+        "search_levels.tsv": search_levels(),
     }
 
 

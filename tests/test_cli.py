@@ -27,8 +27,10 @@ BAD_ROWS = pytest.mark.parametrize(
         "positive\tg\t\tCC=O\t1",
         "positive\tg\tCCxO\tCC=O\t1",
         "positive\tg\tCCO\tCC=O.C(C\t1",
+        # The one-step model would score its first two steps, dropping one.
+        "positive\tg\tCCO\tCC=O;CC(=O)O;CC(=O)OC\t1",
     ],
-    ids=["nan weight", "empty target", "bad target", "bad precursor"],
+    ids=["nan weight", "empty target", "bad target", "bad precursor", "three steps"],
 )
 
 

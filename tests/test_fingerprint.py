@@ -373,3 +373,59 @@ class TestReactionFeature:
         fps = [Fingerprint(0b01, 16), Fingerprint(0b10, 16)]
         assert combine_fingerprints(fps).bits == 0b11
 
+
+
+class TestFingerprinterFeatures:
+    TARGETS = ["CCO", "CCCO", "OCC(C)C"]
+    STEPS = [("CC=O",), ("CC(=O)O", "O"), ("c1ccccc1", "C.N", "[H][H]")]
+
+    @staticmethod
+    def reference(row):
+        """The row's feature from batches of one, without a memo."""
+        blocks = [
+            combine_fingerprints([molecule_fingerprint(parse_smiles(k)) for k in group])
+            for group in row
+        ]
+        return reaction_feature(blocks[0], blocks[1:])
+
+    def rows(self):
+        one_step = [((t,), s) for t in self.TARGETS for s in self.STEPS]
+        two_step = [((t,), s1, s2) for t in self.TARGETS for s1 in self.STEPS
+                    for s2 in self.STEPS]
+        step_pairs = [(s1, s2) for s1 in self.STEPS for s2 in self.STEPS]
+        return one_step, two_step, step_pairs
+
+    def test_rows_equal_hand_built_features(self):
+        for rows in self.rows():
+            features = fingerprint.Fingerprinter().features(rows)
+            assert features == [self.reference(row) for row in rows]
+        one_step, two_step, step_pairs = self.rows()
+        assert {f.width for f in fingerprint.Fingerprinter().features(one_step)} == {1024}
+        assert {f.width for f in fingerprint.Fingerprinter().features(two_step)} == {1536}
+        assert {f.width for f in fingerprint.Fingerprinter().features(step_pairs)} == {1024}
+
+    def test_memoized_and_missing_keys_give_the_same_bits(self):
+        one_step, two_step, step_pairs = self.rows()
+        rows = one_step + two_step + step_pairs
+        held = fingerprint.Fingerprinter()
+        held.memoize((k, None) for k in self.TARGETS[:2] + ["CC=O", "O", "C.N"])
+        assert held.features(rows) == fingerprint.Fingerprinter().features(rows)
+        # Everything is held now, so a second call reads the memo only.
+        assert held.features(rows) == [self.reference(row) for row in rows]
+
+    def test_one_batch_per_call(self, monkeypatch):
+        batches = []
+
+        def counting(mols, *args):
+            mols = list(mols)
+            batches.append(len(mols))
+            return molecule_fingerprints(mols, *args)
+
+        monkeypatch.setattr(fingerprint, "molecule_fingerprints", counting)
+        fp = fingerprint.Fingerprinter()
+        fp.memoize([("CCO", None)])
+        batches.clear()
+        one_step, two_step, step_pairs = self.rows()
+        fp.features(one_step + two_step + step_pairs)
+        distinct = {k for row in two_step for group in row for k in group}
+        assert batches == [len(distinct) - 1]

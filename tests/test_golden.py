@@ -7,7 +7,7 @@ is a declared re-baseline (see that module's docstring).
 
 import pytest
 
-from make_golden import GOLDEN, golden_files
+from make_golden import GOLDEN, golden_files, search_levels
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +39,9 @@ def test_every_generated_file_is_committed(computed):
     assert sorted(computed) == sorted(
         str(p.relative_to(GOLDEN)) for p in GOLDEN.rglob("*") if p.is_file()
     )
+
+
+def test_search_levels_do_not_depend_on_the_model(computed):
+    # The golden search prunes nothing and keeps every candidate, so another
+    # one-step model must keep the same candidates.
+    assert search_levels(seed=1) == computed["search_levels.tsv"]
