@@ -258,8 +258,7 @@ def cmd_ingest(options: dict) -> int:
         if options["compounds"]
         else []
     )
-    usable, stats = ds.clean_reactions(reactions, table_entries)
-    monos = ds.split_mono_product(usable, stats)
+    monos, stats = ds.clean_reactions(reactions, table_entries)
     ds.flag_disjoint_products(monos, stats)
     out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -279,8 +278,12 @@ def cmd_ingest(options: dict) -> int:
 def cmd_augment(options: dict) -> int:
     corpus = ds.read_reactions_tsv(_require_file(options["corpus"], "corpus file"))
     templates = _load_templates(options["templates"])
-    usable, stats = ds.clean_reactions(corpus, [])
-    positives = ds.split_mono_product(usable, stats)
+    pathways = None  # read, like every input, before the first output is written
+    if options["pathways"]:
+        pathways = ds.read_pathways_tsv(_require_file(options["pathways"], "pathways file"))
+    positives, stats = ds.clean_reactions(corpus, [])
+    if not positives:
+        raise EmptyResult(f"corpus file {options['corpus']} holds no usable reactions")
     negatives = ds.augment_negatives(
         positives, templates, max_workers=options["threads"], stats=stats
     )
@@ -295,10 +298,7 @@ def cmd_augment(options: dict) -> int:
     ds.write_examples_tsv(out_dir / "onestep_train.tsv", train_set)
     ds.write_examples_tsv(out_dir / "onestep_test.tsv", test_set)
 
-    if options["pathways"]:
-        pathways = ds.read_pathways_tsv(
-            _require_file(options["pathways"], "pathways file")
-        )
+    if pathways is not None:
         chains = ds.extract_chains(pathways, positives)
         negatives_by_product: dict[str, list[tuple[str, ...]]] = {}
         for neg in negatives:
@@ -412,6 +412,7 @@ def cmd_eval(options: dict) -> int:
         raise CliError(f"{options['weights']}: unexpected input width {model.input_dim}")
     fingerprinter = Fingerprinter()
     with ds.naming_dataset(data):
+        ds.require_uniform_steps(rows)
         units = group_rows(rows)
         model_report = evaluate_ranking(
             row_scorer(kind, fingerprinter, model), units, scorer_name=kind

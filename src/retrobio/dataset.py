@@ -2,12 +2,13 @@
 Corpus ingestion, cleaning and template-driven data augmentation.
 
 The pipeline mirrors how metabolic reaction corpora are prepared for the
-ranking models: every compound string, whether a compound-table entry or a
-raw SMILES token of a reaction, is repaired (generic atom symbols X -> Cl
-and R/R# -> C) and canonicalized by one function, and its repairs and
-losses are counted in one CorpusStats per command. Reactions drop unresolved
-compounds and die when a whole side vanishes, multi-product reactions are
-split into mono-product children, and negative examples are generated by
+ranking models. One function, clean_reactions, turns raw reactions into the
+mono-product corpus: every compound string, whether a compound-table entry
+or a raw SMILES token of a reaction, is repaired (generic atom symbols
+X -> Cl and R/R# -> C) and canonicalized, reactions drop unresolved
+compounds and die when a whole side vanishes, canonical duplicates merge,
+and each reaction is split into one child per product; its repairs and
+losses are counted in one CorpusStats. Negative examples are generated by
 applying the full template set to every unique product and removing
 anything that is actually a known positive (the strict check).
 
@@ -37,14 +38,11 @@ __all__ = [
     "Unfixable",
     "CleanedCompound",
     "RawReaction",
-    "ReactionRecord",
     "MonoProductReaction",
     "PathwayChain",
     "CorpusStats",
     "clean_compound",
-    "build_compound_table",
     "clean_reactions",
-    "split_mono_product",
     "flag_disjoint_products",
     "augment_negatives",
     "extract_chains",
@@ -55,8 +53,10 @@ __all__ = [
     "read_compounds_tsv",
     "read_pathways_tsv",
     "write_examples_tsv",
+    "DatasetRow",
     "read_examples_tsv",
     "naming_dataset",
+    "require_uniform_steps",
     "features_for",
 ]
 
@@ -80,14 +80,6 @@ class RawReaction:
     ec_numbers: tuple[str, ...]
     reactants: tuple[str, ...]  # compound ids or raw SMILES
     products: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ReactionRecord:
-    reaction_id: str
-    ec_numbers: tuple[str, ...]
-    reactant_keys: tuple[str, ...]  # sorted canonical SMILES multiset
-    product_keys: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -185,26 +177,20 @@ def _clean(raw: str, stats: CorpusStats) -> str | None:
     return cleaned.key
 
 
-def build_compound_table(
-    entries: list[tuple[str, str]], stats: CorpusStats
-) -> dict[str, str | None]:
-    """compound_id -> canonical key, or None for UNRESOLVED/unfixable."""
-    table: dict[str, str | None] = {}
-    for compound_id, raw in entries:
-        table[compound_id] = key = _clean(raw, stats)
-        stats.compounds_unresolved += key is None
-    return table
-
-
 def clean_reactions(
     records: list[RawReaction], compounds: list[tuple[str, str]]
-) -> tuple[list[ReactionRecord], CorpusStats]:
-    """Drop unresolved compounds per side, drop reactions losing a whole
-    side, merge canonical duplicates (union of EC numbers). A token is a
-    ``compounds`` id or else a raw SMILES."""
+) -> tuple[list[MonoProductReaction], CorpusStats]:
+    """The mono-product corpus of ``records`` in one pass: clean every
+    compound (a token is a ``compounds`` id or else a raw SMILES), drop the
+    unresolved ones and any reaction losing a whole side, merge canonical
+    duplicates (first id, union of EC numbers), then split each reaction
+    into one child per product, the children sharing its reactants."""
     stats = CorpusStats(reactions_in=len(records))
-    table = build_compound_table(compounds, stats)
-    cleaned: list[ReactionRecord] = []
+    table: dict[str, str | None] = {}
+    for compound_id, raw in compounds:
+        table[compound_id] = key = _clean(raw, stats)
+        stats.compounds_unresolved += key is None
+    merged: dict[tuple, tuple[str, tuple[str, ...]]] = {}
     for raw in records:
         sides = []
         lost_any = False
@@ -223,43 +209,21 @@ def clean_reactions(
             continue
         if lost_any:
             stats.reactions_degraded += 1
-        cleaned.append(
-            ReactionRecord(raw.reaction_id, raw.ec_numbers, sides[0], sides[1])
-        )
-    merged: dict[tuple, ReactionRecord] = {}
-    for rec in cleaned:
-        key = (rec.reactant_keys, rec.product_keys)
-        if key in merged:
+        reaction = tuple(sides)
+        if reaction in merged:
             stats.duplicates_merged += 1
-            prev = merged[key]
-            ecs = tuple(sorted(set(prev.ec_numbers) | set(rec.ec_numbers)))
-            merged[key] = ReactionRecord(
-                prev.reaction_id, ecs, prev.reactant_keys, prev.product_keys
-            )
+            reaction_id, ecs = merged[reaction]
+            merged[reaction] = reaction_id, tuple(sorted({*ecs, *raw.ec_numbers}))
         else:
-            merged[key] = rec
-    return list(merged.values()), stats
-
-
-def split_mono_product(
-    records: list[ReactionRecord], stats: CorpusStats
-) -> list[MonoProductReaction]:
-    """A record with k products becomes k children sharing the reactants."""
-    children = []
-    for rec in records:
-        for product in rec.product_keys:
-            children.append(
-                MonoProductReaction(
-                    parent_id=rec.reaction_id,
-                    ec_numbers=rec.ec_numbers,
-                    reactant_keys=rec.reactant_keys,
-                    product_key=product,
-                    label=POSITIVE,
-                )
-            )
-    stats.mono_reactions = len(children)
-    stats.unique_products = len({c.product_key for c in children})
-    return children
+            merged[reaction] = raw.reaction_id, raw.ec_numbers
+    monos = [
+        MonoProductReaction(reaction_id, ecs, reactants, product)
+        for (reactants, products), (reaction_id, ecs) in merged.items()
+        for product in products
+    ]
+    stats.mono_reactions = len(monos)
+    stats.unique_products = len({mono.product_key for mono in monos})
+    return monos, stats
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +567,12 @@ def naming_dataset(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def require_uniform_steps(rows: list[DatasetRow]) -> None:
+    """ValueError when a dataset mixes one-step and two-step rows."""
+    if len({len(row.steps) for row in rows}) > 1:
+        raise ValueError("mixed one-step and two-step rows in one dataset")
+
+
 def features_for(rows: list[DatasetRow]):
     """Feature matrix, labels and weights for one- or two-step rows.
 
@@ -610,9 +580,7 @@ def features_for(rows: list[DatasetRow]):
     are then packed and unpacked into the float32 matrix in one call."""
     if not rows:
         raise ValueError("no rows to featurize")
-    steps = {len(r.steps) for r in rows}
-    if len(steps) != 1:
-        raise ValueError("mixed one-step and two-step rows in one dataset")
+    require_uniform_steps(rows)
     import numpy as np
 
     from .fingerprint import Fingerprinter, pack_features

@@ -212,6 +212,25 @@ class TestAugment:
         err = capsys.readouterr().err
         assert f"{doubled}:3: repeated template id {template_id!r}" in err
 
+    @pytest.mark.parametrize(
+        "text", ["# no rows\n", "r1\t\tC(C\tCCO\n"], ids=["empty", "every row unusable"]
+    )
+    def test_corpus_without_usable_reactions_exits_2_before_writing(
+        self, corpus_files, tmp_path, capsys, text
+    ):
+        _, _, _, templates = corpus_files
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([
+            "augment", "--corpus", str(corpus), "--templates", str(templates),
+            "--out-dir", str(out),
+        ]) == EXIT_EMPTY
+        assert capsys.readouterr().err == (
+            f"augment: corpus file {corpus} holds no usable reactions\n"
+        )
+        assert not out.exists()
+
     def test_corpus_rows_may_share_a_reaction_id(self, corpus_files, tmp_path):
         # ingest writes one row per product of a reaction, each under the
         # reaction's id, and augment reads that file back.
@@ -467,7 +486,7 @@ class TestEval:
         assert f"{data}:2: " in capsys.readouterr().err
         assert not report.exists()
 
-    @pytest.mark.parametrize("model", ["nn1", "nn2"])
+    @pytest.mark.parametrize("model", ["nn1", "nn2", "nn1 mixed steps"])
     def test_bad_dataset_exits_1_naming_file(self, staged, tmp_path, capsys, model):
         data = tmp_path / "data.tsv"
         if model == "nn1":
@@ -477,6 +496,14 @@ class TestEval:
                 encoding="utf-8",
             )
             message = "group 'g1' has no positive row"
+        elif model == "nn1 mixed steps":
+            # train refuses this file with the same message
+            weights = staged / "nn1.weights"
+            data.write_text(
+                "positive\tg\tCCO\tCC=O\t1\nnegative\tg\tCCO\tCC;CC\t1\n",
+                encoding="utf-8",
+            )
+            message = "mixed one-step and two-step rows in one dataset"
         else:
             weights = tmp_path / "nn2.weights"
             weights.write_bytes(

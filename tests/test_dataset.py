@@ -48,16 +48,18 @@ class TestCleanCompound:
             ds.clean_compound("C(")
 
     def test_table_counts_unresolved_and_fixed(self):
-        stats = ds.CorpusStats()
-        table = ds.build_compound_table(
-            [("c1", "CCO"), ("c2", "UNRESOLVED"), ("c3", "C(("), ("c4", "CX")],
-            stats,
-        )
-        assert table["c1"] == "CCO"
-        assert table["c2"] is None and table["c3"] is None
-        assert table["c4"] == canonicalize(parse_smiles("CCl"))
+        entries = [("c1", "CCO"), ("c2", "UNRESOLVED"), ("c3", "C(("), ("c4", "CX")]
+        monos, stats = ds.clean_reactions([], entries)
+        assert monos == []
         assert stats.compounds_unresolved == 2
         assert stats.generic_fixed == 1
+        raws = [ds.RawReaction(f"r{i}", (), (f"c{i}",), ("O",)) for i in range(1, 5)]
+        monos, stats = ds.clean_reactions(raws, entries)
+        # c2 and c3 resolve to nothing, so r2 and r3 lose their reactants
+        assert [(m.parent_id, m.reactant_keys) for m in monos] == [
+            ("r1", ("CCO",)), ("r4", (canonicalize(parse_smiles("CCl")),))
+        ]
+        assert stats.reactions_dropped == 2
 
 
 class TestCleanReactions:
@@ -71,26 +73,28 @@ class TestCleanReactions:
         return ds.clean_reactions(raws, [("???", "UNRESOLVED")])
 
     def test_whole_side_loss_drops_reaction(self):
-        records, stats = self.make()
-        assert all(r.reaction_id != "r2" for r in records)
+        monos, stats = self.make()
+        assert all(m.parent_id != "r2" for m in monos)
         assert stats.reactions_dropped == 1
 
     def test_partial_loss_keeps_and_flags(self):
-        records, stats = self.make()
-        r1 = next(r for r in records if r.reaction_id == "r1")
+        monos, stats = self.make()
+        (r1,) = [m for m in monos if m.parent_id == "r1"]
         assert r1.reactant_keys == ("CCO",)
         assert stats.reactions_degraded == 1
 
     def test_duplicates_merge_with_ec_union(self):
-        records, stats = self.make()
-        merged = next(r for r in records if r.reaction_id == "r3")
-        assert merged.ec_numbers == ("3.3.3.3", "4.4.4.4")
+        monos, stats = self.make()
+        merged = [m for m in monos if m.parent_id == "r3"]
+        assert [m.ec_numbers for m in merged] == [("3.3.3.3", "4.4.4.4")] * 2
+        assert all(m.parent_id != "r4" for m in monos)
         assert stats.duplicates_merged == 1
 
     def test_conservation(self):
-        records, stats = self.make()
+        monos, stats = self.make()
+        kept = len({m.parent_id for m in monos})
         assert stats.reactions_in == (
-            len(records) + stats.duplicates_merged + stats.reactions_dropped
+            kept + stats.duplicates_merged + stats.reactions_dropped
         )
 
     def test_raw_token_repair_counts(self):
@@ -98,10 +102,10 @@ class TestCleanReactions:
             ds.RawReaction("r1", (), ("CCX", "c1"), ("CCO",)),
             ds.RawReaction("r2", (), ("R#CO",), ("CR",)),
         ]
-        records, stats = ds.clean_reactions(raws, [("c1", "RO")])
-        assert records[0].reactant_keys == ("CCCl", "CO")
-        assert records[1].reactant_keys == ("CCO",)
-        assert records[1].product_keys == ("CC",)
+        monos, stats = ds.clean_reactions(raws, [("c1", "RO")])
+        assert monos[0].reactant_keys == ("CCCl", "CO")
+        assert monos[1].reactant_keys == ("CCO",)
+        assert monos[1].product_key == "CC"
         # one table entry and three raw token occurrences were repaired
         assert stats.generic_fixed == 4
 
@@ -117,35 +121,57 @@ class TestCleanReactions:
         assert stats.compounds_unresolved == 3 + 4
         assert stats.reactions_degraded == 2
 
+    def test_merge_before_split(self):
+        # Whole reactions merge, so A>>B.C twice is one reaction whose two
+        # children both carry the EC union, while A>>B.C and A>>B.D stay
+        # apart and each gives the child A>>B under its own id.
+        raws = [
+            ds.RawReaction("r1", ("1.1.1.1",), ("CC",), ("CCO", "O")),
+            ds.RawReaction("r2", ("2.2.2.2",), ("CC",), ("O", "CCO")),
+            ds.RawReaction("r3", ("3.3.3.3",), ("CC",), ("CCO", "N")),
+        ]
+        monos, stats = ds.clean_reactions(raws, [])
+        assert [(m.parent_id, m.ec_numbers, m.product_key) for m in monos] == [
+            ("r1", ("1.1.1.1", "2.2.2.2"), "CCO"),
+            ("r1", ("1.1.1.1", "2.2.2.2"), "O"),
+            ("r3", ("3.3.3.3",), "CCO"),
+            ("r3", ("3.3.3.3",), "N"),
+        ]
+        assert all(m.reactant_keys == ("CC",) for m in monos)
+        assert stats.duplicates_merged == 1
+        assert (stats.mono_reactions, stats.unique_products) == (4, 3)
+
 
 class TestMonoSplit:
     def test_two_products_two_children(self):
-        record = ds.ReactionRecord("r", ("1.1.1.1",), ("CC", "O"), ("CCO", "C"))
-        children = ds.split_mono_product([record], ds.CorpusStats())
-        assert [c.product_key for c in children] == ["CCO", "C"]
+        raw = ds.RawReaction("r", ("1.1.1.1",), ("CC", "O"), ("CCO", "C"))
+        children, _ = ds.clean_reactions([raw], [])
+        assert [c.product_key for c in children] == ["C", "CCO"]
         assert all(c.reactant_keys == ("CC", "O") for c in children)
         assert all(c.parent_id == "r" for c in children)
+        assert all(c.ec_numbers == ("1.1.1.1",) for c in children)
 
     def test_mono_already(self):
-        record = ds.ReactionRecord("r", (), ("CC",), ("CCO",))
-        assert len(ds.split_mono_product([record], ds.CorpusStats())) == 1
+        children, stats = ds.clean_reactions([ds.RawReaction("r", (), ("CC",), ("CCO",))], [])
+        assert len(children) == 1 == stats.mono_reactions == stats.unique_products
 
     def test_counting_identity(self):
         import random
 
         rng = random.Random(0)
-        records = []
+        raws = []
         total = 0
         pool = ["C", "CC", "CCC", "CCO", "CO", "O", "CCCC", "CC=O"]
         for i in range(100):
             k = rng.randint(1, 3)
             total += k
-            records.append(
-                ds.ReactionRecord(f"r{i}", (), ("CC",), tuple(rng.sample(pool, k)))
-            )
-        stats = ds.CorpusStats()
-        children = ds.split_mono_product(records, stats)
+            # distinct reactants, so no two reactions merge
+            reactant = "C" * (i + 1)
+            raws.append(ds.RawReaction(f"r{i}", (), (reactant,), tuple(rng.sample(pool, k))))
+        children, stats = ds.clean_reactions(raws, [])
         assert len(children) == total == stats.mono_reactions
+        assert stats.unique_products == len({c.product_key for c in children})
+        assert stats.duplicates_merged == 0
 
 
 class TestAugmentation:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from retrobio.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, main
 from retrobio.neural import RELU, SIGMOID, LayerSpec, initialize, save_weights
 
-from synthdata import build_corpus
+from synthdata import TEMPLATE_ROWS, build_corpus, write_corpus_files
 
 # SMILES-alphabet tokens, generic placeholders and bracket atoms the parser
 # refuses, so that rows mix valid, repairable and broken compounds.
@@ -256,7 +256,7 @@ class TestEvalFuzz:
             ])
             assert code in (EXIT_OK, EXIT_INPUT, EXIT_EMPTY), err
             if code == EXIT_OK:
-                assert fault in ("none", "mixed steps", "flipped byte"), err
+                assert fault in ("none", "flipped byte"), err
                 assert err == "" and report.is_file()
                 return
             assert not report.exists()
@@ -268,3 +268,122 @@ class TestEvalFuzz:
                 paths = "|".join(re.escape(str(path)) for path in (data, weights_path))
                 assert re.match(rf"error: ({paths}): ", err), err
             assert err.count("\n") == 1, err
+
+
+# --- augment ----------------------------------------------------------------
+
+
+def _valid_rows() -> list[list[list[str]]]:
+    """The data rows, split into fields, of the valid corpus and pathways
+    files of ``write_corpus_files(max_length=4)``: six reactions, three
+    pathways."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, pathways, _ = write_corpus_files(Path(tmp), max_length=4)
+        return [
+            [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()
+             if not line.startswith("#")]
+            for path in (corpus, pathways)
+        ]
+
+
+CORPUS_ROWS, PATHWAY_ROWS = _valid_rows()
+TEMPLATE_FIELDS = [[t, "bwd", str(d), ec, smarts] for t, ec, d, smarts in TEMPLATE_ROWS]
+BAD_SMILES = ["C(C", "CCxO", "C1CC", "C=", "[Cx]"]
+# The faults per file. A corpus row that loses a side is dropped, so the
+# command exits 2 when no corpus row is left, and every other fault names
+# its file: with the line of the row at fault, or the file left without rows.
+AUGMENT_FAULTS = {
+    "corpus": ("field count", "emptied side", "bad smiles", "every row unusable"),
+    "templates": ("direction", "diameter", "smarts", "repeated id", "comment only"),
+    "pathways": ("field count",),
+}
+EMPTY_MESSAGES = {
+    "corpus": "corpus file {} holds no usable reactions",
+    "templates": "template file {} holds no templates",
+}
+
+
+def tsv_text(rows: list[list[str]]) -> str:
+    return "# a header\n" + "".join("\t".join(row) + "\n" for row in rows)
+
+
+@st.composite
+def augment_case(draw):
+    """(file texts, the file at fault or None, the exit code, the line of a
+    row fault). At most three corpus rows keep a case to a few
+    milliseconds."""
+    rows = {
+        "corpus": draw(st.lists(st.sampled_from(CORPUS_ROWS), min_size=1, max_size=3,
+                                unique_by=tuple)),
+        "templates": draw(st.lists(st.sampled_from(TEMPLATE_FIELDS), min_size=1,
+                                   max_size=6, unique_by=lambda row: row[0])),
+        "pathways": draw(st.lists(st.sampled_from(PATHWAY_ROWS), min_size=1, max_size=3,
+                                  unique_by=tuple)),
+    }
+    rows = {file: [list(row) for row in file_rows] for file, file_rows in rows.items()}
+    name = draw(st.sampled_from([None, *AUGMENT_FAULTS]))
+    fault = None if name is None else draw(st.sampled_from(AUGMENT_FAULTS[name]))
+    code, line = EXIT_INPUT, None
+    if fault in ("field count", "emptied side", "bad smiles", "direction", "diameter",
+                 "smarts"):
+        i = draw(st.integers(0, len(rows[name]) - 1))
+        row, line = rows[name][i], i + 2  # after the header line
+        if fault == "field count":
+            rows[name][i] = row[:-1] if draw(st.booleans()) else row + ["C"]
+        elif fault in ("emptied side", "bad smiles"):
+            row[draw(st.sampled_from([2, 3]))] = (
+                "" if fault == "emptied side" else draw(st.sampled_from(BAD_SMILES))
+            )
+            code = EXIT_OK if len(rows[name]) > 1 else EXIT_EMPTY
+        elif fault == "direction":
+            row[1] = draw(st.sampled_from(["fwd", "BWD", ""]))
+        elif fault == "diameter":
+            row[2] = draw(st.sampled_from(["two", "", "1.5", "0x2"]))
+        else:
+            row[4] = draw(st.sampled_from(["[C:1]>>", "[C:1", "C>>C>>C", "[Xx:1]>>[C:1]"]))
+    elif fault == "every row unusable":
+        for row in rows["corpus"]:
+            row[draw(st.sampled_from([2, 3]))] = draw(st.sampled_from(["", *BAD_SMILES]))
+        code = EXIT_EMPTY
+    elif fault == "repeated id":
+        rows["templates"].append(list(draw(st.sampled_from(rows["templates"]))))
+        line = len(rows["templates"]) + 1
+    elif fault == "comment only":
+        rows["templates"] = []
+        code = EXIT_EMPTY
+    elif fault is None:
+        code = EXIT_OK
+    texts = {file: tsv_text(file_rows) for file, file_rows in rows.items()}
+    return texts, name, code, line
+
+
+class TestAugmentFuzz:
+    @given(augment_case(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_exits_0_1_or_2_naming_file_and_line(self, case, with_pathways):
+        texts, name, expected, line = case
+        with_pathways = with_pathways or name == "pathways"
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {file: Path(tmp, f"{file}.tsv") for file in texts}
+            for file, text in texts.items():
+                paths[file].write_text(text, encoding="utf-8")
+            out = Path(tmp, "out")
+            argv = ["augment", "--corpus", str(paths["corpus"]),
+                    "--templates", str(paths["templates"]), "--out-dir", str(out)]
+            if with_pathways:
+                argv += ["--pathways", str(paths["pathways"])]
+            code, err = run(argv)
+            assert code == expected, err
+            if code == EXIT_OK:
+                outputs = {"onestep_train.tsv", "onestep_test.tsv", "augment_stats.json"}
+                if with_pathways:
+                    outputs |= {"twostep_train.tsv", "twostep_test.tsv"}
+                assert err == ""
+                assert {p.name for p in out.iterdir()} == outputs
+                return
+            assert not out.exists(), err
+            if code == EXIT_EMPTY:
+                assert err == f"augment: {EMPTY_MESSAGES[name].format(paths[name])}\n"
+            else:
+                assert err.startswith(f"error: {paths[name]}:{line}: "), err
+                assert err.count("\n") == 1, err

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,16 @@ class TestExports:
 
     def test_all_lists_every_export(self):
         assert sorted(retrobio.__all__) == sorted(name for _, name in NAMES)
+
+    @pytest.mark.parametrize(
+        "module", sorted(info.name for info in pkgutil.iter_modules(retrobio.__path__))
+    )
+    def test_module_all_lists_only_names_it_defines(self, module):
+        namespace = importlib.import_module(f"retrobio.{module}")
+        for name in getattr(namespace, "__all__", ()):
+            assert name in vars(namespace), f"retrobio.{module} has no {name!r}"
+            defined_in = getattr(vars(namespace)[name], "__module__", namespace.__name__)
+            assert defined_in == namespace.__name__, f"{name!r} comes from {defined_in}"
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
