@@ -259,6 +259,8 @@ def cmd_ingest(options: dict) -> int:
         else []
     )
     monos, stats = ds.clean_reactions(reactions, table_entries)
+    if not monos:
+        raise EmptyResult(f"reactions file {options['reactions']} holds no usable reactions")
     ds.flag_disjoint_products(monos, stats)
     out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -270,8 +272,6 @@ def cmd_ingest(options: dict) -> int:
         f"{stats.mono_reactions} mono-product reactions, "
         f"{stats.unique_products} unique products"
     )
-    if not monos:
-        raise EmptyResult(f"reactions file {options['reactions']} holds no usable reactions")
     return EXIT_OK
 
 
@@ -337,9 +337,9 @@ def cmd_train(options: dict) -> int:
     with ds.naming_dataset(data):
         features, labels, weights = ds.features_for(rows)
     expected = _model_width(model_name)
-    if features.shape[1] != expected:
+    if 8 * features.shape[1] != expected:  # packed: 8 features per byte
         raise EmptyResult(
-            f"{data}: feature width {features.shape[1]} does not match "
+            f"{data}: feature width {8 * features.shape[1]} does not match "
             f"{model_name} input width {expected}"
         )
     pos_weight = options["pos_weight"]

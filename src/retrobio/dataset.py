@@ -574,10 +574,11 @@ def require_uniform_steps(rows: list[DatasetRow]) -> None:
 
 
 def features_for(rows: list[DatasetRow]):
-    """Feature matrix, labels and weights for one- or two-step rows.
+    """Packed feature rows, labels and weights for one- or two-step rows.
 
-    Every distinct molecule is fingerprinted in one batch; the rows' bits
-    are then packed and unpacked into the float32 matrix in one call."""
+    Every distinct molecule is fingerprinted in one batch. The features are
+    uint8 rows of d/8 bytes, bits in little-endian order, as
+    ``neural.forward`` and ``neural.train`` take them."""
     if not rows:
         raise ValueError("no rows to featurize")
     require_uniform_steps(rows)
@@ -585,10 +586,9 @@ def features_for(rows: list[DatasetRow]):
 
     from .fingerprint import Fingerprinter, pack_features
 
-    packed = pack_features(
+    features = pack_features(
         Fingerprinter().features([((row.target_key,), *row.steps) for row in rows])
     )
-    features = np.unpackbits(packed, axis=1, bitorder="little").astype(np.float32)
     labels = np.array(
         [1.0 if row.is_positive else 0.0 for row in rows], dtype=np.float32
     )

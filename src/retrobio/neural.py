@@ -11,6 +11,8 @@ ADAM_BETA2 = 0.999 and ADAM_EPSILON = 1e-8.
 
 Training is bit-reproducible given (seed, data order): initialization,
 epoch shuffles and dropout masks all derive from one seeded generator.
+Training rows may stay packed, one bit per feature; only the rows in use,
+a batch or a slice of the history pass, are unpacked to float32.
 Each step trains only the first-layer rows that some training row
 reaches and runs Adam in cache-sized blocks; both leave every weight bit
 as the whole-array update would (``train`` says why), and the tests keep
@@ -70,6 +72,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 BLOCK_ROWS = 64  # rows per inference block; fixed, so scores are row-stable
+HISTORY_ROWS = 512  # rows per slice of the training-history pass
 ADAM_BLOCK = 1 << 16  # elements per Adam block: 256 KiB of float32, in cache
 
 
@@ -243,6 +246,23 @@ def _forward_full(
     return h, activations, masks
 
 
+def _is_packed(arr: np.ndarray, dim: int) -> bool:
+    """Whether the rows of ``arr`` are packed bits for a model of input width
+    ``dim``: uint8 rows of dim/8 bytes, little-endian bit order. Any other
+    rows must be ``dim`` wide, or DimensionMismatch is raised."""
+    packed = arr.dtype == np.uint8 and arr.shape[1] * 8 == dim
+    if not packed and arr.shape[1] != dim:
+        raise DimensionMismatch(f"input width {arr.shape[1]} != model input {dim}")
+    return packed
+
+
+def _input_rows(arr: np.ndarray, index, packed: bool) -> np.ndarray:
+    """Rows ``index`` of ``arr`` as model inputs: packed rows unpacked to
+    uint8 0/1, dense rows as they are."""
+    rows = arr[index]
+    return np.unpackbits(rows, axis=1, bitorder="little") if packed else rows
+
+
 def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     """Score inputs of shape (d,) or (n, d), or packed bits: uint8 rows of
     d/8 bytes in little-endian bit order, unpacked one block at a time.
@@ -257,15 +277,11 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     if model.layers[-1].out_dim != 1:
         raise DimensionMismatch(f"model has {model.layers[-1].out_dim} outputs, expected 1")
     arr = np.atleast_2d(inputs)
-    packed = arr.dtype == np.uint8 and arr.shape[1] * 8 == dim
-    if not packed and arr.shape[1] != dim:
-        raise DimensionMismatch(f"input width {arr.shape[1]} != model input {dim}")
+    packed = _is_packed(arr, dim)
     block = np.zeros((BLOCK_ROWS, dim), dtype=model.layers[0].weights.dtype)
     out = np.empty(len(arr), dtype=block.dtype)
     for lo in range(0, len(arr), BLOCK_ROWS):
-        rows = arr[lo : lo + BLOCK_ROWS]
-        if packed:
-            rows = np.unpackbits(rows, axis=1, bitorder="little")
+        rows = _input_rows(arr, slice(lo, lo + BLOCK_ROWS), packed)
         block[: len(rows)] = rows
         block[len(rows) :] = 0
         scores, _, _ = _forward_full(model, block, None)
@@ -406,6 +422,14 @@ def train(
     returns the trained model and, with ``history``, the per-epoch loss
     and accuracy on the training data (an empty history without).
 
+    ``features`` are dense rows, or packed bits as ``forward`` takes them;
+    packed rows stay packed, and only the rows in use, a batch or a history
+    slice, are unpacked, so the same rows give the same weight bits either
+    way. The history scores the training rows in unpadded slices of
+    HISTORY_ROWS, starting at every multiple of it: a matrix product's bits
+    can depend on its row count, so that slicing is part of what the
+    history is.
+
     The run is bit-reproducible for a fixed (seed, data order); epochs=0
     returns the bare initialization with an empty history.
 
@@ -425,7 +449,7 @@ def train(
         raise ValueError(
             "binary cross-entropy training needs a single sigmoid output"
         )
-    x = np.asarray(features, dtype=np.float32)
+    x = np.asarray(features)
     y = np.asarray(labels, dtype=np.float32).reshape(-1)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DimensionMismatch("features and labels disagree in length")
@@ -433,10 +457,9 @@ def train(
         raise EmptyDataset("training data is empty")
     if len(np.unique(y)) < 2:
         raise SingleClassDataset("training data needs both classes")
-    if x.shape[1] != spec[0].in_dim:
-        raise DimensionMismatch(
-            f"feature width {x.shape[1]} != model input {spec[0].in_dim}"
-        )
+    packed = _is_packed(x, spec[0].in_dim)
+    if not packed:
+        x = x.astype(np.float32, copy=False)
     w = (
         np.ones_like(y)
         if sample_weights is None
@@ -452,8 +475,13 @@ def train(
     # ``model`` is always the current model.
     params = [a for l in model.layers for a in (l.weights, l.biases)]
     # The first-layer rows trained, in order; None while that is every row.
-    reach = np.flatnonzero(x.any(axis=0))
-    reach = None if len(reach) == x.shape[1] else reach
+    if packed:
+        reach = np.flatnonzero(
+            np.unpackbits(np.bitwise_or.reduce(x, axis=0), bitorder="little")
+        )
+    else:
+        reach = np.flatnonzero(x.any(axis=0))
+    reach = None if len(reach) == spec[0].in_dim else reach
     shapes = [a.shape for a in params]
     if reach is not None:
         shapes[0] = (len(reach), spec[0].out_dim)
@@ -465,7 +493,8 @@ def train(
         order = rng.permutation(n)
         for lo in range(0, n, config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            xb, yb, wb = x[batch], y[batch], w[batch]
+            xb = _input_rows(x, batch, packed).astype(np.float32, copy=False)
+            yb, wb = y[batch], w[batch]
             out, acts, masks = _forward_full(model, xb, rng)
             delta = _bce_output_delta(out[:, 0], yb, wb)[:, None] / len(batch)
             grads = [
@@ -483,9 +512,17 @@ def train(
             for k, (p, g, mk, vk) in enumerate(zip(params, grads, m, v)):
                 _adam_step(p, g, mk, vk, config.learning_rate, step, None if k else reach)
         if history:
-            # One full-matrix pass plus the clip, not the blocked ``forward``.
-            out, _, _ = _forward_full(model, x, None)
-            scores = np.clip(out[:, 0], LOSS_EPS, 1.0 - LOSS_EPS)
+            # Unpadded HISTORY_ROWS slices plus the clip, not the blocked
+            # ``forward``; the last batch's arrays are freed first.
+            del out, acts, masks, grads, delta, xb
+            scores = np.empty(n, dtype=np.float32)
+            for lo in range(0, n, HISTORY_ROWS):
+                rows = _input_rows(x, slice(lo, lo + HISTORY_ROWS), packed)
+                rows = rows.astype(np.float32, copy=False)
+                out = _forward_full(model, rows, None)[0]
+                del rows  # before the next slice is unpacked
+                scores[lo : lo + len(out)] = out[:, 0]
+            scores = np.clip(scores, LOSS_EPS, 1.0 - LOSS_EPS)
             losses = -(
                 w * (y * np.log(np.clip(scores, LOSS_EPS, None))
                      + (1 - y) * np.log(np.clip(1 - scores, LOSS_EPS, None)))

@@ -262,11 +262,13 @@ def _template_row(template_id, direction, diameter, ecs, smarts):
             "templates are applied backward only"
         )
     try:
-        int(diameter)
+        valid = int(diameter) >= 0
     except ValueError:
+        valid = False
+    if not valid:
         raise TemplateError(
-            f"diameter must be an integer, got {diameter!r}"
-        ) from None
+            f"diameter must be a non-negative integer, got {diameter!r}"
+        )
     return parse_smarts_template(
         smarts,
         template_id=template_id,

@@ -116,6 +116,7 @@ class TestIngest:
         ]) == EXIT_EMPTY
         err = capsys.readouterr().err
         assert err == f"ingest: reactions file {reactions} holds no usable reactions\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main([

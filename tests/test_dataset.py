@@ -556,8 +556,10 @@ class TestFileFormats:
         ds.write_examples_tsv(path2, [two])
         x1, y1, w1 = ds.features_for(ds.read_examples_tsv(path1))
         x2, _, _ = ds.features_for(ds.read_examples_tsv(path2))
-        assert x1.shape == (1, 1024)
-        assert x2.shape == (1, 1536)
+        # Packed rows: 1024 and 1536 features, eight to a byte.
+        assert x1.dtype == x2.dtype == "uint8"
+        assert x1.shape == (1, 128)
+        assert x2.shape == (1, 192)
         assert y1[0] == 1.0 and w1[0] == 1.0
 
     def test_mixed_step_counts_rejected(self, tmp_path):

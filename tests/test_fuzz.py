@@ -124,6 +124,7 @@ class TestIngestFuzz:
             elif code == EXIT_EMPTY:
                 reactions_path = argv[2]
                 assert err == f"ingest: reactions file {reactions_path} holds no usable reactions\n"
+                assert not out.exists()
             else:
                 assert err == ""
                 assert (out / "mono_reactions.tsv").is_file()
@@ -338,7 +339,7 @@ def augment_case(draw):
         elif fault == "direction":
             row[1] = draw(st.sampled_from(["fwd", "BWD", ""]))
         elif fault == "diameter":
-            row[2] = draw(st.sampled_from(["two", "", "1.5", "0x2"]))
+            row[2] = draw(st.sampled_from(["two", "", "1.5", "0x2", "-1"]))
         else:
             row[4] = draw(st.sampled_from(["[C:1]>>", "[C:1", "C>>C>>C", "[Xx:1]>>[C:1]"]))
     elif fault == "every row unusable":

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,19 @@ def weight_sources(blob, tmp_path):
     yield blob
     with open(path, "rb") as fh:
         yield fh
+
+
+def history_point(model, x, y, slice_rows):
+    """(loss, accuracy) of ``model`` on unweighted rows ``x``, scored by
+    ``_forward_full`` in unpadded slices of ``slice_rows`` rows."""
+    out = np.concatenate([
+        nn._forward_full(model, x[lo : lo + slice_rows], None)[0][:, 0]
+        for lo in range(0, len(x), slice_rows)
+    ])
+    p = np.clip(out, nn.LOSS_EPS, 1.0 - nn.LOSS_EPS)
+    losses = -(y * np.log(np.clip(p, nn.LOSS_EPS, None))
+               + (1 - y) * np.log(np.clip(1 - p, nn.LOSS_EPS, None)))
+    return float(losses.mean()), float(((p >= 0.5) == (y == 1.0)).mean())
 
 
 def separable_toy(n=200, seed=5):
@@ -247,9 +261,9 @@ class TestTrain:
             TrainConfig(batch_size=0)
 
     def test_history_is_one_full_matrix_pass(self, monkeypatch):
-        # Training must not score through the blocked inference path: the
-        # history is the full-matrix pass plus the clip, so weight files and
-        # history files keep their bytes.
+        # Training must not score through the blocked inference path. The
+        # history is the unpadded 512-row slice pass plus the clip, and 150
+        # rows are one slice: the full-matrix pass.
         def blocked(*args, **kwargs):
             raise AssertionError("train called the blocked forward")
 
@@ -261,12 +275,49 @@ class TestTrain:
         model, history = train(
             spec, x, y, TrainConfig(epochs=3, batch_size=32, seed=2), history=True
         )
-        out, _, _ = nn._forward_full(model, x, None)
-        p = np.clip(out[:, 0], nn.LOSS_EPS, 1.0 - nn.LOSS_EPS)
-        losses = -(y * np.log(np.clip(p, nn.LOSS_EPS, None))
-                   + (1 - y) * np.log(np.clip(1 - p, nn.LOSS_EPS, None)))
-        assert history.loss[-1] == float(losses.mean())
-        assert history.accuracy[-1] == float(((p >= 0.5) == (y == 1.0)).mean())
+        assert (history.loss[-1], history.accuracy[-1]) == history_point(model, x, y, 150)
+
+    @pytest.mark.parametrize("n", [513, 1025])
+    def test_history_is_scored_in_512_row_slices(self, n, monkeypatch):
+        # Slices start at every multiple of 512; 1025 rows leave a last
+        # slice of one row. A product's bits can depend on its row count,
+        # so the slicing is part of the history's definition.
+        assert nn.HISTORY_ROWS == 512
+        scored = []
+        forward_full = nn._forward_full
+
+        def counting(model, x, rng):
+            if rng is None:  # training passes run with dropout
+                scored.append(len(x))
+            return forward_full(model, x, rng)
+
+        monkeypatch.setattr(nn, "_forward_full", counting)
+        rng = np.random.default_rng(n)
+        x = (rng.random((n, 64)) < 0.3).astype(np.float32)
+        y = (x[:, :8].sum(axis=1) > 2).astype(np.float32)
+        spec = (LayerSpec(64, 16, RELU, 0.2), LayerSpec(16, 1, SIGMOID))
+        packed = np.packbits(x.astype(np.uint8), axis=1, bitorder="little")
+        model, history = train(
+            spec, packed, y, TrainConfig(epochs=2, batch_size=128, seed=2), history=True
+        )
+        assert scored == ([512] * (n // 512) + [n % 512]) * 2
+        assert (history.loss[-1], history.accuracy[-1]) == history_point(model, x, y, 512)
+
+    def test_packed_rows_never_build_the_dense_matrix(self):
+        # Packed rows stay packed: only a batch or a history slice is ever
+        # unpacked, so the traced peak stays below the float32 matrix.
+        n, width = 2048, 1536
+        rng = np.random.default_rng(6)
+        packed = np.packbits(rng.random((n, width)) < 0.05, axis=1, bitorder="little")
+        y = (rng.random(n) < 0.4).astype(np.float32)
+        spec = (LayerSpec(width, 16, RELU, 0.2), LayerSpec(16, 1, SIGMOID))
+        tracemalloc.start()
+        try:
+            train(spec, packed, y, TrainConfig(epochs=1, seed=1), history=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * width
 
     def test_history_only_on_request(self):
         x, y = separable_toy()

@@ -899,3 +899,13 @@ class TestTemplateFile:
         path.write_text(f"T01\tbwd\ttwo\t-\t{LOOSE_SMARTS}\n", encoding="utf-8")
         with pytest.raises(TemplateError, match=r"templates\.tsv:1: diameter"):
             load_templates(path)
+
+    def test_negative_diameter_is_template_error(self, tmp_path):
+        # A diameter is a non-negative radius, so -1 names the file and line.
+        path = tmp_path / "templates.tsv"
+        path.write_text(
+            f"T01\tbwd\t0\t-\t{LOOSE_SMARTS}\nT02\tbwd\t-1\t-\t{LOOSE_SMARTS}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(TemplateError, match=r"templates\.tsv:2: diameter"):
+            load_templates(path)

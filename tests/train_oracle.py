@@ -1,7 +1,9 @@
 """The training loop before row-restricted Adam, kept as the reference for
 ``neural.train``: every first-layer row gets a gradient, each Adam moment
 is updated in one whole-array pass, and the backward pass recovers each
-dropout layer's activation through its mask.
+dropout layer's activation through its mask. The features are dense
+float32 throughout; packed rows are unpacked once, up front. The history
+scores the training rows in 512-row slices, the history's definition.
 
 ``neural.train`` must give the same weight bytes and the same history as
 ``reference_train`` on every case of ``CASES``. Run as a script, this
@@ -54,8 +56,14 @@ def reference_backward(model, activations, masks, delta_out):
     return grads
 
 
+HISTORY_SLICE = 512
+
+
 def reference_train(spec, features, labels, config, sample_weights=None):
-    x = np.asarray(features, dtype=np.float32)
+    x = np.asarray(features)
+    if x.dtype == np.uint8 and x.shape[1] * 8 == spec[0].in_dim:  # packed bits
+        x = np.unpackbits(x, axis=1, bitorder="little")
+    x = x.astype(np.float32)
     y = np.asarray(labels, dtype=np.float32).reshape(-1)
     w = (
         np.ones_like(y)
@@ -97,8 +105,11 @@ def reference_train(spec, features, labels, config, sample_weights=None):
                     * (mk / correction1)
                     / (np.sqrt(vk / correction2) + nn.ADAM_EPSILON)
                 )
-        out, _, _ = nn._forward_full(model, x, None)
-        scores = np.clip(out[:, 0], nn.LOSS_EPS, 1.0 - nn.LOSS_EPS)
+        scores = np.concatenate([
+            nn._forward_full(model, x[lo : lo + HISTORY_SLICE], None)[0][:, 0]
+            for lo in range(0, n, HISTORY_SLICE)
+        ])
+        scores = np.clip(scores, nn.LOSS_EPS, 1.0 - nn.LOSS_EPS)
         losses = -(
             w * (y * np.log(np.clip(scores, nn.LOSS_EPS, None))
                  + (1 - y) * np.log(np.clip(1 - scores, nn.LOSS_EPS, None)))
@@ -120,10 +131,12 @@ def sparse_rows(rng, n, width, used, per_row):
     return x, y
 
 
-def _case(spec, n, used, config, weighted=False, seed=0):
+def _case(spec, n, used, config, weighted=False, seed=0, packed=False):
     rng = np.random.default_rng(seed)
     x, y = sparse_rows(rng, n, spec[0].in_dim, used, min(used, 12))
     weights = rng.random(n).astype(np.float32) + 0.5 if weighted else None
+    if packed:
+        x = np.packbits(x.astype(np.uint8), axis=1, bitorder="little")
     return spec, x, y, config, weights
 
 
@@ -137,6 +150,20 @@ CASES = {
     "nn2_dropout_batch_not_dividing": lambda: _case(
         nn2pr_spec(0.2), 100, 500,
         TrainConfig(batch_size=48, epochs=2, seed=4, positive_weight=1.5),
+    ),
+    # The rows of the case above, packed: the same weight bytes.
+    "nn2_dropout_batch_not_dividing_packed": lambda: _case(
+        nn2pr_spec(0.2), 100, 500,
+        TrainConfig(batch_size=48, epochs=2, seed=4, positive_weight=1.5), packed=True,
+    ),
+    # More than one history slice, the last of them one row long.
+    "nn1_history_1025_rows": lambda: _case(
+        nn1pr_spec(0.2), 1025, 300, TrainConfig(batch_size=128, epochs=1, seed=9),
+        weighted=True,
+    ),
+    "nn2_history_1025_rows_packed": lambda: _case(
+        nn2pr_spec(0.2), 1025, 500, TrainConfig(batch_size=128, epochs=1, seed=10),
+        packed=True,
     ),
     "nn1_lr_1e30": lambda: _case(
         nn1pr_spec(0.2), 70, 300, TrainConfig(learning_rate=1e30, batch_size=32, epochs=2, seed=5)
