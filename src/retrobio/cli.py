@@ -195,7 +195,8 @@ def _resolve_options(args: argparse.Namespace) -> dict:
             if config.has_section(args.command):
                 file_values = dict(config.items(args.command))
         except (configparser.Error, UnicodeDecodeError) as exc:
-            raise CliError(f"{args.config}: {exc}") from exc
+            # configparser spreads some messages, with the line, over lines
+            raise CliError(f"{args.config}: {' '.join(str(exc).split())}") from exc
         for name in file_values:
             if name not in schema and name not in config.defaults():
                 raise CliError(f"{args.config}: [{args.command}] {name}: unknown key")

@@ -28,7 +28,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from .molgraph import atom_words, canonicalize, parse_smiles
 from .pattern import ReactionTemplate, enumerate_precursors
@@ -164,17 +164,16 @@ def clean_compound(raw_smiles: str) -> CleanedCompound:
     return CleanedCompound(key, fixed != raw_smiles)
 
 
-def _clean(raw: str, stats: CorpusStats) -> str | None:
-    """The canonical key of ``raw``, counting a repair in ``stats``; None
-    for UNRESOLVED or an unfixable string."""
+def _cleaned(raw: str) -> tuple[str | None, bool]:
+    """(canonical key, repaired) of ``raw``; the key is None for
+    UNRESOLVED or an unfixable string."""
     if raw == "UNRESOLVED":
-        return None
+        return None, False
     try:
         cleaned = clean_compound(raw)
     except Unfixable:
-        return None
-    stats.generic_fixed += cleaned.repaired
-    return cleaned.key
+        return None, False
+    return cleaned.key, cleaned.repaired
 
 
 def clean_reactions(
@@ -184,11 +183,21 @@ def clean_reactions(
     compound (a token is a ``compounds`` id or else a raw SMILES), drop the
     unresolved ones and any reaction losing a whole side, merge canonical
     duplicates (first id, union of EC numbers), then split each reaction
-    into one child per product, the children sharing its reactants."""
+    into one child per product, the children sharing its reactants.
+
+    Each distinct string is cleaned once; a repair or an unresolved
+    compound still counts at every occurrence."""
     stats = CorpusStats(reactions_in=len(records))
+    cleaned = cache(_cleaned)
+
+    def clean(raw: str) -> str | None:
+        key, repaired = cleaned(raw)
+        stats.generic_fixed += repaired
+        return key
+
     table: dict[str, str | None] = {}
     for compound_id, raw in compounds:
-        table[compound_id] = key = _clean(raw, stats)
+        table[compound_id] = key = clean(raw)
         stats.compounds_unresolved += key is None
     merged: dict[tuple, tuple[str, tuple[str, ...]]] = {}
     for raw in records:
@@ -197,7 +206,7 @@ def clean_reactions(
         for tokens in (raw.reactants, raw.products):
             keys = []
             for token in tokens:
-                key = table[token] if token in table else _clean(token, stats)
+                key = table[token] if token in table else clean(token)
                 if key is None:
                     stats.compounds_unresolved += 1
                     lost_any = True

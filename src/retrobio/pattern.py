@@ -25,8 +25,8 @@ are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 from .molgraph import (
     AROMATIC,
@@ -178,6 +178,10 @@ class ReactionTemplate:
     def uses_explicit_hydrogens(self) -> bool:
         return any(a.element == "H" for a in self.lhs.atoms + self.rhs.atoms)
 
+    @cached_property
+    def _plan(self):
+        return _rewrite_plan(self)
+
 
 @dataclass(frozen=True)
 class CandidatePrecursor:
@@ -288,7 +292,7 @@ def load_templates(path) -> list[ReactionTemplate]:
 # Matching
 
 
-def _match_order(pattern: PatternGraph, candidates: list[list[int]]) -> list[int]:
+def _match_order(pattern: PatternGraph, candidates: list[frozenset[int]]) -> list[int]:
     """Pattern-atom processing order: rarest candidate set first, preferring
     atoms adjacent to already-placed ones so bonds prune early."""
     n = len(pattern.atoms)
@@ -308,7 +312,7 @@ def _match_order(pattern: PatternGraph, candidates: list[list[int]]) -> list[int
 
 
 def find_matches(
-    pattern: PatternGraph, target: MolecularGraph
+    pattern: PatternGraph, target: MolecularGraph, candidates_of: dict | None = None
 ) -> list[tuple[int, ...]]:
     """All injective assignments of pattern atoms to target atoms.
 
@@ -316,56 +320,61 @@ def find_matches(
     atom constraints hold, and every pattern bond lands on a target bond of
     compatible order. Results are sorted lexicographically, so the output is
     independent of search heuristics.
+
+    ``candidates_of`` memoizes, per pattern atom's constraints, the set of
+    target atoms that meet them; patterns matched on one target may share
+    it (``_Prepared`` keeps one per hydrogen form). A pattern atom bonded to
+    an earlier-placed one is drawn from that atom's target neighbours and
+    kept if it is in its set; further bonds are read from per-atom
+    neighbour dicts.
     """
-    n = len(pattern.atoms)
-    candidates = [
-        [t for t in range(len(target.atoms)) if pattern.atoms[p].matches(target, t)]
-        for p in range(n)
-    ]
-    if any(not c for c in candidates):
-        return []
+    if candidates_of is None:
+        candidates_of = {}
+    candidates = []
+    for p in pattern.atoms:
+        key = (p.element, p.aromatic, p.charge, p.degree, p.h_count)
+        found = candidates_of.get(key)
+        if found is None:
+            found = candidates_of[key] = frozenset(
+                t for t in range(len(target.atoms)) if p.matches(target, t)
+            )
+        if not found:
+            return []
+        candidates.append(found)
     order = _match_order(pattern, candidates)
-    target_bonds = {
-        (bond.a, bond.b): bond.order for bond in target.bonds
-    }
-
-    def bond_order(u: int, v: int) -> str | None:
-        return target_bonds.get((min(u, v), max(u, v)))
-
-    assignment: dict[int, int] = {}
+    n = len(order)
+    depth_of = {p: d for d, p in enumerate(order)}
+    # Per depth: the atom's candidates and its bonds to atoms placed at
+    # earlier depths, as (that depth, the target bond orders it accepts).
+    steps = []
+    for d, p in enumerate(order):
+        links = [
+            (depth_of[q], (SINGLE, AROMATIC) if bond.order is None else (bond.order,))
+            for q, bond in pattern.neighbors(p)
+            if depth_of[q] < d
+        ]
+        steps.append((candidates[p], links[0] if links else None, links[1:]))
+    slots = [depth_of[p] for p in range(n)]
+    adjacency = target._adjacency
+    orders = [dict(pairs) for pairs in adjacency] if any(s[2] for s in steps) else None
+    chosen = [0] * n
     used: set[int] = set()
     results: list[tuple[int, ...]] = []
 
-    def backtrack(depth: int):
-        if depth == n:
-            results.append(tuple(assignment[i] for i in range(n)))
+    def backtrack(d: int):
+        if d == n:
+            results.append(tuple([chosen[s] for s in slots]))
             return
-        p = order[depth]
-        placed_nbrs = [
-            (assignment[q], bond)
-            for q, bond in pattern.neighbors(p)
-            if q in assignment
-        ]
-        if placed_nbrs:
-            first_t, first_bond = placed_nbrs[0]
-            pool = [v for v, _ in target.neighbors(first_t)]
-        else:
-            pool = candidates[p]
+        pool, first, rest = steps[d]
+        if first is not None:
+            q, accepted = first
+            pool = [v for v, o in adjacency[chosen[q]] if v in pool and o in accepted]
         for t in pool:
-            if t in used or not pattern.atoms[p].matches(target, t):
+            if t in used or rest and any(orders[chosen[q]].get(t) not in ok for q, ok in rest):
                 continue
-            ok = True
-            for q_t, bond in placed_nbrs:
-                o = bond_order(t, q_t)
-                if o is None or not bond.matches(o):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assignment[p] = t
+            chosen[d] = t
             used.add(t)
-            backtrack(depth + 1)
-            del assignment[p]
+            backtrack(d + 1)
             used.remove(t)
 
     backtrack(0)
@@ -392,6 +401,12 @@ def _concrete_order(rhs: PatternGraph, bond: PatternBond) -> str:
     return SINGLE
 
 
+# Valence rules by (element, bond valence, charge), looked up per atom of
+# every rewrite.
+_feasible = cache(lowest_feasible_valence)
+_implied = cache(implied_hydrogens)
+
+
 def _sanitize(mol: MolecularGraph) -> bool:
     """Valence check plus structural aromaticity consistency. The ring
     search runs only once an aromatic atom needs it."""
@@ -405,10 +420,10 @@ def _sanitize(mol: MolecularGraph) -> bool:
         if atom.element not in VALENCES:
             continue
         # Explicit H neighbours are already part of the bond sum.
-        valence = (
-            sum(ORDER_VALENCE[o] for _, o in mol.neighbors(idx)) + atom.hydrogens
-        )
-        if lowest_feasible_valence(atom.element, valence, atom.charge) is None:
+        valence = atom.hydrogens
+        for _, o in mol.neighbors(idx):
+            valence += ORDER_VALENCE[o]
+        if _feasible(atom.element, valence, atom.charge) is None:
             return False
     for bond in mol.bonds:
         if bond.order == AROMATIC and not (
@@ -438,18 +453,20 @@ def _rewrite_plan(template: ReactionTemplate):
 
 
 class _Prepared:
-    """What the templates applied to one target share: its bond table, the
-    canonical-key memo ``keys_of`` by (atoms, bonds), and per hydrogen form
-    the graph matched, with its ``_site_tokens``."""
+    """What the templates applied to one target share: the canonical-key
+    memo ``keys_of`` by (atoms, bonds), and per hydrogen form the graph
+    matched with its ``_site_tokens`` (``form``) and its ``find_matches``
+    candidate memo (``candidates``)."""
 
     def __init__(self, target: MolecularGraph, keys_of: dict):
-        self.target, self.keys_of, self.forms = target, keys_of, {}
-        self.bonds = {(b.a, b.b): b.order for b in target.bonds}
+        self.target, self.keys_of, self.forms, self.candidates = target, keys_of, {}, {}
+        self.rows = [tuple(sorted(row)) for row in target._adjacency]
 
     def form(self, explicit: bool) -> tuple[MolecularGraph, list]:
         if explicit not in self.forms:
             work = add_explicit_hydrogens(self.target) if explicit else self.target
             self.forms[explicit] = (work, _site_tokens(work))
+            self.candidates[explicit] = {}
         return self.forms[explicit]
 
 
@@ -466,6 +483,10 @@ def _rewrite(
     An anchor keeps its unclaimed hydrogens as a count, on top of any count
     the rewrite sets; a deleted atom takes them with it.
 
+    The site pays for what it changes: only the atoms it touches get a
+    neighbour dict of their own, the others keep the target's sorted rows
+    (``prepared.rows``), and each changed atom is built once.
+
     Returns (precursor graphs, sorted canonical keys), or None when the
     result fails valence/aromaticity sanitization.
     """
@@ -473,104 +494,103 @@ def _rewrite(
     rhs = template.rhs
     atoms: list[Atom] = list(prepared.target.atoms)
     n = len(atoms)
-    bonds = dict(prepared.bonds)
+    neighbors: list = list(prepared.rows)
+    rows: dict[int, dict[int, str]] = {}
     place: dict[int, int] = {}
     for h in sorted(i for i in match if i >= n):
         anchor = work.neighbors(h)[0][0]
-        place[h] = len(atoms)
-        bonds[anchor, len(atoms)] = SINGLE
+        place[h] = idx = len(atoms)
         atoms.append(work.atoms[h])
+        neighbors.append(())
+        rows[idx] = {anchor: SINGLE}
+        if anchor not in rows:
+            rows[anchor] = dict(neighbors[anchor])
+        rows[anchor][idx] = SINGLE
         atoms[anchor] = _with_gained(atoms[anchor], -1)
     # Below ``counted``, an atom's stored hydrogens are unclaimed ones it
     # keeps; without expansion, a changed atom's count is recomputed whole.
     counted = len(atoms) if work is not prepared.target else 0
-    match = tuple(place.get(i, i) for i in match)
+    if place:
+        match = tuple([place.get(i, i) for i in match])
+    for t in match:
+        if t not in rows:
+            rows[t] = dict(neighbors[t])
     rhs_to_target = {r: match[l] for _, l, r in template.mapping}
 
-    # Unmapped lhs atoms delete their matched target atom.
+    # Unmapped lhs atoms delete their matched target atom and its bonds.
     deleted = {match[i] for i in deleted_lhs}
-
     dirty: set[int] = set()
-
-    def drop_bond(u: int, v: int):
-        key = (min(u, v), max(u, v))
-        if key in bonds:
-            del bonds[key]
-            dirty.update(key)
-
-    def set_bond(u: int, v: int, order: str):
-        key = (min(u, v), max(u, v))
-        if bonds.get(key) != order:
-            bonds[key] = order
-            dirty.update(key)
-
-    for u, v in [pair for pair in bonds if pair[0] in deleted or pair[1] in deleted]:
-        drop_bond(u, v)
+    for t in deleted:
+        for v in rows[t]:
+            if v not in rows:
+                rows[v] = dict(neighbors[v])
+            del rows[v][t]
+            dirty.add(v)
 
     # Fresh atoms for unmapped rhs atoms.
     for r, p in enumerate(rhs.atoms):
         if p.map_index is not None:
             continue
-        idx = len(atoms)
-        atoms.append(
-            Atom(
-                element=p.element,
-                aromatic=bool(p.aromatic),
-                hydrogens=p.h_count or 0,
-                charge=p.charge or 0,
-            )
-        )
-        rhs_to_target[r] = idx
+        rhs_to_target[r] = idx = len(atoms)
+        atoms.append(Atom(p.element, bool(p.aromatic), p.h_count or 0, p.charge or 0))
+        neighbors.append(())
+        rows[idx] = {}
         if p.h_count is None:
             dirty.add(idx)
 
-    # Property updates on mapped atoms.
+    # Property updates on mapped atoms, one new atom for each that changes.
     h_fixed: set[int] = set()
     for _, l, r in template.mapping:
         t = match[l]
+        dirty.add(t)
         p = rhs.atoms[r]
         atom = atoms[t]
-        if p.element is not None and p.element != atom.element:
-            atom = replace(atom, element=p.element)
-        if p.aromatic is not None and p.aromatic != atom.aromatic:
-            atom = replace(atom, aromatic=p.aromatic)
-        if p.charge is not None and p.charge != atom.charge:
-            atom = replace(atom, charge=p.charge)
+        hydrogens = atom.hydrogens
         if p.h_count is not None:
-            atom = replace(atom, hydrogens=p.h_count + (atom.hydrogens if t < counted else 0))
+            hydrogens = p.h_count + (hydrogens if t < counted else 0)
             h_fixed.add(t)
-        atoms[t] = atom
-        dirty.add(t)
+        element = atom.element if p.element is None else p.element
+        aromatic = atom.aromatic if p.aromatic is None else p.aromatic
+        charge = atom.charge if p.charge is None else p.charge
+        if (element, aromatic, hydrogens, charge) != (
+            atom.element, atom.aromatic, atom.hydrogens, atom.charge
+        ):
+            atoms[t] = Atom(element, aromatic, hydrogens, charge, atom.map_index)
 
     # lhs bonds between two mapped atoms: deleted unless rhs repeats them.
     for a, b in broken:
-        drop_bond(match[a], match[b])
+        u, v = match[a], match[b]
+        if v in rows[u]:
+            del rows[u][v], rows[v][u]
+            dirty.update((u, v))
 
     # rhs bonds, covering order changes, new bonds and fresh-atom bonds.
     for a, b, order in made:
-        set_bond(rhs_to_target[a], rhs_to_target[b], order)
+        u, v = rhs_to_target[a], rhs_to_target[b]
+        if rows[u].get(v) != order:
+            rows[u][v] = rows[v][u] = order
+            dirty.update((u, v))
 
+    for u, row in rows.items():
+        neighbors[u] = tuple(sorted(row.items()))
     # Recompute stored hydrogens where the environment changed; unclaimed
     # hydrogens weigh as single bonds and are kept.
-    survivors = [i for i in range(len(atoms)) if i not in deleted]
-    adjacency: dict[int, list[tuple[int, str]]] = {i: [] for i in survivors}
-    for (u, v), order in bonds.items():
-        adjacency[u].append((v, order))
-        adjacency[v].append((u, order))
     for t in sorted(dirty - deleted):
         if t in h_fixed:
             continue
         atom = atoms[t]
         if atom.element not in VALENCES:
             continue
-        spare = atom.hydrogens if t < counted else 0
-        bond_valence = sum(ORDER_VALENCE[o] for _, o in adjacency[t]) + spare
-        h = implied_hydrogens(atom.element, bond_valence, atom.charge)
+        spare = bond_valence = atom.hydrogens if t < counted else 0
+        for _, o in neighbors[t]:
+            bond_valence += ORDER_VALENCE[o]
+        h = _implied(atom.element, bond_valence, atom.charge)
         if h is None:
             return None  # valence blown; sanitization failure
         if h + spare != atom.hydrogens:
-            atoms[t] = replace(atom, hydrogens=h + spare)
+            atoms[t] = Atom(atom.element, atom.aromatic, h + spare, atom.charge, atom.map_index)
 
+    survivors = [i for i in range(len(atoms)) if i not in deleted]
     if not survivors:
         raise RewriteProducedEmptyGraph(
             f"template {template.template_id or template.smarts!r} deleted "
@@ -579,7 +599,7 @@ def _rewrite(
     keys_of = prepared.keys_of
     precursors = []
     keys = []
-    for sub in _fold_and_split(atoms, bonds, survivors, adjacency):
+    for sub in _fold_and_split(atoms, survivors, neighbors):
         # Only sanitized graphs get a key, so a known graph is sane.
         key = keys_of.get(graph := (sub.atoms, sub.bonds))
         if key is None:
@@ -600,61 +620,62 @@ def _rewrite(
 _bond = cache(Bond)
 
 
-def _fold_and_split(
-    atoms: list[Atom],
-    bonds: dict[tuple[int, int], str],
-    survivors: list[int],
-    adjacency: dict[int, list[tuple[int, str]]],
-) -> list[MolecularGraph]:
-    """One graph per connected component of the rewritten atoms, with each
-    plain H atom folded into its anchor's count.
+def _fold_and_split(atoms: list[Atom], survivors: list[int], neighbors) -> list[MolecularGraph]:
+    """One graph per connected component of the ``survivors`` of the
+    rewritten atoms, with each plain H atom folded into its anchor's count;
+    ``neighbors[i]`` is atom i's tuple of (neighbour, bond order) pairs in
+    neighbour order.
 
     Each graph equals ``remove_explicit_hydrogens`` of the component's
     induced subgraph, atom and bond order and ``_adjacency`` included:
-    components come in order of their lowest atom index, atoms keep index
-    order, bonds are sorted by their (low, high) indices.
+    components come in order of their lowest atom index and atoms keep
+    index order. An atom's ``_adjacency`` row is its neighbours in index
+    order, which also lists its bonds to higher atoms in the (low, high)
+    order of the bond table, so one pass over the atoms builds both; a row
+    whose neighbours all keep their index is used as it is.
     """
     folded: set[int] = set()
     gained: dict[int, int] = {}
     for t in survivors:
-        anchor = _fold_anchor(atoms[t], adjacency[t], atoms)
-        if anchor is not None:
-            folded.add(t)
-            gained[anchor] = gained.get(anchor, 0) + 1
-    comp_of: dict[int, int] = {}
-    local: dict[int, int] = {}
-    members: list[list[int]] = []
+        if atoms[t].element == "H":
+            anchor = _fold_anchor(atoms[t], neighbors[t], atoms)
+            if anchor is not None:
+                folded.add(t)
+                gained[anchor] = gained.get(anchor, 0) + 1
+    seen: set[int] = set()
+    graphs = []
     for start in survivors:
-        if start in comp_of:
+        if start in seen:
             continue
-        comp_of[start] = len(members)
-        stack, comp = [start], []
+        seen.add(start)
+        stack, kept = [start], []
         while stack:
             u = stack.pop()
-            comp.append(u)
-            for v, _ in adjacency[u]:
-                if v not in comp_of:
-                    comp_of[v] = len(members)
+            if u not in folded:
+                kept.append(u)
+            for v, _ in neighbors[u]:
+                if v not in seen:
+                    seen.add(v)
                     stack.append(v)
-        kept = [i for i in sorted(comp) if i not in folded]
-        local.update((old, new) for new, old in enumerate(kept))
-        members.append(kept)
-    comp_bonds: list[list[Bond]] = [[] for _ in members]
-    comp_adj = [[[] for _ in kept] for kept in members]
-    for (u, v), order in sorted(bonds.items()):
-        if u not in folded and v not in folded:
-            a, b, c = local[u], local[v], comp_of[u]
-            comp_bonds[c].append(_bond(a, b, order))
-            comp_adj[c][a].append((b, order))
-            comp_adj[c][b].append((a, order))
-    return [
-        MolecularGraph._built(
-            tuple(_with_gained(atoms[i], gained.get(i, 0)) for i in kept),
-            tuple(comp_bond),
-            tuple(map(tuple, adj)),
+        kept.sort()
+        gap = 0  # atoms below ``gap`` keep their index
+        while gap < len(kept) and kept[gap] == gap:
+            gap += 1
+        local = {u: i for i, u in enumerate(kept)}
+        comp_atoms, comp_bonds, comp_rows = [], [], []
+        for a, u in enumerate(kept):
+            row = neighbors[u]
+            if row and row[-1][0] >= gap:
+                row = tuple([(local[v], o) for v, o in row if v in local])
+            comp_rows.append(row)
+            for b, o in row:
+                if b > a:
+                    comp_bonds.append(_bond(a, b, o))
+            comp_atoms.append(_with_gained(atoms[u], gained[u]) if u in gained else atoms[u])
+        graphs.append(
+            MolecularGraph._built(tuple(comp_atoms), tuple(comp_bonds), tuple(comp_rows))
         )
-        for kept, comp_bond, adj in zip(members, comp_bonds, comp_adj)
-    ]
+    return graphs
 
 
 def _site_tokens(mol: MolecularGraph) -> list:
@@ -692,19 +713,20 @@ def apply_template(
     match were rewritten. Each outcome carries the template's one record.
 
     ``prepared`` lets a caller that applies many templates to one target
-    expand its hydrogens once and canonicalize each precursor graph once:
-    ``enumerate_precursors`` passes one per target.
+    expand its hydrogens once, share one match index per hydrogen form and
+    canonicalize each precursor graph once: ``enumerate_precursors`` passes
+    one per target. The rewrite plan is computed once per template.
     """
     explicit = template.uses_explicit_hydrogens
     if prepared is None:
         prepared = _Prepared(target, {})
     work, tokens = prepared.form(explicit)
-    plan = _rewrite_plan(template)
+    plan = template._plan
     record = ((template.template_id, template.ec_numbers),)
     out: list[CandidatePrecursor] = []
     sites: set[tuple] = set()
     seen: set[tuple[str, ...]] = set()
-    for match in find_matches(template.lhs, work):
+    for match in find_matches(template.lhs, work, prepared.candidates[explicit]):
         site = tuple(map(tokens.__getitem__, match))
         if site in sites:
             continue

@@ -121,6 +121,28 @@ class TestCleanReactions:
         assert stats.compounds_unresolved == 3 + 4
         assert stats.reactions_degraded == 2
 
+    def test_each_distinct_string_cleaned_once(self, monkeypatch):
+        calls = Counter()
+        clean_compound = ds.clean_compound
+
+        def counted(raw):
+            calls[raw] += 1
+            return clean_compound(raw)
+
+        monkeypatch.setattr(ds, "clean_compound", counted)
+        raws = [
+            ds.RawReaction("r1", (), ("CCX", "c1", "bad"), ("CCO",)),
+            ds.RawReaction("r2", (), ("CCX", "RO"), ("CCO", "c2")),
+            ds.RawReaction("r3", (), ("bad", "OCC"), ("CCX",)),
+        ]
+        _, stats = ds.clean_reactions(raws, [("c1", "RO"), ("c2", "C((")])
+        assert calls == dict.fromkeys(["RO", "C((", "CCX", "bad", "CCO", "OCC"], 1)
+        # still counted per occurrence: the c1 entry, the RO token and three
+        # CCX tokens were repaired; the c2 entry, its one use and the two
+        # "bad" tokens are unresolved
+        assert stats.generic_fixed == 5
+        assert stats.compounds_unresolved == 4
+
     def test_merge_before_split(self):
         # Whole reactions merge, so A>>B.C twice is one reaction whose two
         # children both carry the EC union, while A>>B.C and A>>B.D stay

@@ -14,6 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -388,3 +389,147 @@ class TestAugmentFuzz:
             else:
                 assert err.startswith(f"error: {paths[name]}:{line}: "), err
                 assert err.count("\n") == 1, err
+
+
+# --- retro ------------------------------------------------------------------
+
+# Stop-set and gold molecules that parse; a search rarely reaches them, which
+# is fine, since each case checks how the inputs are read.
+GOOD_SMILES = ["CCO", "CC=O", "O", "N", "OC(=O)C", "c1ccccc1O", "[NH4+]", "N#N", "OCC"]
+CONFIG = "[retro]\nbeam = 3\nmax-steps = 1\n"
+# The faults per input. "target" is the --target text; the others are files.
+RETRO_FAULTS = {
+    "templates": ("field count", "direction", "diameter", "smarts", "repeated id",
+                  "comment only"),
+    "target": ("smiles",),
+    "stop-set": ("smiles", "comment only"),
+    "gold": ("field count", "smiles", "empty piece"),
+    "nn1": ("flipped byte", "truncated", "wrong width"),
+    "nn2": ("flipped byte", "truncated", "wrong width"),
+    "config": ("no section", "no value", "duplicate key", "unknown key", "unknown section",
+               "bad value", "percent"),
+}
+CONFIG_FAULTS = {
+    "no section": "beam = 3\n",
+    "no value": "[retro]\nbeam\n",
+    "duplicate key": "[retro]\nbeam = 3\nbeam = 4\n",
+    "unknown key": "[retro]\nbeem = 3\n",
+    "unknown section": CONFIG + "[search]\nbeam = 3\n",
+    "percent": "[retro]\nbeam = 3%\n",
+}
+RETRO_EMPTY = {
+    "templates": "retro: template file {} holds no templates\n",
+    "stop-set": "retro: stop-set file {} holds no SMILES\n",
+}
+
+
+def weight_edit(draw, kind: str, fault: str):
+    """A weight-file edit as ``weight_file`` takes it: one flipped byte, a
+    cut, or a file of another shape."""
+    size = len(WEIGHTS[kind])
+    if fault == "flipped byte":
+        at = draw(st.one_of(st.integers(0, 40), st.integers(0, size - 1)))
+        return at, bytes([WEIGHTS[kind][at] ^ draw(st.integers(1, 255))]), at + 1
+    if fault == "truncated":
+        return draw(st.integers(0, size - 1)), b"", size
+    other = 1536 if kind == "nn1pr" else 1024
+    return draw(st.sampled_from([(other, 1), (WIDTHS[kind], 2)]))
+
+
+@st.composite
+def retro_case(draw, name: str | None, fault: str | None):
+    """(file texts, weight edits, target, the line of a row fault) with
+    ``fault`` in input ``name``, or no fault."""
+    from conftest import molecules
+    from retrobio.molgraph import write_smiles
+
+    rows = {
+        "templates": [list(row) for row in draw(st.lists(
+            st.sampled_from(TEMPLATE_FIELDS), min_size=1, max_size=4,
+            unique_by=lambda row: row[0]))],
+        "stop-set": [[s] for s in draw(st.lists(st.sampled_from(GOOD_SMILES), min_size=1,
+                                                max_size=3))],
+        "gold": [list(pair) for pair in draw(st.lists(
+            st.tuples(st.sampled_from(GOOD_SMILES), st.sampled_from(GOOD_SMILES)),
+            min_size=1, max_size=3))],
+    }
+    target = write_smiles(draw(molecules(max_heavy=4)))
+    config = CONFIG
+    edits = {"nn1": None, "nn2": None}
+    line = None
+    if name in rows and fault != "comment only":
+        i = draw(st.integers(0, len(rows[name]) - 1))
+        row, line = rows[name][i], i + 2  # after the header line
+        if fault == "field count":
+            rows[name][i] = row[:-1] if draw(st.booleans()) else row + ["C"]
+        elif fault == "direction":
+            row[1] = draw(st.sampled_from(["fwd", "BWD", ""]))
+        elif fault == "diameter":
+            row[2] = draw(st.sampled_from(["two", "", "1.5", "-1"]))
+        elif fault == "smarts":
+            row[4] = draw(st.sampled_from(["[C:1]>>", "[C:1", "C>>C>>C", "[Xx:1]>>[C:1]"]))
+        elif fault == "repeated id":
+            rows[name].append(list(row))
+            line = len(rows[name]) + 1
+        elif fault == "smiles":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_SMILES))
+        else:  # an empty '.' piece among the precursors
+            row[1] = draw(st.sampled_from([".", f"{row[1]}.", f".{row[1]}"]))
+    elif fault == "comment only":
+        rows[name] = []
+    elif name == "target":
+        target = draw(st.sampled_from(BAD_SMILES + ["", "C.."]))
+    elif name in edits:
+        edits[name] = weight_edit(draw, "nn1pr" if name == "nn1" else "nn2pr", fault)
+    elif name == "config":
+        config = CONFIG_FAULTS.get(fault) or draw(st.sampled_from([
+            "[retro]\nbeam = ten\n", "[retro]\nbeam = 0\n", "[retro]\nprune = nan\n",
+            "[retro]\nmax-steps = 1.5\n",
+        ]))
+    texts = {file: tsv_text(file_rows) for file, file_rows in rows.items()}
+    texts["config"] = config
+    return texts, edits, target, line
+
+
+RETRO_CASES = [(None, None)] + [
+    (name, fault) for name, faults in RETRO_FAULTS.items() for fault in faults
+]
+
+
+class TestRetroFuzz:
+    # Twelve cases for each of the 25 faults and for no fault: 312 in all.
+    @pytest.mark.parametrize("name, fault", RETRO_CASES)
+    @given(data=st.data(), with_nn2=st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_exits_0_1_or_2_naming_file_and_line(self, name, fault, data, with_nn2):
+        texts, edits, target, line = data.draw(retro_case(name, fault))
+        with_nn2 = with_nn2 or name == "nn2"
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {file: Path(tmp, f"{file}.txt") for file in [*texts, "nn1", "nn2"]}
+            for file, text in texts.items():
+                paths[file].write_text(text, encoding="utf-8")
+            for file, kind in (("nn1", "nn1pr"), ("nn2", "nn2pr")):
+                paths[file].write_bytes(weight_file(kind, edits[file]))
+            report = Path(tmp, "report.json")
+            argv = ["--config", str(paths["config"]), "retro", "--target", target,
+                    "--templates", str(paths["templates"]), "--nn1", str(paths["nn1"]),
+                    "--stop-set", str(paths["stop-set"]), "--gold", str(paths["gold"]),
+                    "--out", str(report)]
+            if with_nn2:
+                argv += ["--nn2", str(paths["nn2"])]
+            code, err = run(argv)
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_EMPTY), err
+            if code == EXIT_OK:
+                assert name is None or fault == "flipped byte", err
+                assert err == "" and report.is_file()
+                return
+            assert not report.exists()
+            assert err.count("\n") == 1, err
+            if code == EXIT_EMPTY:
+                assert err == RETRO_EMPTY[name].format(paths[name])
+            elif line is not None:
+                assert err.startswith(f"error: {paths[name]}:{line}: "), err
+            elif name == "target":
+                assert err.startswith("error: cannot parse target: "), err
+            else:
+                assert err.startswith(f"error: {paths[name]}: "), err

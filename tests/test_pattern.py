@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
-from itertools import permutations
+from functools import partial
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from retrobio.pattern import (
     DuplicateMapIndexOnSide,
     MissingArrow,
     PatternAtom,
+    PatternBond,
     PatternGraph,
     ReactionTemplate,
     RewriteProducedEmptyGraph,
@@ -58,12 +60,20 @@ PRODUCT_FIXTURE = "OCCC(C)(C)CCCCC"
 
 
 def brute_force_matches(pattern: PatternGraph, target: MolecularGraph):
-    """Exhaustive injective assignment enumeration; the matcher oracle."""
+    """Exhaustive injective assignment enumeration; the matcher oracle.
+
+    Every tuple of target atoms that meet each pattern atom's constraints is
+    tried, the same set as every permutation that meets them, but without
+    walking the permutations that fail an atom constraint."""
     n = len(pattern.atoms)
     orders = {(b.a, b.b): b.order for b in target.bonds}
+    allowed = [
+        [t for t in range(len(target.atoms)) if atom.matches(target, t)]
+        for atom in pattern.atoms
+    ]
     found = []
-    for perm in permutations(range(len(target.atoms)), n):
-        ok = all(pattern.atoms[i].matches(target, perm[i]) for i in range(n))
+    for perm in product(*allowed):
+        ok = len(set(perm)) == n
         if ok:
             for bond in pattern.bonds:
                 lo, hi = sorted((perm[bond.a], perm[bond.b]))
@@ -121,8 +131,6 @@ def random_pattern(rng: random.Random, max_atoms: int = 4) -> PatternGraph:
     unique = {}
     for a, b, order in bonds:
         unique[(a, b)] = order
-    from retrobio.pattern import PatternBond
-
     return PatternGraph(
         tuple(atoms), tuple(PatternBond(a, b, o) for (a, b), o in unique.items())
     )
@@ -363,7 +371,8 @@ def reference_fold_and_split(
 # The oracle templates plus rewrites whose outcome depends on how an
 # anchor's unclaimed hydrogens are counted: an rhs-fixed count, a raised
 # bond order on multivalent S and P with and without named hydrogens, and
-# two claimed hydrogens that stay atoms.
+# two claimed hydrogens that stay atoms; and a ring closure, which bonds
+# two atoms of the target that were not bonded.
 REWRITE_TEMPLATES = ORACLE_TEMPLATES + [
     parse_smarts_template(s, template_id=f"R{i}")
     for i, s in enumerate(
@@ -372,6 +381,7 @@ REWRITE_TEMPLATES = ORACLE_TEMPLATES + [
             "[*:1]([H])[*:2]>>[*:1]=[*:2]",
             "[C:1][S:2]>>[C:1]=[S:2]",
             "[C:1]([H:2])[H:3]>>[C:1]([F:2])[Cl:3]",
+            "[CH3:1][C:2][C:3][CH3:4]>>[C:1]1[C:2][C:3][C:4]1",
         )
     )
 ]
@@ -478,8 +488,68 @@ class TestFindMatches:
                 pattern, target
             )
 
+    def test_shared_candidate_memo_oracle_on_both_hydrogen_forms(self):
+        # The templates of one search node share one candidate memo per
+        # hydrogen form; every pattern must still match as if alone. The
+        # targets are the 200 above.
+        rng, patterns = random.Random(1127), random.Random(31)
+        for _ in range(200):
+            target = random_molecule(rng)
+            random_pattern(rng)  # the pattern drawn above, so the targets agree
+            for form in (target, add_explicit_hydrogens(target)):
+                memo = {}
+                for _ in range(12):
+                    pattern = random_pattern(patterns)
+                    assert find_matches(pattern, form, memo) == brute_force_matches(
+                        pattern, form
+                    )
+
+    def test_ring_patterns_through_a_shared_memo(self):
+        # A ring's last atom bonds to two placed atoms: the matcher walks
+        # from one and checks the other bond on its own. The random
+        # patterns above are trees.
+        rng, matched = random.Random(7), 0
+        for smiles in ("C1CC1C", "OC1CCC1", "C1CCNC1", "CC1=CCC1", "C1CC12CC2"):
+            for form in (parse_smiles(smiles), add_explicit_hydrogens(parse_smiles(smiles))):
+                memo = {}
+                for _ in range(60):
+                    size = rng.choice([3, 4])
+                    atoms = tuple(
+                        PatternAtom(
+                            element=rng.choice([None, "C", "C", "C", "O"]),
+                            h_count=rng.choice([None, None, None, 1, 2]),
+                        )
+                        for _ in range(size + rng.choice([0, 1]))
+                    )
+                    ring = [(i, (i + 1) % size) for i in range(size)]
+                    bonds = tuple(
+                        PatternBond(min(a, b), max(a, b), rng.choice([None] * 4 + [SINGLE, DOUBLE]))
+                        for a, b in ring + [(0, size)] * (len(atoms) > size)
+                    )
+                    pattern = PatternGraph(atoms, bonds)
+                    found = find_matches(pattern, form, memo)
+                    assert found == brute_force_matches(pattern, form)
+                    matched += bool(found)
+        assert matched > 10
+
 
 class TestApplyTemplate:
+    @given(molecules())
+    @settings(max_examples=60, deadline=None)
+    def test_one_prepared_target_equals_a_fresh_one_per_template(self, target):
+        # enumerate_precursors hands all templates one _Prepared, whose
+        # candidate memo and hydrogen forms they share. The two D templates
+        # ask for one degree on both forms, where H neighbours count in one.
+        prepared = pattern._Prepared(target, {})
+        degree = [
+            parse_smarts_template("[CD1:1][H]>>[C:1]F", template_id="D1"),
+            parse_smarts_template("[CD1:1]>>[N:1]", template_id="D2"),
+        ]
+        for template in make_templates() + degree:
+            assert outcome(
+                partial(apply_template, prepared=prepared), template, target
+            ) == outcome(apply_template, template, target)
+
     def test_loose_template_15_outcomes(self):
         template = parse_smarts_template(LOOSE_SMARTS, template_id="loose")
         apps = apply_template(template, parse_smiles(PRODUCT_FIXTURE))
@@ -798,13 +868,14 @@ class TestFoldAndSplit:
         for (u, v), order in bonds.items():
             adjacency[u].append((v, order))
             adjacency[v].append((u, order))
+        adjacency = {i: tuple(sorted(row)) for i, row in adjacency.items()}
         remap = {old: new for new, old in enumerate(survivors)}
         rest = MolecularGraph(
             tuple(mol.atoms[i] for i in survivors),
             tuple(Bond(remap[u], remap[v], o) for (u, v), o in sorted(bonds.items())),
         )
         expected = [remove_explicit_hydrogens(rest.subgraph(c)) for c in rest.components()]
-        built = pattern._fold_and_split(list(mol.atoms), bonds, survivors, adjacency)
+        built = pattern._fold_and_split(list(mol.atoms), survivors, adjacency)
         assert built == expected
         assert [g._adjacency for g in built] == [g._adjacency for g in expected]
 

@@ -446,3 +446,47 @@ class TestRunRetro:
         assert payload["config"]["max_steps"] == 1
         assert isinstance(payload["levels"], list)
         assert isinstance(payload["pathways"], list)
+
+
+class TestSearchWorkCounts:
+    """The work of the 2-step, unbounded-beam search that
+    ``tests/golden/search_levels.tsv`` records, counted per level. A speed-up
+    of matching or rewriting must leave these totals as they are: a lower
+    figure means it pruned work, which needs its own proof of equal output."""
+
+    # per level: matches find_matches returned, match sites rewritten,
+    # apply_template outcomes, canonicalize calls
+    LEVELS = [(167, 66, 58, 71), (8000, 3320, 2902, 1893)]
+
+    def test_per_level_totals(self, models, monkeypatch):
+        nn1, _ = models
+        counts = Counter()
+
+        def counted(name, size):
+            fn = getattr(retrobio.pattern, name)
+
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                counts[name] += size(result)
+                return result
+
+            monkeypatch.setattr(retrobio.pattern, name, wrapper)
+
+        counted("find_matches", len)
+        counted("_rewrite", lambda _: 1)
+        counted("apply_template", len)
+        counted("canonicalize", lambda _: 1)
+        config = SearchConfig(max_steps=2, beam_width=10**9, prune_threshold=0.0)
+        fingerprinter = Fingerprinter()
+        frontier, nodes_made, levels = [root_node("OCCCC(C)CCCC")], 0, []
+        for _ in range(config.max_steps):
+            counts.clear()
+            children, stats = expand_level(
+                frontier, make_templates(), nn1, config, fingerprinter, nodes_made
+            )
+            nodes_made += stats["generated"]
+            frontier = rank_level(children, None, config, fingerprinter)
+            levels.append(tuple(counts[name] for name in (
+                "find_matches", "_rewrite", "apply_template", "canonicalize"
+            )))
+        assert levels == self.LEVELS
