@@ -65,6 +65,21 @@ def _pos_weight(text: str) -> str | float:
     return weight
 
 
+def _output_path(text: str) -> str:
+    """'' (no output) as given, else a path that can be written: its
+    directory exists and it is no directory itself. Checked with the
+    options, before any input is read, so a command that cannot write one
+    output writes none."""
+    if not text:
+        return text
+    path = Path(text)
+    if path.is_dir():
+        raise ValueError(f"cannot write {text}: it is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"cannot write {text}: {path.parent} is not a directory")
+    return text
+
+
 # Valid values: (rule shown in --help and errors, test). Every test is a
 # comparison, so NaN fails it.
 _AT_LEAST_0 = ("at least 0", lambda v: v >= 0)
@@ -96,8 +111,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "train": {
         "model": (str, None, "model to train", ("nn1pr or nn2pr", lambda v: v in _MODELS)),
         "data": (str, None, "training dataset TSV", None),
-        "out": (str, None, "output weight file", None),
-        "history": (str, "", "optional per-epoch loss/accuracy CSV", None),
+        "out": (_output_path, None, "output weight file", None),
+        "history": (_output_path, "", "optional per-epoch loss/accuracy CSV", None),
         "epochs": (int, 30, "training epochs", _AT_LEAST_0),
         "batch": (int, 128, "batch size", _AT_LEAST_1),
         "lr": (float, 0.001, "Adam learning rate", _POSITIVE),
@@ -108,21 +123,21 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "eval": {
         "weights": (str, None, "trained weight file", None),
         "data": (str, None, "test dataset TSV", None),
-        "out": (str, None, "JSON report path", None),
-        "tsv": (str, "", "optional per-group rank TSV", None),
+        "out": (_output_path, None, "JSON report path", None),
+        "tsv": (_output_path, "", "optional per-group rank TSV", None),
     },
     "retro": {
         "target": (str, None, "target SMILES", None),
         "templates": (str, None, "template TSV", None),
         "nn1": (str, None, "one-step ranker weight file", None),
         "nn2": (str, "", "optional two-step ranker weight file", None),
-        "out": (str, None, "JSON search report path", None),
+        "out": (_output_path, None, "JSON search report path", None),
         "max-steps": (int, 3, "maximum backward steps", _AT_LEAST_1),
         "beam": (int, 10, "beam width per level", _AT_LEAST_1),
         "prune": (float, 0.0, "one-step score pruning threshold", _NOT_NAN),
         "stop-set": (str, "", "file of stop-set SMILES, one per line", None),
         "gold": (str, "", "gold pathway TSV (product, precursors per step)", None),
-        "pathways-tsv": (str, "", "optional reconstructed-pathway TSV", None),
+        "pathways-tsv": (_output_path, "", "optional reconstructed-pathway TSV", None),
         "max-nodes": (int, 100000, "node budget", _AT_LEAST_1),
         "threads": (int, 1, "accepted and not used: the search runs serially", _AT_LEAST_1),
     },
@@ -289,7 +304,7 @@ def cmd_augment(options: dict) -> int:
         positives, templates, max_workers=options["threads"], stats=stats
     )
     combined = ds.subsample_negatives(
-        positives + negatives, options["neg_fraction"], options["seed"]
+        [p.row() for p in positives] + negatives, options["neg_fraction"], options["seed"]
     )
     train_set, test_set = ds.split_train_test(
         combined, options["test_fraction"], options["seed"]
@@ -301,15 +316,11 @@ def cmd_augment(options: dict) -> int:
 
     if pathways is not None:
         chains = ds.extract_chains(pathways, positives)
-        negatives_by_product: dict[str, list[tuple[str, ...]]] = {}
-        for neg in negatives:
-            negatives_by_product.setdefault(neg.product_key, []).append(
-                neg.reactant_keys
-            )
-        chain_negatives = ds.make_pathway_pairs(chains, negatives_by_product)
-        chain_all = chains + chain_negatives
+        chain_negatives = ds.make_pathway_pairs(chains, negatives)
         chain_train, chain_test = ds.split_train_test(
-            chain_all, options["test_fraction"], options["seed"]
+            [c.row() for c in chains] + chain_negatives,
+            options["test_fraction"],
+            options["seed"],
         )
         ds.write_examples_tsv(out_dir / "twostep_train.tsv", chain_train)
         ds.write_examples_tsv(out_dir / "twostep_test.tsv", chain_test)

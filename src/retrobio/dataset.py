@@ -12,13 +12,18 @@ losses are counted in one CorpusStats. Negative examples are generated by
 applying the full template set to every unique product and removing
 anything that is actually a known positive (the strict check).
 
-Dataset rows are written as TSV: label, group_key, target, precursors,
-weight. The precursors column joins molecules of one step with '.' and
-steps with ';', so one-step and two-step datasets share the schema. All
-randomness is seeded; identical inputs and seeds give byte-identical
-files. numpy and fingerprint are imported only by the two functions that
-fingerprint, so augmentation runs without numpy, and ingestion loads it only
-for a product that shares no atom word with its reactants.
+DatasetRow is the one example type: a label, a group key, a target, one or
+two precursor steps and a weight. augment_negatives and make_pathway_pairs
+return rows, a corpus reaction or a pathway chain becomes a positive row
+through its row() method, and write_examples_tsv writes the rows that
+read_examples_tsv gives back to train and eval. The TSV columns are label,
+group_key, target, precursors, weight; the precursors column joins
+molecules of one step with '.' and steps with ';', so one-step and two-step
+datasets share the schema. All randomness is seeded; identical inputs and
+seeds give byte-identical files. numpy and fingerprint are imported only by
+the two functions that fingerprint, so augmentation runs without numpy, and
+ingestion loads it only for a product that shares no atom word with its
+reactants.
 """
 
 from __future__ import annotations
@@ -83,25 +88,33 @@ class RawReaction:
 
 
 @dataclass(frozen=True)
+class DatasetRow:
+    label: str
+    group_key: str
+    target_key: str
+    steps: tuple[tuple[str, ...], ...]
+    weight: float = 1.0
+
+    @property
+    def is_positive(self) -> bool:
+        return self.label == POSITIVE
+
+    @property
+    def molecule_keys(self) -> tuple[str, ...]:
+        """The target key, then every step's precursor keys in order."""
+        return (self.target_key, *sum(self.steps, ()))
+
+
+@dataclass(frozen=True)
 class MonoProductReaction:
     parent_id: str
     ec_numbers: tuple[str, ...]
     reactant_keys: tuple[str, ...]
     product_key: str
-    label: str = POSITIVE
-    weight: float = 1.0
 
-    @property
-    def group_key(self) -> str:
-        return self.product_key
-
-    @property
-    def target_key(self) -> str:
-        return self.product_key
-
-    @property
-    def steps(self) -> tuple[tuple[str, ...], ...]:
-        return (self.reactant_keys,)
+    def row(self) -> DatasetRow:
+        """The positive one-step row, grouped by its product."""
+        return DatasetRow(POSITIVE, self.product_key, self.product_key, (self.reactant_keys,))
 
 
 @dataclass(frozen=True)
@@ -113,13 +126,12 @@ class PathwayChain:
     step1_keys: tuple[str, ...]
     step2_keys: tuple[str, ...]
     link_key: str  # the step-1 precursor that step 2 produces
-    label: str = POSITIVE
-    group_key: str = ""
-    weight: float = 1.0
 
-    @property
-    def steps(self) -> tuple[tuple[str, ...], ...]:
-        return (self.step1_keys, self.step2_keys)
+    def row(self) -> DatasetRow:
+        """The positive two-step row, grouped by its chain."""
+        return DatasetRow(
+            POSITIVE, self.chain_id, self.target_key, (self.step1_keys, self.step2_keys)
+        )
 
 
 @dataclass
@@ -240,9 +252,9 @@ def clean_reactions(
 
 
 def _augment_product(product_key, templates, keys_of):
-    # Keys and first EC numbers only: the graphs are not held until the merge.
+    # Keys only: the graphs are not held until the merge.
     candidates = enumerate_precursors(parse_smiles(product_key), templates, keys_of)
-    return [(c.precursor_keys, c.provenance[0][1]) for c in candidates]
+    return [c.precursor_keys for c in candidates]
 
 
 def flag_disjoint_products(
@@ -290,18 +302,19 @@ def augment_negatives(
     templates: list[ReactionTemplate],
     max_workers: int = 1,
     stats: CorpusStats | None = None,
-) -> list[MonoProductReaction]:
-    """Template-generated hypothetical precursors, minus every true one.
+) -> list[DatasetRow]:
+    """Template-generated hypothetical precursors, minus every true one, as
+    negative one-step rows grouped by their product.
 
     Works per unique product; the strict check removes any precursor
     multiset equal to the reactants of ANY positive with that product.
     Output order is (product key, candidate order) regardless of the
     worker count. All products share one key memo; threads that race store equal keys.
     """
-    by_product: dict[str, list[MonoProductReaction]] = {}
+    true_sets: dict[str, set[tuple[str, ...]]] = {}
     for pos in positives:
-        by_product.setdefault(pos.product_key, []).append(pos)
-    products = sorted(by_product)
+        true_sets.setdefault(pos.product_key, set()).add(pos.reactant_keys)
+    products = sorted(true_sets)
     augment = partial(_augment_product, templates=templates, keys_of={})
     if max_workers > 1 and len(products) > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -309,25 +322,16 @@ def augment_negatives(
     else:
         candidate_lists = [augment(p) for p in products]
 
-    negatives: list[MonoProductReaction] = []
+    negatives: list[DatasetRow] = []
     histogram: Counter = Counter()
     for product_key, candidates in zip(products, candidate_lists):
-        true_sets = {pos.reactant_keys for pos in by_product[product_key]}
-        count = 0
-        for keys, ec_numbers in candidates:
-            if keys in true_sets:
-                continue
-            count += 1
-            negatives.append(
-                MonoProductReaction(
-                    parent_id=f"aug:{product_key}:{count}",
-                    ec_numbers=ec_numbers,
-                    reactant_keys=keys,
-                    product_key=product_key,
-                    label=NEGATIVE,
-                )
-            )
-        histogram[count] += 1
+        rows = [
+            DatasetRow(NEGATIVE, product_key, product_key, (keys,))
+            for keys in candidates
+            if keys not in true_sets[product_key]
+        ]
+        negatives += rows
+        histogram[len(rows)] += 1
     if stats is not None:
         stats.negatives_generated = len(negatives)
         stats.negatives_per_positive_histogram = dict(histogram)
@@ -353,63 +357,43 @@ def extract_chains(
                 for rb in by_id.get(reaction_ids[i + 1], []):
                     if rb.product_key not in ra.reactant_keys:
                         continue
-                    chain_id = f"{pathway_id}:{i + 1}"
                     chains.append(
                         PathwayChain(
-                            chain_id=chain_id,
+                            chain_id=f"{pathway_id}:{i + 1}",
                             target_key=ra.product_key,
                             step1_keys=ra.reactant_keys,
                             step2_keys=rb.reactant_keys,
                             link_key=rb.product_key,
-                            label=POSITIVE,
-                            group_key=chain_id,
                         )
                     )
     return chains
 
 
 def make_pathway_pairs(
-    chains: list[PathwayChain],
-    negatives_by_product: dict[str, list[tuple[str, ...]]],
-) -> list[PathwayChain]:
-    """Negative chains by substituting augmented precursors at either step.
+    chains: list[PathwayChain], negatives: list[DatasetRow]
+) -> list[DatasetRow]:
+    """Negative two-step rows: each one-step negative of a chain's target
+    replaces its step 1, then each one of its link replaces its step 2.
 
     The strict check removes any generated chain identical to a positive;
-    each negative inherits the positive chain's group key.
+    each negative is grouped with its positive chain.
     """
-    positive_triples = {
-        (c.target_key, c.step1_keys, c.step2_keys)
-        for c in chains
-        if c.label == POSITIVE
-    }
-    out: list[PathwayChain] = []
+    alternatives: dict[str, list[tuple[str, ...]]] = {}
+    for neg in negatives:
+        alternatives.setdefault(neg.target_key, []).append(neg.steps[0])
+    positive_triples = {(c.target_key, c.step1_keys, c.step2_keys) for c in chains}
+    out: list[DatasetRow] = []
     for chain in chains:
-        if chain.label != POSITIVE:
-            continue
-        # Step-1 swaps first, then step-2 swaps; one counter numbers both.
         swaps = [
-            (alt, chain.step2_keys)
-            for alt in negatives_by_product.get(chain.target_key, [])
+            (alt, chain.step2_keys) for alt in alternatives.get(chain.target_key, [])
         ] + [
-            (chain.step1_keys, alt)
-            for alt in negatives_by_product.get(chain.link_key, [])
+            (chain.step1_keys, alt) for alt in alternatives.get(chain.link_key, [])
         ]
-        counter = 0
-        for step1, step2 in swaps:
-            if (chain.target_key, step1, step2) in positive_triples:
-                continue
-            counter += 1
-            out.append(
-                PathwayChain(
-                    chain_id=f"{chain.chain_id}:neg{counter}",
-                    target_key=chain.target_key,
-                    step1_keys=step1,
-                    step2_keys=step2,
-                    link_key=chain.link_key,
-                    label=NEGATIVE,
-                    group_key=chain.group_key,
-                )
-            )
+        out += [
+            DatasetRow(NEGATIVE, chain.chain_id, chain.target_key, steps)
+            for steps in swaps
+            if (chain.target_key, *steps) not in positive_triples
+        ]
     return out
 
 
@@ -417,7 +401,7 @@ def make_pathway_pairs(
 # Splits and subsampling
 
 
-def split_train_test(examples: list, fraction: float, seed: int):
+def split_train_test(examples: list[DatasetRow], fraction: float, seed: int):
     """Group-aware split: a positive and all its negatives stay together.
 
     Groups are keyed by ``group_key``; the seeded shuffle picks
@@ -438,7 +422,9 @@ def split_train_test(examples: list, fraction: float, seed: int):
     return train, test
 
 
-def subsample_negatives(examples: list, fraction: float, seed: int) -> list:
+def subsample_negatives(
+    examples: list[DatasetRow], fraction: float, seed: int
+) -> list[DatasetRow]:
     """Keep all positives and a seeded shuffled prefix of the negatives."""
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must be in [0, 1]")
@@ -498,42 +484,23 @@ def read_pathways_tsv(path) -> list[tuple[str, tuple[str, ...]]]:
     )
 
 
-def write_examples_tsv(path, examples: list) -> None:
+def write_examples_tsv(path, rows: list[DatasetRow]) -> None:
     """label, group_key, target, precursors (steps ';'-sep, molecules
-    '.'-sep), weight. Takes MonoProductReaction, PathwayChain or DatasetRow
-    examples."""
+    '.'-sep), weight."""
     write_tsv(
         path,
         ("label", "group_key", "target", "precursors", "weight"),
         (
             (
-                ex.label,
-                ex.group_key,
-                ex.target_key,
-                ";".join(".".join(step) for step in ex.steps),
-                f"{ex.weight:g}",
+                row.label,
+                row.group_key,
+                row.target_key,
+                ";".join(".".join(step) for step in row.steps),
+                f"{row.weight:g}",
             )
-            for ex in examples
+            for row in rows
         ),
     )
-
-
-@dataclass(frozen=True)
-class DatasetRow:
-    label: str
-    group_key: str
-    target_key: str
-    steps: tuple[tuple[str, ...], ...]
-    weight: float
-
-    @property
-    def is_positive(self) -> bool:
-        return self.label == POSITIVE
-
-    @property
-    def molecule_keys(self) -> tuple[str, ...]:
-        """The target key, then every step's precursor keys in order."""
-        return (self.target_key, *sum(self.steps, ()))
 
 
 def _dataset_row(label, group_key, target, precursors, weight) -> DatasetRow:

@@ -341,8 +341,9 @@ def _backward(
     delta_out: np.ndarray,
     rows: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients per layer given d(loss)/d(pre-sigmoid output is NOT assumed);
-    ``delta_out`` is d(loss)/d(final activation output).
+    """Gradients per layer given ``delta_out``, d(loss)/d(final activation
+    output): the final sigmoid's own derivative is applied here, not
+    assumed to be folded into ``delta_out``.
 
     With ``rows``, the first layer's weight gradient covers only those
     input rows, in that order: another row whose inputs are all zero has

@@ -293,21 +293,19 @@ def load_templates(path) -> list[ReactionTemplate]:
 
 
 def _match_order(pattern: PatternGraph, candidates: list[frozenset[int]]) -> list[int]:
-    """Pattern-atom processing order: rarest candidate set first, preferring
-    atoms adjacent to already-placed ones so bonds prune early."""
-    n = len(pattern.atoms)
-    remaining = set(range(n))
+    """Pattern-atom processing order: each next atom is the one with the
+    fewest candidates (then the lowest index) among those bonded to an
+    already-placed atom, or among all atoms left when none is, so bonds
+    prune early."""
+    remaining = set(range(len(pattern.atoms)))
+    frontier: set[int] = set()
     order: list[int] = []
-    placed: set[int] = set()
     while remaining:
-        def key(i: int):
-            adjacent = any(j in placed for j, _ in pattern.neighbors(i))
-            return (not adjacent if placed else False, len(candidates[i]), i)
-
-        nxt = min(remaining, key=key)
+        nxt = min(frontier or remaining, key=lambda i: (len(candidates[i]), i))
         order.append(nxt)
-        placed.add(nxt)
         remaining.remove(nxt)
+        frontier.discard(nxt)
+        frontier.update(j for j, _ in pattern.neighbors(nxt) if j in remaining)
     return order
 
 
@@ -343,6 +341,8 @@ def find_matches(
         candidates.append(found)
     order = _match_order(pattern, candidates)
     n = len(order)
+    if not n:
+        return [()]
     depth_of = {p: d for d, p in enumerate(order)}
     # Per depth: the atom's candidates and its bonds to atoms placed at
     # earlier depths, as (that depth, the target bond orders it accepts).
@@ -361,26 +361,33 @@ def find_matches(
     used: set[int] = set()
     results: list[tuple[int, ...]] = []
 
-    def backtrack(d: int):
-        if d == n:
-            results.append(tuple([chosen[s] for s in slots]))
-            return
-        pool, first, rest = steps[d]
-        if first is not None:
-            q, accepted = first
-            pool = [v for v, o in adjacency[chosen[q]] if v in pool and o in accepted]
-        for t in pool:
+    def pool_at(d: int):
+        pool, first, _ = steps[d]
+        if first is None:
+            return iter(pool)
+        q, accepted = first
+        return iter([v for v, o in adjacency[chosen[q]] if v in pool and o in accepted])
+
+    # Depth-first over an explicit stack of candidate iterators, one per
+    # placed depth, so a long pattern takes no Python frame per atom.
+    stack = [pool_at(0)]
+    while stack:
+        d = len(stack) - 1
+        rest = steps[d][2]
+        for t in stack[d]:
             if t in used or rest and any(orders[chosen[q]].get(t) not in ok for q, ok in rest):
                 continue
             chosen[d] = t
+            if d + 1 == n:
+                results.append(tuple([chosen[s] for s in slots]))
+                continue
             used.add(t)
-            backtrack(d + 1)
-            used.remove(t)
-
-    backtrack(0)
-    # The closure refers to itself; unbinding it frees the target's graph
-    # and the search state now instead of at the next garbage collection.
-    del backtrack
+            stack.append(pool_at(d + 1))
+            break
+        else:
+            stack.pop()
+            if stack:
+                used.remove(chosen[d - 1])
     results.sort()
     return results
 

@@ -82,7 +82,6 @@ def build_corpus(max_length: int = 9):
                 step1_keys=(aldehyde,),
                 step2_keys=(acid,),
                 link_key=aldehyde,
-                group_key=f"chain{i}",
             )
         )
     return alcohols, templates, positives, chains

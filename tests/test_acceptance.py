@@ -159,20 +159,6 @@ def test_criterion_06_gradient_correctness():
             assert report.max_relative_error <= 1e-4
 
 
-def _featurized(examples):
-    import os
-    import tempfile
-
-    handle, path = tempfile.mkstemp(suffix=".tsv")
-    os.close(handle)
-    try:
-        ds.write_examples_tsv(path, examples)
-        rows = ds.read_examples_tsv(path)
-    finally:
-        os.unlink(path)
-    return rows
-
-
 def test_criterion_07_toy_end_to_end_learning(synth_corpus, synth_negatives):
     with criterion(
         7,
@@ -182,14 +168,8 @@ def test_criterion_07_toy_end_to_end_learning(synth_corpus, synth_negatives):
         _, _, positives, chains = synth_corpus
         negatives, _ = synth_negatives
         assert len(positives) >= 50
-        rows_one = _featurized(positives + negatives)
-        negatives_by_product: dict[str, list[tuple[str, ...]]] = {}
-        for neg in negatives:
-            negatives_by_product.setdefault(neg.product_key, []).append(
-                neg.reactant_keys
-            )
-        chain_negatives = ds.make_pathway_pairs(chains, negatives_by_product)
-        rows_two = _featurized(chains + chain_negatives)
+        rows_one = [p.row() for p in positives] + negatives
+        rows_two = [c.row() for c in chains] + ds.make_pathway_pairs(chains, negatives)
         x1, y1, w1 = ds.features_for(rows_one)
         x2, y2, w2 = ds.features_for(rows_two)
         fingerprinter = Fingerprinter()

@@ -752,6 +752,76 @@ class TestRetro:
         ]) == EXIT_OK, capsys.readouterr().err
 
 
+    def test_template_chain_longer_than_recursion_limit(self, staged, tmp_path, capsys):
+        # The matcher places one pattern atom per depth without a Python
+        # frame per depth, so a 1000-atom template lhs matches.
+        chain = "[C]" * 998
+        templates = tmp_path / "templates.tsv"
+        templates.write_text(
+            f"T\tbwd\t0\t\t[C:1]{chain}[O:2]>>[C:1]{chain}[S:2]\n", encoding="utf-8"
+        )
+        report = tmp_path / "r.json"
+        assert main([
+            "retro", "--target", "C" * 999 + "O",
+            "--templates", str(templates),
+            "--nn1", str(staged / "nn1.weights"),
+            "--out", str(report),
+            "--max-steps", "1",
+        ]) == EXIT_OK, capsys.readouterr().err
+        (pathway,) = json.loads(report.read_text())["pathways"]
+        assert pathway["steps"][0]["precursors"] == ["C" * 999 + "S"]
+
+
+class TestOutputPaths:
+    """Every output path is checked before any input is read, so a command
+    that cannot write one of its outputs exits 1 and writes none."""
+
+    @staticmethod
+    def argv(command, staged, corpus_files, out, extra):
+        data = staged / "augment" / "onestep_test.tsv"
+        return {
+            "train": ["train", "--model", "nn1pr", "--data", str(data), "--epochs", "1"],
+            "eval": ["eval", "--weights", str(staged / "nn1.weights"), "--data", str(data)],
+            "retro": ["retro", "--target", "OCCCO", "--templates", str(corpus_files[3]),
+                      "--nn1", str(staged / "nn1.weights"), "--max-steps", "1"],
+        }[command] + ["--out", str(out), *extra]
+
+    @pytest.mark.parametrize("command, option", [
+        ("train", "--history"), ("eval", "--tsv"), ("retro", "--pathways-tsv"),
+    ])
+    @pytest.mark.parametrize("fault", ["missing directory", "file as directory", "directory"])
+    def test_second_output_unwritable_exits_1_writing_nothing(
+        self, staged, corpus_files, tmp_path, capsys, command, option, fault
+    ):
+        (tmp_path / "file").touch()
+        bad = {
+            "missing directory": tmp_path / "missing" / "second",
+            "file as directory": tmp_path / "file" / "second",
+            "directory": tmp_path,
+        }[fault]
+        out = tmp_path / "first"
+        assert main(self.argv(command, staged, corpus_files, out, [option, str(bad)])) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}: cannot write {bad}: "), err
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "retro"])
+    def test_out_in_missing_directory_exits_1_before_reading(
+        self, staged, corpus_files, tmp_path, capsys, monkeypatch, command
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read before the output paths were checked")
+
+        monkeypatch.setattr(cli, "load_templates", refuse)
+        monkeypatch.setattr(cli.ds, "read_examples_tsv", refuse)
+        out = tmp_path / "missing" / "out"
+        assert main(self.argv(command, staged, corpus_files, out, [])) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: --out: cannot write {out}: {out.parent} is not a directory\n"
+        )
+
+
 class TestConfigFile:
     def test_file_supplies_defaults_flags_override(self, corpus_files, tmp_path):
         _, reactions, _, _ = corpus_files
@@ -835,6 +905,12 @@ BAD_VALUES = {
     ("train", "dropout"): "1",
     ("train", "seed"): "-1",
     ("train", "pos-weight"): "-1",
+    ("train", "out"): ".",
+    ("train", "history"): "no-such-directory/history.csv",
+    ("eval", "out"): "no-such-directory/report.json",
+    ("eval", "tsv"): ".",
+    ("retro", "out"): ".",
+    ("retro", "pathways-tsv"): "no-such-directory/pathways.tsv",
     ("retro", "max-steps"): "0",
     ("retro", "beam"): "0",
     ("retro", "prune"): "nan",

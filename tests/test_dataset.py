@@ -209,7 +209,7 @@ class TestAugmentation:
         negatives = ds.augment_negatives(
             [positive], [ALDEHYDE, THIOL, FLUORO], stats=stats
         )
-        keys = {n.reactant_keys for n in negatives}
+        keys = {n.steps[0] for n in negatives}
         assert ("CC=O",) not in keys  # removed by the strict check
         assert ("CCS",) in keys
         assert stats.negatives_generated == len(negatives) > 0
@@ -225,7 +225,7 @@ class TestAugmentation:
         )
         by_product = {}
         for n in negatives:
-            by_product.setdefault(n.product_key, []).append(n)
+            by_product.setdefault(n.target_key, []).append(n)
         assert sum(len(v) for v in by_product.values()) == len(negatives)
         assert set(by_product) <= {"CCO", "CCCO"}
         histogram_total = sum(
@@ -434,51 +434,43 @@ class TestAugmentKeyMemo:
 
 
 class TestPathwayPairs:
-    CHAIN = ds.PathwayChain(
-        "c1", "CCO", ("CC=O",), ("CC(=O)O",), "CC=O", group_key="c1"
-    )
+    CHAIN = ds.PathwayChain("c1", "CCO", ("CC=O",), ("CC(=O)O",), "CC=O")
+
+    @staticmethod
+    def negatives(product: str, *alternatives: str) -> list[ds.DatasetRow]:
+        return [ds.DatasetRow(ds.NEGATIVE, product, product, ((alt,),)) for alt in alternatives]
 
     def test_substitution_counts(self):
-        negatives_by_product = {"CCO": [("CCS",), ("CCF",), ("CCN",)]}
-        out = ds.make_pathway_pairs([self.CHAIN], negatives_by_product)
+        out = ds.make_pathway_pairs([self.CHAIN], self.negatives("CCO", "CCS", "CCF", "CCN"))
         assert len(out) == 3
         assert all(c.label == ds.NEGATIVE for c in out)
         assert all(c.group_key == "c1" for c in out)
-        assert {c.step1_keys for c in out} == {("CCS",), ("CCF",), ("CCN",)}
+        assert {c.steps[0] for c in out} == {("CCS",), ("CCF",), ("CCN",)}
 
     def test_both_steps_substituted(self):
-        negatives_by_product = {
-            "CCO": [("CCS",)],
-            "CC=O": [("SCC=O",), ("OCC=O",)],
-        }
-        out = ds.make_pathway_pairs([self.CHAIN], negatives_by_product)
+        negatives = self.negatives("CCO", "CCS") + self.negatives("CC=O", "SCC=O", "OCC=O")
+        out = ds.make_pathway_pairs([self.CHAIN], negatives)
         assert len(out) == 3
-        step2_variants = {c.step2_keys for c in out if c.step1_keys == ("CC=O",)}
+        step2_variants = {c.steps[1] for c in out if c.steps[0] == ("CC=O",)}
         assert step2_variants == {("SCC=O",), ("OCC=O",)}
 
     def test_no_negatives_available(self):
-        assert ds.make_pathway_pairs([self.CHAIN], {}) == []
+        assert ds.make_pathway_pairs([self.CHAIN], []) == []
 
     def test_positive_never_among_negatives(self):
-        negatives_by_product = {"CCO": [("CC=O",), ("CCS",)]}
-        out = ds.make_pathway_pairs([self.CHAIN], negatives_by_product)
-        triples = {(c.target_key, c.step1_keys, c.step2_keys) for c in out}
-        assert ("CCO", ("CC=O",), ("CC(=O)O",)) not in triples
+        out = ds.make_pathway_pairs([self.CHAIN], self.negatives("CCO", "CC=O", "CCS"))
+        assert self.CHAIN.row().steps not in {c.steps for c in out}
 
 
 class TestSplits:
     def _examples(self, n_groups=100, per_group=3):
         out = []
         for g in range(n_groups):
-            out.append(
-                ds.MonoProductReaction(f"p{g}", (), (f"{'C' * (g + 1)}",), f"g{g}")
-            )
-            for i in range(per_group - 1):
-                out.append(
-                    ds.MonoProductReaction(
-                        f"n{g}.{i}", (), ("O",), f"g{g}", label=ds.NEGATIVE
-                    )
-                )
+            out.append(ds.DatasetRow(ds.POSITIVE, f"g{g}", f"g{g}", ((f"{'C' * (g + 1)}",),)))
+            out += [
+                ds.DatasetRow(ds.NEGATIVE, f"g{g}", f"g{g}", (("O",),))
+                for _ in range(per_group - 1)
+            ]
         return out
 
     def test_ten_percent_of_100_groups(self):
@@ -537,47 +529,31 @@ class TestFileFormats:
         assert ds.read_pathways_tsv(pathways) == [("p1", ("r1", "r2", "r3"))]
 
     def test_examples_round_trip(self, tmp_path):
-        examples = [
-            ds.MonoProductReaction("p", ("1.1.1.1",), ("CC=O",), "CCO"),
-            ds.PathwayChain(
-                "c", "CCO", ("CC=O",), ("CC(=O)O", "O"), "CC=O",
-                label=ds.NEGATIVE, group_key="c",
-            ),
+        rows = [
+            ds.MonoProductReaction("p", ("1.1.1.1",), ("CC=O",), "CCO").row(),
+            ds.DatasetRow(ds.NEGATIVE, "c", "CCO", (("CC=O",), ("CC(=O)O", "O"))),
         ]
         path = tmp_path / "rows.tsv"
-        ds.write_examples_tsv(path, examples[:1])
-        (row,) = ds.read_examples_tsv(path)
-        assert row.is_positive
-        assert row.steps == (("CC=O",),)
-        ds.write_examples_tsv(path, examples[1:])
-        (row,) = ds.read_examples_tsv(path)
-        assert row.steps == (("CC=O",), ("CC(=O)O", "O"))
-        assert not row.is_positive
+        ds.write_examples_tsv(path, rows)
+        assert ds.read_examples_tsv(path) == rows
+        assert rows[0] == ds.DatasetRow(ds.POSITIVE, "CCO", "CCO", (("CC=O",),), 1.0)
 
     def test_read_rows_write_back_byte_identical(self, tmp_path):
-        examples = [
-            ds.MonoProductReaction("p", ("1.1.1.1",), ("CC=O",), "CCO"),
-            ds.MonoProductReaction(
-                "n", (), ("CC", "O"), "CCO", label=ds.NEGATIVE, weight=0.25
-            ),
-            ds.PathwayChain(
-                "c", "CCO", ("CC=O",), ("CC(=O)O", "O"), "CC=O",
-                label=ds.NEGATIVE, group_key="c", weight=3.5,
-            ),
+        rows = [
+            ds.MonoProductReaction("p", ("1.1.1.1",), ("CC=O",), "CCO").row(),
+            ds.DatasetRow(ds.NEGATIVE, "CCO", "CCO", (("CC", "O"),), 0.25),
+            ds.DatasetRow(ds.NEGATIVE, "c", "CCO", (("CC=O",), ("CC(=O)O", "O")), 3.5),
         ]
         first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
-        ds.write_examples_tsv(first, examples)
+        ds.write_examples_tsv(first, rows)
         ds.write_examples_tsv(second, ds.read_examples_tsv(first))
         assert second.read_bytes() == first.read_bytes()
 
-    def test_features_width(self, tmp_path):
-        one = ds.MonoProductReaction("p", (), ("CC=O",), "CCO")
-        two = ds.PathwayChain("c", "CCO", ("CC=O",), ("CC(=O)O",), "CC=O", group_key="c")
-        path1, path2 = tmp_path / "one.tsv", tmp_path / "two.tsv"
-        ds.write_examples_tsv(path1, [one])
-        ds.write_examples_tsv(path2, [two])
-        x1, y1, w1 = ds.features_for(ds.read_examples_tsv(path1))
-        x2, _, _ = ds.features_for(ds.read_examples_tsv(path2))
+    def test_features_width(self):
+        one = ds.MonoProductReaction("p", (), ("CC=O",), "CCO").row()
+        two = ds.PathwayChain("c", "CCO", ("CC=O",), ("CC(=O)O",), "CC=O").row()
+        x1, y1, w1 = ds.features_for([one])
+        x2, _, _ = ds.features_for([two])
         # Packed rows: 1024 and 1536 features, eight to a byte.
         assert x1.dtype == x2.dtype == "uint8"
         assert x1.shape == (1, 128)

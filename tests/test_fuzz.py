@@ -175,13 +175,10 @@ def tiny_weights(in_dim: int, outputs: int = 1) -> bytes:
 WEIGHTS = {kind: tiny_weights(width) for kind, width in WIDTHS.items()}
 
 
-@st.composite
-def eval_case(draw):
-    """(model kind, weight file edit, dataset text, fault, line of a row
-    fault)."""
-    kind = draw(st.sampled_from(sorted(WIDTHS)))
-    fault = draw(st.sampled_from(FAULTS))
-    steps = 2 if kind == "nn2pr" else draw(st.sampled_from([1, 2]))
+def dataset_text(draw, steps: int, fault: str | None) -> tuple[str, int | None]:
+    """(text, line of a row fault) of a dataset of one to three synthdata
+    groups of ``steps``-step rows, with ``fault`` if it is a dataset
+    fault."""
     groups = draw(st.lists(st.sampled_from(GROUPS[steps]), min_size=1, max_size=3,
                            unique_by=lambda group: group[0][1]))
     rows = [list(row) + ["1"] for group in groups for row in group]
@@ -212,10 +209,24 @@ def eval_case(draw):
         for row in rows:
             if row[1] == group:
                 row[0] = "negative"
+    elif fault == "one class":
+        label = draw(st.sampled_from(["positive", "negative"]))
+        for row in rows:
+            row[0] = label
     elif fault == "no rows":
         rows = []
     text = "# label\tgroup_key\ttarget\tprecursors\tweight\n"
-    text += "".join("\t".join(row) + "\n" for row in rows)
+    return text + "".join("\t".join(row) + "\n" for row in rows), line
+
+
+@st.composite
+def eval_case(draw):
+    """(model kind, weight file edit, dataset text, fault, line of a row
+    fault)."""
+    kind = draw(st.sampled_from(sorted(WIDTHS)))
+    fault = draw(st.sampled_from(FAULTS))
+    steps = 2 if kind == "nn2pr" else draw(st.sampled_from([1, 2]))
+    text, line = dataset_text(draw, steps, fault)
 
     size = len(WEIGHTS[kind])
     if fault == "flipped byte":
@@ -272,6 +283,101 @@ class TestEvalFuzz:
             assert err.count("\n") == 1, err
 
 
+# --- train ------------------------------------------------------------------
+
+# The faults per input. "dataset" is the --data file, an "option" fault is
+# a bad value of that option given as a flag or in the config file, and
+# "out" and "history" are output paths.
+TRAIN_FAULTS = {
+    "dataset": ROW_FAULTS + ("mixed steps", "one class", "no rows", "nn2pr on one step"),
+    "option": ("epochs", "batch", "lr", "dropout", "pos-weight"),
+    "out": ("missing directory", "file as directory"),
+    "history": ("missing directory", "file as directory"),
+}
+BAD_OPTIONS = {
+    "epochs": ["-1", "1.5", "ten"],
+    "batch": ["0", "-2", "2.5"],
+    "lr": ["0", "-0.1", "nan", "inf"],
+    "dropout": ["1", "-0.5", "nan"],
+    "pos-weight": ["-1", "nan", "inf", "many"],
+}
+TRAIN_CASES = [(None, None)] + [
+    (name, fault) for name, faults in TRAIN_FAULTS.items() for fault in faults
+]
+
+
+@st.composite
+def train_case(draw, name: str | None, fault: str | None):
+    """(model kind, dataset text, line of a row fault, option flags, config
+    text) with ``fault`` in input ``name``, or no fault. One epoch over at
+    most a dozen rows keeps a case to milliseconds."""
+    kind = "nn2pr" if fault == "nn2pr on one step" else draw(st.sampled_from(sorted(WIDTHS)))
+    steps = 1 if kind == "nn1pr" or fault == "nn2pr on one step" else 2
+    text, line = dataset_text(draw, steps, fault if name == "dataset" else None)
+    options = {
+        "epochs": "1",
+        "batch": draw(st.sampled_from(["1", "4", "128"])),
+        "pos-weight": draw(st.sampled_from(["", "auto", "2"])),
+    }
+    config = "[train]\nseed = 3\n"
+    if name == "option":
+        bad = draw(st.sampled_from(BAD_OPTIONS[fault]))
+        if draw(st.booleans()):
+            options[fault] = bad
+        else:  # a flag would override the file
+            options.pop(fault, None)
+            config += f"{fault} = {bad}\n"
+    return kind, text, line, options, config
+
+
+class TestTrainFuzz:
+    # Sixteen cases for each of the 18 faults and for no fault: 304 in all.
+    @pytest.mark.parametrize("name, fault", TRAIN_CASES)
+    @given(data=st.data(), with_history=st.booleans())
+    @settings(max_examples=16, deadline=None)
+    def test_exits_0_1_or_2_naming_file_and_line(self, name, fault, data, with_history):
+        kind, text, line, options, config_text = data.draw(train_case(name, fault))
+        with_history = with_history or name == "history"
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset, config = Path(tmp, "train.tsv"), Path(tmp, "train.ini")
+            dataset.write_text(text, encoding="utf-8")
+            config.write_text(config_text, encoding="utf-8")
+            outputs = {"out": Path(tmp, "w.nnpr"), "history": Path(tmp, "h.csv")}
+            if name in outputs:
+                parent = Path(tmp, "missing") if fault == "missing directory" else dataset
+                outputs[name] = parent / outputs[name].name
+            argv = ["--config", str(config), "train", "--model", kind,
+                    "--data", str(dataset), "--out", str(outputs["out"])]
+            if with_history:
+                argv += ["--history", str(outputs["history"])]
+            argv += [f"--{option}={value}" for option, value in options.items()]
+            code, err = run(argv)
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_EMPTY), err
+            if code == EXIT_OK:
+                assert name is None, err
+                assert err == "" and outputs["out"].is_file()
+                assert outputs["history"].is_file() == with_history
+                return
+            assert {p.name for p in Path(tmp).iterdir()} == {"train.tsv", "train.ini"}, err
+            assert err.count("\n") == 1, err
+            if fault in ROW_FAULTS:
+                assert err.startswith(f"error: {dataset}:{line}: "), err
+            elif fault == "no rows":
+                assert err == f"train: training data {dataset} holds no rows\n"
+            elif fault == "nn2pr on one step":
+                assert err == (f"train: {dataset}: feature width 1024 does not match "
+                               "nn2pr input width 1536\n")
+            elif name == "dataset":
+                assert err.startswith(f"error: {dataset}: "), err
+            elif name == "option":
+                assert err.startswith((f"error: --{fault}", f"error: {config}: [train] {fault}")), err
+            else:
+                path = outputs[name]
+                assert err == (f"error: --{name}: cannot write {path}: "
+                               f"{path.parent} is not a directory\n")
+            assert code == (EXIT_EMPTY if fault in ("no rows", "nn2pr on one step") else EXIT_INPUT)
+
+
 # --- augment ----------------------------------------------------------------
 
 
@@ -310,10 +416,10 @@ def tsv_text(rows: list[list[str]]) -> str:
 
 
 @st.composite
-def augment_case(draw):
-    """(file texts, the file at fault or None, the exit code, the line of a
-    row fault). At most three corpus rows keep a case to a few
-    milliseconds."""
+def augment_case(draw, name: str | None, fault: str | None):
+    """(file texts, the exit code, the line of a row fault) with ``fault``
+    in file ``name``, or no fault. At most three corpus rows keep a case to
+    a few milliseconds."""
     rows = {
         "corpus": draw(st.lists(st.sampled_from(CORPUS_ROWS), min_size=1, max_size=3,
                                 unique_by=tuple)),
@@ -323,8 +429,6 @@ def augment_case(draw):
                                   unique_by=tuple)),
     }
     rows = {file: [list(row) for row in file_rows] for file, file_rows in rows.items()}
-    name = draw(st.sampled_from([None, *AUGMENT_FAULTS]))
-    fault = None if name is None else draw(st.sampled_from(AUGMENT_FAULTS[name]))
     code, line = EXIT_INPUT, None
     if fault in ("field count", "emptied side", "bad smiles", "direction", "diameter",
                  "smarts"):
@@ -356,14 +460,21 @@ def augment_case(draw):
     elif fault is None:
         code = EXIT_OK
     texts = {file: tsv_text(file_rows) for file, file_rows in rows.items()}
-    return texts, name, code, line
+    return texts, code, line
+
+
+AUGMENT_CASES = [(None, None)] + [
+    (name, fault) for name, faults in AUGMENT_FAULTS.items() for fault in faults
+]
 
 
 class TestAugmentFuzz:
-    @given(augment_case(), st.booleans())
-    @settings(max_examples=300, deadline=None)
-    def test_exits_0_1_or_2_naming_file_and_line(self, case, with_pathways):
-        texts, name, expected, line = case
+    # Twenty-seven cases for each of the 10 faults and for no fault: 297 in all.
+    @pytest.mark.parametrize("name, fault", AUGMENT_CASES)
+    @given(data=st.data(), with_pathways=st.booleans())
+    @settings(max_examples=27, deadline=None)
+    def test_exits_0_1_or_2_naming_file_and_line(self, name, fault, data, with_pathways):
+        texts, expected, line = data.draw(augment_case(name, fault))
         with_pathways = with_pathways or name == "pathways"
         with tempfile.TemporaryDirectory() as tmp:
             paths = {file: Path(tmp, f"{file}.tsv") for file in texts}

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from functools import partial
 from itertools import product
@@ -478,6 +479,17 @@ class TestFindMatches:
     def test_results_sorted_lexicographically(self):
         matches = find_matches(parse_smarts("CC"), parse_smiles("CCC"))
         assert matches == sorted(matches)
+
+    def test_chain_longer_than_recursion_limit(self):
+        # The matcher keeps one candidate iterator per placed atom on its own
+        # stack, not one Python frame, and picks each next atom among the
+        # placed atoms' neighbours, so a long chain matches in linear time.
+        n = 1500
+        pattern = parse_smarts("[CH3:1]" + "[C]" * (n - 2) + "[O]")
+        target = parse_smiles("C" * (n - 1) + "O")
+        start = time.perf_counter()
+        assert find_matches(pattern, target) == [tuple(range(n))]
+        assert time.perf_counter() - start < 0.5
 
     def test_oracle_equivalence_200_random_pairs(self):
         rng = random.Random(1127)
