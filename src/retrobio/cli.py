@@ -23,9 +23,8 @@ from pathlib import Path
 # or starts its OpenBLAS threads; train, eval and retro import the neural,
 # fingerprint, ranking and pipeline names they run.
 from . import dataset as ds
-from .molgraph import canonicalize, parse_smiles
 from .pattern import load_templates
-from .tsv import read_tsv, write_json, write_tsv
+from .tsv import write_json
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -252,19 +251,6 @@ def _load_templates(path: str) -> list:
     return templates
 
 
-def _write_mono_tsv(path: Path, monos: list[ds.MonoProductReaction]) -> None:
-    # The parent reaction id is kept verbatim (children of one parent share
-    # it) so pathway files can still reference their reactions.
-    write_tsv(
-        path,
-        ("reaction_id", "ec_numbers", "reactant_smiles", "product_smiles"),
-        (
-            (m.parent_id, ";".join(m.ec_numbers), ".".join(m.reactant_keys), m.product_key)
-            for m in monos
-        ),
-    )
-
-
 def cmd_ingest(options: dict) -> int:
     reactions = ds.read_reactions_tsv(
         _require_file(options["reactions"], "reactions file"), unique_ids=True
@@ -280,7 +266,7 @@ def cmd_ingest(options: dict) -> int:
     ds.flag_disjoint_products(monos, stats)
     out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_mono_tsv(out_dir / "mono_reactions.tsv", monos)
+    ds.write_reactions_tsv(out_dir / "mono_reactions.tsv", monos)
     write_json(out_dir / "corpus_stats.json", stats.to_dict())
     print(
         f"ingest: {stats.reactions_in} reactions in, "
@@ -372,19 +358,18 @@ def cmd_train(options: dict) -> int:
         model, history = train(
             spec, features, labels, config, weights, history=bool(options["history"])
         )
+    try:  # before --out is opened, so a failure leaves no file behind
+        blob = save_weights(model)
+    except ValueError as exc:
+        raise EmptyResult(f"training diverged ({exc}); try a lower --lr") from exc
     print(
         f"train: {model_name} with {model.parameter_count} parameters, "
         f"{options['epochs']} epochs"
     )
     with open(options["out"], "wb") as fh:
-        fh.write(save_weights(model))
+        fh.write(blob)
     if options["history"]:
-        with open(options["history"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("epoch,loss,accuracy\n")
-            for epoch, (loss, acc) in enumerate(
-                zip(history.loss, history.accuracy), 1
-            ):
-                fh.write(f"{epoch},{loss:.6f},{acc:.6f}\n")
+        history.save_csv(options["history"])
     return EXIT_OK
 
 
@@ -441,26 +426,8 @@ def cmd_eval(options: dict) -> int:
     return EXIT_OK
 
 
-def _key(smiles: str) -> str:
-    return canonicalize(parse_smiles(smiles))
-
-
-def _read_stop_set(path: str) -> frozenset[str]:
-    return frozenset(read_tsv(path, 1, _key, strip=True))
-
-
-def _read_gold_tsv(path: str) -> list[tuple[str, tuple[str, ...]]]:
-    """Gold steps as canonical keys, so a bad SMILES, or an empty '.'
-    piece, names its line before the search starts."""
-
-    def row(product: str, precursors: str) -> tuple[str, tuple[str, ...]]:
-        return _key(product), tuple(_key(p) for p in precursors.split("."))
-
-    return read_tsv(path, 2, row)
-
-
 def cmd_retro(options: dict) -> int:
-    from .pipeline import SearchConfig, run_retro
+    from .pipeline import SearchConfig, read_gold_tsv, read_stop_set, run_retro
 
     templates = _load_templates(options["templates"])
     nn1 = _load_model(options["nn1"], "nn1 weight file", _model_width("nn1pr"))
@@ -471,11 +438,11 @@ def cmd_retro(options: dict) -> int:
     )
     stop_set = frozenset()
     if options["stop_set"]:
-        stop_set = _read_stop_set(_require_file(options["stop_set"], "stop-set file"))
+        stop_set = read_stop_set(_require_file(options["stop_set"], "stop-set file"))
         if not stop_set:
             raise EmptyResult(f"stop-set file {options['stop_set']} holds no SMILES")
     gold = (
-        _read_gold_tsv(_require_file(options["gold"], "gold pathway file"))
+        read_gold_tsv(_require_file(options["gold"], "gold pathway file"))
         if options["gold"]
         else None
     )
@@ -489,21 +456,7 @@ def cmd_retro(options: dict) -> int:
     report = run_retro(options["target"], templates, nn1, nn2, config, gold_steps=gold)
     report.save_json(options["out"])
     if options["pathways_tsv"]:
-        write_tsv(
-            options["pathways_tsv"],
-            ("rank", "aggregate_score", "steps"),
-            (
-                (
-                    str(p.aggregate_rank),
-                    f"{p.aggregate_score:.6f}",
-                    ";".join(
-                        f"{s.product_key}>{'.'.join(s.precursor_keys)}"
-                        for s in p.steps
-                    ),
-                )
-                for p in report.pathways
-            ),
-        )
+        report.save_pathways_tsv(options["pathways_tsv"])
     print(
         f"retro: {len(report.pathways)} pathways, "
         f"{sum(level['generated'] for level in report.levels)} candidates "

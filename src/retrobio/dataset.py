@@ -55,6 +55,7 @@ __all__ = [
     "split_train_test",
     "subsample_negatives",
     "read_reactions_tsv",
+    "write_reactions_tsv",
     "read_compounds_tsv",
     "read_pathways_tsv",
     "write_examples_tsv",
@@ -467,6 +468,17 @@ def read_reactions_tsv(path, unique_ids: bool = False) -> list[RawReaction]:
         ),
         unique="reaction id" if unique_ids else "",
     )
+
+
+def write_reactions_tsv(path, monos: list[MonoProductReaction]) -> None:
+    """The mono-product corpus in read_reactions_tsv's columns. The parent
+    reaction id is kept verbatim (children of one parent share it) so
+    pathway files can still reference their reactions."""
+    rows = (
+        (m.parent_id, ";".join(m.ec_numbers), ".".join(m.reactant_keys), m.product_key)
+        for m in monos
+    )
+    write_tsv(path, ("reaction_id", "ec_numbers", "reactant_smiles", "product_smiles"), rows)
 
 
 def read_compounds_tsv(path) -> list[tuple[str, str]]:

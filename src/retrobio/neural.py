@@ -319,6 +319,13 @@ class TrainingHistory:
     loss: list[float] = field(default_factory=list)
     accuracy: list[float] = field(default_factory=list)
 
+    def save_csv(self, path) -> None:
+        """An ``epoch,loss,accuracy`` header, then one line per epoch."""
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("epoch,loss,accuracy\n")
+            for epoch, (loss, acc) in enumerate(zip(self.loss, self.accuracy), 1):
+                fh.write(f"{epoch},{loss:.6f},{acc:.6f}\n")
+
 
 def _bce_output_delta(p_raw: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """d(weighted bce with clamped input)/d(raw network output).
@@ -615,23 +622,26 @@ def save_weights(model: MlpModel) -> bytes:
     magic "NNPR" | u32 version | u32 layer_count | per layer:
     u32 in_dim | u32 out_dim | u8 activation (0=relu 1=sigmoid 2=none) |
     f32 dropout | f32 weights row-major (input index major) | f32 biases.
+
+    Every parameter must be finite as float32: a NaN or infinite one, as a
+    diverged training run leaves, raises ValueError naming its layer.
     """
     chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(model.layers))]
-    for layer in model.layers:
-        chunks.append(
-            struct.pack(
-                "<IIBf",
-                layer.in_dim,
-                layer.out_dim,
-                _ACT_CODES[layer.activation],
-                layer.dropout,
-            )
-        )
-        chunks.append(
-            np.ascontiguousarray(layer.weights, dtype="<f4").tobytes()
-        )
-        chunks.append(np.ascontiguousarray(layer.biases, dtype="<f4").tobytes())
+    for k, layer in enumerate(model.layers):
+        act = _ACT_CODES[layer.activation]
+        chunks.append(struct.pack("<IIBf", layer.in_dim, layer.out_dim, act, layer.dropout))
+        arrays = [np.ascontiguousarray(a, dtype="<f4") for a in (layer.weights, layer.biases)]
+        _require_finite(k, arrays)
+        chunks += [a.tobytes() for a in arrays]
     return b"".join(chunks)
+
+
+def _require_finite(k: int, arrays) -> None:
+    # min and max propagate NaN and expose +-inf without the temporary
+    # array np.isfinite(w) would allocate; initial=0 admits empty layers.
+    extremes = [f(a, initial=0) for a in arrays for f in (np.min, np.max)]
+    if not np.isfinite(extremes).all():
+        raise ValueError(f"layer {k}: a weight or bias is NaN or infinite")
 
 
 def load_weights(source: bytes | BinaryIO) -> MlpModel:
@@ -674,11 +684,7 @@ def load_weights(source: bytes | BinaryIO) -> MlpModel:
         for a in (w, b):
             if fh.readinto(a) != a.nbytes:
                 raise TruncatedFile("layer parameters truncated")
-        # min and max propagate NaN and expose +-inf without the temporary
-        # array np.isfinite(w) would allocate; initial=0 admits empty layers.
-        extremes = [f(a, initial=0) for a in (w, b) for f in (np.min, np.max)]
-        if not np.isfinite(extremes).all():
-            raise ValueError(f"layer {k}: a weight or bias is NaN or infinite")
+        _require_finite(k, (w, b))
         layers.append(DenseLayer(w, b, _ACT_NAMES[act_code], dropout))
     if fh.read(1):
         raise TruncatedFile("trailing bytes after final layer")

@@ -121,10 +121,10 @@ class PatternBond:
     b: int
     order: str | None = None
 
-    def matches(self, order: str) -> bool:
-        if self.order is None:
-            return order in (SINGLE, AROMATIC)
-        return order == self.order
+    @property
+    def orders(self) -> tuple[str, ...]:
+        """The target bond orders this bond accepts."""
+        return (SINGLE, AROMATIC) if self.order is None else (self.order,)
 
 
 @dataclass(frozen=True)
@@ -349,7 +349,7 @@ def find_matches(
     steps = []
     for d, p in enumerate(order):
         links = [
-            (depth_of[q], (SINGLE, AROMATIC) if bond.order is None else (bond.order,))
+            (depth_of[q], bond.orders)
             for q, bond in pattern.neighbors(p)
             if depth_of[q] < d
         ]

@@ -19,19 +19,21 @@ score is the geometric mean of its two-step window scores, or of its
 one-step scores when only the one-step model is used.
 
 Reports are deterministic for fixed models, templates and configuration.
+The module owns retro's files: the stop set, the gold pathway and the reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .fingerprint import Fingerprinter
 from .molgraph import MolecularGraph, _without_map_indices, canonicalize, parse_smiles
 from .pattern import CandidatePrecursor, ReactionTemplate, enumerate_precursors
 from .ranking import rank_candidates, score_nn1, score_nn2
 from .neural import MlpModel
-from .tsv import write_json
+from .tsv import read_tsv, write_json, write_tsv
 
 __all__ = [
     "SearchConfig",
@@ -46,7 +48,13 @@ __all__ = [
     "reconstruct_pathways",
     "run_retro",
     "gold_step_ranks",
+    "parse_gold_step",
+    "read_gold_tsv",
+    "read_stop_set",
 ]
+
+# (product key, product graph, sorted precursor keys) of one gold step.
+GoldStep = tuple[str, MolecularGraph, tuple[str, ...]]
 
 
 class TargetParseError(ValueError):
@@ -333,23 +341,42 @@ class SearchReport:
     def save_json(self, path) -> None:
         write_json(path, self.to_dict())
 
+    def save_pathways_tsv(self, path) -> None:
+        """One row per pathway: rank, aggregate score and the ';'-joined
+        steps, each ``product>precursors`` with '.'-joined precursors."""
+        rows = (
+            (str(p.aggregate_rank), f"{p.aggregate_score:.6f}",
+             ";".join(f"{s.product_key}>{'.'.join(s.precursor_keys)}" for s in p.steps))
+            for p in self.pathways
+        )
+        write_tsv(path, ("rank", "aggregate_score", "steps"), rows)
 
-def _gold_molecules(
-    gold_steps: list[tuple[str, tuple[str, ...]]],
-) -> list[tuple[str, MolecularGraph, tuple[str, ...]]]:
-    """(product key, product graph, sorted precursor keys) of each gold
-    step, every molecule parsed once; the product graph, map indices
-    dropped, is the molecule its key names."""
-    out = []
-    for product, precursors in gold_steps:
-        product_mol = _without_map_indices(parse_smiles(product))
-        gold_key = tuple(sorted(canonicalize(parse_smiles(p)) for p in precursors))
-        out.append((canonicalize(product_mol), product_mol, gold_key))
-    return out
+
+def read_stop_set(path) -> frozenset[str]:
+    """Canonical keys of a file of SMILES, one per line; surrounding
+    whitespace is trimmed."""
+    return frozenset(read_tsv(path, 1, lambda s: canonicalize(parse_smiles(s)), strip=True))
+
+
+def parse_gold_step(product: str, precursors: Iterable[str]) -> GoldStep:
+    """One gold step from its SMILES, each molecule parsed and canonicalized
+    once; the product graph, map indices dropped, is the molecule its key
+    names."""
+    product_mol = _without_map_indices(parse_smiles(product))
+    keys = sorted(canonicalize(parse_smiles(p)) for p in precursors)
+    return canonicalize(product_mol), product_mol, tuple(keys)
+
+
+def read_gold_tsv(path) -> list[GoldStep]:
+    """Gold steps of a product_smiles, precursor_smiles ('.'-sep) file, so a
+    bad SMILES, or an empty '.' piece, names its line before a search."""
+    return read_tsv(
+        path, 2, lambda product, precursors: parse_gold_step(product, precursors.split("."))
+    )
 
 
 def gold_step_ranks(
-    gold: list[tuple[str, MolecularGraph, tuple[str, ...]]],
+    gold: list[GoldStep],
     templates: list[ReactionTemplate],
     nn1: MlpModel,
     fingerprinter: Fingerprinter,
@@ -358,9 +385,9 @@ def gold_step_ranks(
     """Rank each gold step's precursor set among the candidates generated
     for its product; the per-step annotation protocol.
 
-    ``gold`` holds (product key, product graph, sorted precursor keys) per
-    step. ``enumerated`` maps product keys to the candidate lists a search
-    already built; a product without one is enumerated here. Candidate
+    ``gold`` holds one ``parse_gold_step`` result per step. ``enumerated``
+    maps product keys to the candidate lists a search already built; a
+    product without one is enumerated here. Candidate
     keys, provenance and fingerprints do not depend on the atom order of
     the graph enumerated, so either list ranks alike.
     """
@@ -405,10 +432,11 @@ def run_retro(
     nn1: MlpModel,
     nn2: MlpModel | None = None,
     config: SearchConfig | None = None,
-    gold_steps: list[tuple[str, tuple[str, ...]]] | None = None,
+    gold_steps: list[GoldStep] | None = None,
 ) -> SearchReport:
     """Full multistep search; with nn2 absent the one-step model both
-    prunes and ranks every level."""
+    prunes and ranks every level. ``gold_steps``, from ``parse_gold_step``
+    or ``read_gold_tsv``, are ranked per step after the search."""
     config = config or SearchConfig()
     fingerprinter = Fingerprinter()
     try:
@@ -416,10 +444,9 @@ def run_retro(
         target_key = canonicalize(target)
     except ValueError as exc:
         raise TargetParseError(f"cannot parse target: {exc}") from exc
-    gold = _gold_molecules(gold_steps or [])
     # The search's candidate lists for the gold products it expands; None
     # for a product it never expands.
-    enumerated = dict.fromkeys(product_key for product_key, _, _ in gold)
+    enumerated = dict.fromkeys(product_key for product_key, _, _ in gold_steps or ())
 
     report = SearchReport(target_key, config, used_nn2=nn2 is not None)
     frontier = [SearchNode(target_key, (), 0, 1.0, None, molecule=target)]
@@ -446,8 +473,8 @@ def run_retro(
     report.pathways = reconstruct_pathways(
         survivors_all, config.stop_set, nn2 is not None, config.max_steps
     )
-    if gold:
+    if gold_steps:
         report.gold_ranks = gold_step_ranks(
-            gold, templates, nn1, fingerprinter, enumerated
+            gold_steps, templates, nn1, fingerprinter, enumerated
         )
     return report

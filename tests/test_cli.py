@@ -1,4 +1,6 @@
 import json
+import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,6 +10,7 @@ import retrobio.neural
 import retrobio.pipeline
 from retrobio import cli
 from retrobio.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, main
+from retrobio.molgraph import parse_smiles
 from retrobio.neural import SIGMOID, LayerSpec, initialize, nn2pr_spec, save_weights
 
 from synthdata import write_corpus_files
@@ -412,6 +415,20 @@ class TestTrain:
         assert capsys.readouterr().err == f"train: training data {data} holds no rows\n"
         assert not weights.exists()
 
+    def test_diverged_training_exits_2_writing_nothing(self, staged, tmp_path, capsys):
+        weights, history = tmp_path / "out.weights", tmp_path / "history.csv"
+        assert main([
+            "train", "--model", "nn1pr",
+            "--data", str(staged / "augment" / "onestep_train.tsv"),
+            "--out", str(weights), "--history", str(history),
+            "--epochs", "3", "--lr", "1e38",
+        ]) == EXIT_EMPTY
+        assert capsys.readouterr().err == (
+            "train: training diverged (layer 0: a weight or bias is NaN or infinite); "
+            "try a lower --lr\n"
+        )
+        assert not weights.exists() and not history.exists()
+
     def test_history_has_one_row_per_epoch(self, staged):
         lines = (staged / "nn1_history.csv").read_text().splitlines()
         assert lines[0] == "epoch,loss,accuracy"
@@ -552,6 +569,33 @@ class TestRetro:
         assert payload["gold_ranks"][0]["found"] is True
         assert payload["pathways"]
         assert (tmp_path / "paths.tsv").exists()
+
+    def test_each_gold_molecule_is_parsed_once(
+        self, corpus_files, staged, tmp_path, monkeypatch
+    ):
+        # Gold molecules not written canonically, none of them the target.
+        _, _, _, templates = corpus_files
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("C(O)CCCO\tC(=O)CCCO\nOCCCC=O\tC(CCCO)(=O)O\n", encoding="utf-8")
+        parsed = Counter()
+
+        def counting(text):
+            parsed[text] += 1
+            return parse_smiles(text)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("retrobio.") and (
+                vars(module).get("parse_smiles") is parse_smiles
+            ):
+                monkeypatch.setattr(module, "parse_smiles", counting)
+        assert main([
+            "retro", "--target", "OCCCO",
+            "--templates", str(templates),
+            "--nn1", str(staged / "nn1.weights"),
+            "--out", str(tmp_path / "retro.json"),
+            "--max-steps", "2", "--gold", str(gold),
+        ]) == EXIT_OK
+        assert parsed == Counter(["OCCCO", "C(O)CCCO", "C(=O)CCCO", "OCCCC=O", "C(CCCO)(=O)O"])
 
     def test_zero_templates_exits_2(self, staged, tmp_path, capsys):
         empty = tmp_path / "templates.tsv"
@@ -936,9 +980,10 @@ class TestOptions:
         def refuse(*args, **kwargs):
             raise AssertionError("a file was read before the options were checked")
 
-        for reader in ("read_tsv", "load_templates"):
-            monkeypatch.setattr(cli, reader, refuse)
+        monkeypatch.setattr(cli, "load_templates", refuse)
         monkeypatch.setattr(retrobio.neural, "load_weights", refuse)
+        for reader in ("read_stop_set", "read_gold_tsv"):
+            monkeypatch.setattr(retrobio.pipeline, reader, refuse)
         for reader in (
             "read_reactions_tsv", "read_compounds_tsv",
             "read_pathways_tsv", "read_examples_tsv",

@@ -528,6 +528,18 @@ class TestFileFormats:
         pathways.write_text("p1\tr1;r2;r3\n", encoding="utf-8")
         assert ds.read_pathways_tsv(pathways) == [("p1", ("r1", "r2", "r3"))]
 
+    def test_corpus_round_trip(self, tmp_path):
+        mono = ds.MonoProductReaction("r1", ("1.1.1.1", "2.2.2.2"), ("CCO", "O"), "CC=O")
+        path = tmp_path / "mono_reactions.tsv"
+        ds.write_reactions_tsv(path, [mono])
+        assert path.read_bytes() == (
+            b"# reaction_id\tec_numbers\treactant_smiles\tproduct_smiles\n"
+            b"r1\t1.1.1.1;2.2.2.2\tCCO.O\tCC=O\n"
+        )
+        assert ds.read_reactions_tsv(path) == [
+            ds.RawReaction("r1", mono.ec_numbers, mono.reactant_keys, (mono.product_key,))
+        ]
+
     def test_examples_round_trip(self, tmp_path):
         rows = [
             ds.MonoProductReaction("p", ("1.1.1.1",), ("CC=O",), "CCO").row(),

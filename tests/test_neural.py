@@ -458,9 +458,17 @@ class TestWeightFiles:
     @pytest.mark.parametrize("where", ["weights", "biases"])
     def test_non_finite_parameter_rejected(self, where, value):
         model = zero_model([2, 3, 1], [RELU, SIGMOID])
+        blob = bytearray(save_weights(model))
+        # Layer 1's header starts after the file header (12 bytes) and layer
+        # 0 (13 + 4 * 9); its three weights, then its bias, follow it.
+        at = 12 + 49 + 13 + (12 if where == "biases" else 0)
+        blob[at:at + 4] = struct.pack("<f", value)
+        with pytest.raises(ValueError, match="layer 1: .* NaN or infinite"):
+            load_weights(bytes(blob))
+        # The writer refuses what the reader refuses.
         getattr(model.layers[1], where)[0] = value
         with pytest.raises(ValueError, match="layer 1: .* NaN or infinite"):
-            load_weights(save_weights(model))
+            save_weights(model)
 
     @pytest.mark.parametrize("dropout", [1.0, -0.1, math.nan])
     def test_dropout_outside_unit_interval_rejected(self, dropout):

@@ -69,6 +69,14 @@ class TestExports:
         assert retrobio.__version__ == "0.1.0"
 
 
+def test_cli_holds_no_file_format():
+    # Each format lives with its records; cli only wires options to them.
+    import retrobio.cli
+
+    for name in ("read_tsv", "write_tsv", "parse_smiles", "canonicalize"):
+        assert name not in vars(retrobio.cli), name
+
+
 NUMPY_BACKED = {
     "numpy", "retrobio.fingerprint", "retrobio.neural", "retrobio.ranking",
     "retrobio.pipeline",

@@ -79,7 +79,7 @@ def brute_force_matches(pattern: PatternGraph, target: MolecularGraph):
             for bond in pattern.bonds:
                 lo, hi = sorted((perm[bond.a], perm[bond.b]))
                 order = orders.get((lo, hi))
-                if order is None or not bond.matches(order):
+                if order not in bond.orders:
                     ok = False
                     break
         if ok:

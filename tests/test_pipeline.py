@@ -15,9 +15,9 @@ from retrobio.pipeline import (
     SearchConfig,
     SearchNode,
     TargetParseError,
-    _gold_molecules,
     expand_level,
     gold_step_ranks,
+    parse_gold_step,
     rank_level,
     run_retro,
 )
@@ -210,18 +210,21 @@ class TestGoldReusesSearch:
     products exactly as a fresh enumeration of each product ranks them."""
 
     GOLD = [
-        ("C(O)CCCO", ("O=CCCCO",)),  # the target, not written canonically
-        ("O=CCC[CH2:3]O", ("OC(=O)CCCO",)),  # a mapped level-1 product
-        ("OCCO", ("O=CCO",)),  # never reached by the search
-        ("OCCCC=O", ("OCCCC(=O)O",)),  # the aldehyde again
-        ("OCCCCO", ("CCCC",)),  # a gold set no template makes
+        parse_gold_step(product, precursors)
+        for product, precursors in (
+            ("C(O)CCCO", ("O=CCCCO",)),  # the target, not written canonically
+            ("O=CCC[CH2:3]O", ("OC(=O)CCCO",)),  # a mapped level-1 product
+            ("OCCO", ("O=CCO",)),  # never reached by the search
+            ("OCCCC=O", ("OCCCC(=O)O",)),  # the aldehyde again
+            ("OCCCCO", ("CCCC",)),  # a gold set no template makes
+        )
     ]
 
     def test_equals_fresh_enumeration(self, models, diol_setup, monkeypatch):
         nn1, nn2 = models
         config = SearchConfig(max_steps=2, beam_width=10**6)
         fresh = gold_step_ranks(
-            _gold_molecules(self.GOLD), diol_setup, nn1, Fingerprinter(), {}
+            self.GOLD, diol_setup, nn1, Fingerprinter(), {}
         )
         assert [entry["found"] for entry in fresh] == [True, True, True, True, False]
         assert all(entry["total"] for entry in fresh)
@@ -246,7 +249,7 @@ class TestGoldReusesSearch:
         report = run_retro("OCCCCO", diol_setup, nn1, nn2, config, gold_steps=self.GOLD)
         assert report.budget_exceeded
         assert report.gold_ranks == gold_step_ranks(
-            _gold_molecules(self.GOLD), diol_setup, nn1, Fingerprinter(), {}
+            self.GOLD, diol_setup, nn1, Fingerprinter(), {}
         )
 
 
@@ -384,7 +387,7 @@ class TestRunRetro:
 
         nn1, nn2 = models
         config = SearchConfig(max_steps=3, beam_width=10**6)
-        gold = [("OCC(O)CCO", ("O=CC(O)CCO",))]
+        gold = [parse_gold_step("OCC(O)CCO", ["O=CC(O)CCO"])]
         unmapped = run_retro("[H]OCC(O)CCO", diol_setup, nn1, nn2, config, gold_steps=gold)
         parsed = []
 
@@ -394,9 +397,10 @@ class TestRunRetro:
 
         monkeypatch.setattr(retrobio.pipeline, "parse_smiles", counting_parse)
         monkeypatch.setattr(retrobio.fingerprint, "parse_smiles", counting_parse)
+        gold = [parse_gold_step("OCC(O)CCO", ["O=CC(O)CCO"])]
         report = run_retro("[H:1]OCC(O)CCO", diol_setup, nn1, nn2, config, gold_steps=gold)
         assert sum(level["generated"] for level in report.levels) > 100
-        assert parsed == ["[H:1]OCC(O)CCO", "OCC(O)CCO", "O=CC(O)CCO"]
+        assert parsed == ["OCC(O)CCO", "O=CC(O)CCO", "[H:1]OCC(O)CCO"]
         assert report.to_dict() == unmapped.to_dict()
 
     def test_only_expandable_nodes_hold_graphs(self, models, diol_setup):
@@ -421,7 +425,7 @@ class TestRunRetro:
 
     def test_gold_rank_annotation(self, models, diol_setup):
         nn1, _ = models
-        gold = [("OCCCCO", ("O=CCCCO",)), ("O=CCCCO", ("OC(=O)CCCO",))]
+        gold = [parse_gold_step("OCCCCO", ["O=CCCCO"]), parse_gold_step("O=CCCCO", ["OC(=O)CCCO"])]
         report = run_retro(
             "OCCCCO", diol_setup, nn1,
             config=SearchConfig(max_steps=1), gold_steps=gold,

@@ -3,9 +3,11 @@
 import pytest
 
 from retrobio import dataset as ds
-from retrobio.cli import _read_gold_tsv, _read_stop_set
-from retrobio.molgraph import EmptyInput, SmilesSyntaxError
+from retrobio.molgraph import EmptyInput, SmilesSyntaxError, canonicalize
 from retrobio.pattern import load_templates
+from retrobio.pipeline import (
+    Pathway, PathwayStep, SearchConfig, SearchReport, read_gold_tsv, read_stop_set,
+)
 from retrobio.tsv import read_tsv, write_json, write_tsv
 
 SMARTS = "[C:1][O:2]>>[C:1][S:2]"
@@ -22,8 +24,8 @@ READERS = {
         ds.read_examples_tsv, "positive\tg\tCCO\tCC=O\t1", "positive\tg\tCCO\tCC=O\tone",
     ),
     "templates": (load_templates, f"T01\tbwd\t2\t-\t{SMARTS}", f"T02\tbwd\ttwo\t-\t{SMARTS}"),
-    "stop set": (_read_stop_set, "OC(=O)CCO", "C(("),
-    "gold": (_read_gold_tsv, "OCCCO\tO=CCCO", "O=CCCO"),
+    "stop set": (read_stop_set, "OC(=O)CCO", "C(("),
+    "gold": (read_gold_tsv, "OCCCO\tO=CCCO", "O=CCCO"),
 }
 
 
@@ -88,7 +90,7 @@ def test_row_error_keeps_class_and_attributes(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("C((\n", encoding="utf-8")
     with pytest.raises(SmilesSyntaxError) as info:
-        _read_stop_set(path)
+        read_stop_set(path)
     assert str(info.value).startswith(f"{path}:1: ")
     assert info.value.offset >= 0
 
@@ -118,15 +120,19 @@ def test_strip_keeps_stop_set_whitespace_rules(tmp_path):
 
 def test_gold_rows_are_canonical_keys(tmp_path):
     path = tmp_path / "gold.tsv"
-    path.write_text("OCC\tC(C)=O.O\n", encoding="utf-8")
-    assert _read_gold_tsv(path) == [("CCO", ("CC=O", "O"))]
+    path.write_text("[OH:1]CC\tO.C(C)=O\n", encoding="utf-8")
+    [(product_key, product, precursor_keys)] = read_gold_tsv(path)
+    assert (product_key, precursor_keys) == ("CCO", ("CC=O", "O"))
+    # the product graph is the molecule its key names, map indices dropped
+    assert canonicalize(product) == product_key
+    assert all(atom.map_index is None for atom in product.atoms)
 
 
 def test_gold_empty_precursor_piece_names_path_and_line(tmp_path):
     path = tmp_path / "gold.tsv"
     path.write_text("# gold\nCCO\tCC=O..O\n", encoding="utf-8")
     with pytest.raises(EmptyInput) as info:
-        _read_gold_tsv(path)
+        read_gold_tsv(path)
     assert str(info.value).startswith(f"{path}:2: ")
 
 
@@ -144,3 +150,16 @@ def test_writer_layout(tmp_path):
     write_tsv(path, ("a", "b"), [("1", "2"), ("x", "")])
     assert path.read_bytes() == b"# a\tb\n1\t2\nx\t\n"
     assert read_tsv(path, 2, lambda a, b: (a, b)) == [("1", "2"), ("x", "")]
+
+
+def test_pathways_tsv_layout(tmp_path):
+    steps = (
+        PathwayStep("OCCO", ("O=CCO",), ("1.1.1.1",), "T01", 0.5),
+        PathwayStep("O=CCO", ("O", "OC(=O)CO"), (), "T02", 0.125),
+    )
+    report = SearchReport("OCCO", SearchConfig(), pathways=[Pathway(steps, 0.25, 1)])
+    path = tmp_path / "pathways.tsv"
+    report.save_pathways_tsv(path)
+    assert path.read_bytes() == (
+        b"# rank\taggregate_score\tsteps\n1\t0.250000\tOCCO>O=CCO;O=CCO>O.OC(=O)CO\n"
+    )
