@@ -23,7 +23,7 @@ _MODULE_OF = {
                         "reaction_feature tanimoto tversky"),
         ("neural", "MlpModel TrainConfig forward gradient_check load_weights nn1pr_spec "
                    "nn2pr_spec save_weights train"),
-        ("ranking", "evaluate_ranking rank_candidates score_baseline score_nn1 score_nn2"),
+        ("ranking", "evaluate_ranking rank_candidates score_baseline"),
         ("pipeline", "Pathway SearchConfig SearchNode run_retro"),
     )
     for name in names.split()

@@ -17,6 +17,7 @@ import argparse
 import configparser
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 # Only numpy-free modules are imported here, so augment never loads numpy
@@ -394,6 +395,18 @@ def _load_model(path: str, what: str, input_dim: int | None = None):
     return model
 
 
+@contextmanager
+def _naming_weights(*models):
+    """Name the path, of (model, path) ``models``, whose model scored NaN."""
+    from .neural import NaNScore
+
+    try:
+        yield
+    except NaNScore as exc:
+        path = next(path for model, path in models if model is exc.model)
+        raise CliError(f"{path}: {exc}") from exc
+
+
 def cmd_eval(options: dict) -> int:
     from .fingerprint import Fingerprinter
     from .ranking import evaluate_ranking, group_rows, row_scorer
@@ -408,7 +421,7 @@ def cmd_eval(options: dict) -> int:
     if kind is None:
         raise CliError(f"{options['weights']}: unexpected input width {model.input_dim}")
     fingerprinter = Fingerprinter()
-    with ds.naming_dataset(data):
+    with _naming_weights((model, options["weights"])), ds.naming_dataset(data):
         ds.require_uniform_steps(rows)
         units = group_rows(rows)
         model_report = evaluate_ranking(
@@ -453,7 +466,8 @@ def cmd_retro(options: dict) -> int:
         stop_set=stop_set,
         max_nodes=options["max_nodes"],
     )
-    report = run_retro(options["target"], templates, nn1, nn2, config, gold_steps=gold)
+    with _naming_weights((nn1, options["nn1"]), (nn2, options["nn2"])):
+        report = run_retro(options["target"], templates, nn1, nn2, config, gold_steps=gold)
     report.save_json(options["out"])
     if options["pathways_tsv"]:
         report.save_pathways_tsv(options["pathways_tsv"])

@@ -287,12 +287,11 @@ def flag_disjoint_products(
     if undecided:
         from .fingerprint import Fingerprinter
 
-        features = Fingerprinter().features(
-            [((mono.product_key,), mono.reactant_keys) for mono in undecided]
-        )
+        fp = Fingerprinter()
+        fp.memoize((key, None) for mono in undecided for key in mono.row().molecule_keys)
         flagged = [
-            mono.parent_id for mono, f in zip(undecided, features)
-            if f.block(0).bits & f.block(1).bits == 0
+            mono.parent_id for mono in undecided
+            if fp.of_key(mono.product_key).bits & fp.of_keys(mono.reactant_keys).bits == 0
         ]
     stats.disjoint_product_reactions = len(flagged)
     return flagged
@@ -562,21 +561,16 @@ def require_uniform_steps(rows: list[DatasetRow]) -> None:
 
 
 def features_for(rows: list[DatasetRow]):
-    """Packed feature rows, labels and weights for one- or two-step rows.
-
-    Every distinct molecule is fingerprinted in one batch. The features are
-    uint8 rows of d/8 bytes, bits in little-endian order, as
-    ``neural.forward`` and ``neural.train`` take them."""
+    """The packed ranker rows of ``Fingerprinter.features``, labels and
+    weights for one- or two-step rows, as ``neural.train`` takes them."""
     if not rows:
         raise ValueError("no rows to featurize")
     require_uniform_steps(rows)
     import numpy as np
 
-    from .fingerprint import Fingerprinter, pack_features
+    from .fingerprint import Fingerprinter
 
-    features = pack_features(
-        Fingerprinter().features([((row.target_key,), *row.steps) for row in rows])
-    )
+    features = Fingerprinter().features([((row.target_key,), *row.steps) for row in rows])
     labels = np.array(
         [1.0 if row.is_positive else 0.0 for row in rows], dtype=np.float32
     )

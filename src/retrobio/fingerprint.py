@@ -34,11 +34,11 @@ is bit-exact because uint64 multiplication wraps mod 2**64. The scalar
 rule above is kept in the test suite as the reference it is checked
 against.
 
-Reaction feature vectors concatenate the target block first, then one block
-per precursor step (1024 bits for one step, 1536 for two at the default
-512-bit molecule width). ``Fingerprinter.features`` is where both rules of a
-ranker row live: the row layout (each group of keys OR-combined into one
-block) and the batching (every key of the call fingerprinted in one batch).
+A ranker row concatenates the target block first, then one block per
+precursor step (1024 bits for one step, 1536 for two at the default 512-bit
+molecule width). ``Fingerprinter.features`` holds every rule of a ranker
+row: the layout, the batching and the packing the models read.
+``ReactionFeature`` is the scalar form of one row, the tests' reference.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ __all__ = [
     "molecule_fingerprints",
     "combine_fingerprints",
     "reaction_feature",
-    "pack_features",
     "tanimoto",
     "tversky",
     "Fingerprinter",
@@ -261,7 +260,8 @@ def combine_fingerprints(fps: Sequence[Fingerprint]) -> Fingerprint:
 
 @dataclass(frozen=True, slots=True)
 class ReactionFeature:
-    """Concatenated feature vector; block 0 is the target."""
+    """One ranker row as a Python int, block 0 the target: the scalar form
+    of a row of ``Fingerprinter.features``."""
 
     bits: int
     block_width: int
@@ -299,16 +299,6 @@ def reaction_feature(
             raise WidthMismatch(f"precursor width {fp.width} != {width}")
         bits |= fp.bits << (k * width)
     return ReactionFeature(bits, width, 1 + len(precursors))
-
-
-def pack_features(features: Sequence[ReactionFeature]) -> np.ndarray:
-    """Equal-width features as one (n, width/8) uint8 array of their bits in
-    little-endian bit order, the packed input that ``neural.forward`` takes."""
-    nbytes = (features[0].width + 7) // 8 if features else 0
-    if any(f.width != features[0].width for f in features):
-        raise WidthMismatch("features of one batch differ in width")
-    packed = b"".join(f.bits.to_bytes(nbytes, "little") for f in features)
-    return np.frombuffer(packed, np.uint8).reshape(len(features), nbytes)
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
@@ -365,19 +355,20 @@ class Fingerprinter:
         """OR-combined block for a molecule set."""
         return combine_fingerprints([self.of_key(k) for k in keys])
 
-    def features(
-        self, rows: Sequence[Sequence[Sequence[str]]]
-    ) -> list[ReactionFeature]:
-        """One ``reaction_feature`` per row, in order. A row is a sequence
-        of two or three key groups, each OR-combined into one block: the
-        first group's block first, then one per later group, so a ranker
-        row is ``((target,), *steps)``.
+    def features(self, rows: Sequence[Sequence[Sequence[str]]]) -> np.ndarray:
+        """The ranker rows of ``rows`` as one (n, blocks * width/8) uint8
+        array in little-endian bit order, as ``neural.forward`` and
+        ``neural.train`` take it. A row is a sequence of two or three key
+        groups, each OR-combined into one block, first group first, so a
+        ranker row is ``((target,), *steps)``. Rows with different block
+        counts raise WidthMismatch; no rows give a (0, 0) array.
 
         A batch of one molecule costs about twice the time of the scalar
         rule while a large batch costs a fraction of it, so every key of
         ``rows`` that the memo lacks is fingerprinted first, in one batch."""
         self.memoize((key, None) for row in rows for group in row for key in group)
-        return [
-            reaction_feature(self.of_keys(row[0]), [self.of_keys(group) for group in row[1:]])
-            for row in rows
-        ]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise WidthMismatch("rows of one call differ in block count")
+        blocks = [self.of_keys(group) for row in rows for group in row]
+        packed = b"".join(fp.bits.to_bytes(fp.width // 8, "little") for fp in blocks)
+        return np.frombuffer(packed, np.uint8).reshape(len(rows), -1 if rows else 0)

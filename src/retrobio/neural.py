@@ -49,6 +49,7 @@ __all__ = [
     "VersionMismatch",
     "TruncatedFile",
     "DimChainBroken",
+    "NaNScore",
     "nn1pr_spec",
     "nn2pr_spec",
     "initialize",
@@ -106,6 +107,15 @@ class TruncatedFile(ValueError):
 
 class DimChainBroken(ValueError):
     pass
+
+
+class NaNScore(FloatingPointError):
+    """``model`` scored a row NaN: finite weights can overflow float32 on a
+    row, and inf - inf is NaN. The fault is the model's, not the input's."""
+
+    def __init__(self, model: MlpModel):
+        super().__init__("the model scores a row NaN (its weights overflow float32)")
+        self.model = model
 
 
 @dataclass(frozen=True)
@@ -263,12 +273,14 @@ def _input_rows(arr: np.ndarray, index, packed: bool) -> np.ndarray:
     return np.unpackbits(rows, axis=1, bitorder="little") if packed else rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     """Score inputs of shape (d,) or (n, d), or packed bits: uint8 rows of
     d/8 bytes in little-endian bit order, unpacked one block at a time.
 
     Returns one score per row, or a float for a 1-D input, strictly inside
-    (0, 1); a model with other than one output raises DimensionMismatch.
+    (0, 1); a model with other than one output raises DimensionMismatch,
+    and a row scored NaN raises NaNScore.
     Rows run in zero-padded blocks of BLOCK_ROWS, so every matrix product
     has one shape and a row's score has the same bits whatever the other
     rows are, their order or the row's block. Dropout is off.
@@ -286,6 +298,8 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
         block[len(rows) :] = 0
         scores, _, _ = _forward_full(model, block, None)
         out[lo : lo + len(rows)] = np.clip(scores[: len(rows), 0], LOSS_EPS, 1.0 - LOSS_EPS)
+    if np.isnan(out).any():
+        raise NaNScore(model)
     return float(out[0]) if np.ndim(inputs) == 1 else out
 
 
@@ -417,6 +431,7 @@ def _adam_step(
             param[rows[lo : lo + block]] -= update
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     spec: tuple[LayerSpec, ...],
     features: np.ndarray,
@@ -439,7 +454,8 @@ def train(
     history is.
 
     The run is bit-reproducible for a fixed (seed, data order); epochs=0
-    returns the bare initialization with an empty history.
+    returns the bare initialization with an empty history. Overflow is
+    silent: ``save_weights`` refuses the weights a diverged run leaves.
 
     Only the first-layer rows that some training row reaches (a feature
     column that is ever nonzero) can move: every other row has the exact

@@ -31,8 +31,8 @@ from typing import Iterable
 from .fingerprint import Fingerprinter
 from .molgraph import MolecularGraph, _without_map_indices, canonicalize, parse_smiles
 from .pattern import CandidatePrecursor, ReactionTemplate, enumerate_precursors
-from .ranking import rank_candidates, score_nn1, score_nn2
-from .neural import MlpModel
+from .ranking import rank_candidates
+from .neural import MlpModel, forward
 from .tsv import read_tsv, write_json, write_tsv
 
 __all__ = [
@@ -216,7 +216,7 @@ def expand_level(
     features = fingerprinter.features(
         [((child.parent.molecule_key,), child.precursor_keys) for child, _ in candidates]
     )
-    scores = score_nn1(nn1, features).tolist() if features else []
+    scores = forward(nn1, features).tolist() if candidates else []
     children: list[SearchNode] = []
     for (child, cycle), score in zip(candidates, scores):
         if score < config.prune_threshold:
@@ -248,7 +248,7 @@ def rank_level(
             ((c.parent.parent.molecule_key,), c.parent.precursor_keys, c.precursor_keys)
             for c in children
         ])
-        for child, score in zip(children, score_nn2(nn2, features).tolist()):
+        for child, score in zip(children, forward(nn2, features).tolist()):
             child.nn2_score = score
         ranked = rank_candidates([(c, c.nn2_score) for c in children])
     else:
@@ -413,7 +413,7 @@ def gold_step_ranks(
             features = fingerprinter.features(
                 [((product_key,), c.precursor_keys) for c in candidates]
             )
-            scores = score_nn1(nn1, features).tolist()
+            scores = forward(nn1, features).tolist()
             for rc in rank_candidates(list(zip(candidates, scores))):
                 if rc.candidate.precursor_keys == gold_key:
                     entry["found"] = True

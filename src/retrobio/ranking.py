@@ -3,8 +3,10 @@ Candidate scoring, deterministic ranking and coverage evaluation.
 
 Three scorers rank precursor candidates for a target: the Tanimoto
 baseline (similarity of the target to the OR-combined precursor block),
-the one-step neural ranker on the 1024-bit pair feature, and the two-step
-neural ranker on the 1536-bit chain feature. Ranks are 1-based and
+the one-step neural ranker on the 1024-bit pair row, and the two-step
+neural ranker on the 1536-bit chain row. A neural score is
+``neural.forward`` over the packed rows of ``Fingerprinter.features``; the
+baseline reads molecule fingerprints from the memo. Ranks are 1-based and
 contiguous; ties break on the canonical precursor key so shuffling the
 input never changes an assigned rank.
 
@@ -19,17 +21,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .dataset import DatasetRow
-from .fingerprint import (
-    Fingerprint,
-    Fingerprinter,
-    ReactionFeature,
-    combine_fingerprints,
-    pack_features,
-    tanimoto,
-)
+from .fingerprint import Fingerprint, Fingerprinter, combine_fingerprints, tanimoto
 from .neural import MlpModel, forward
 from .tsv import write_json, write_tsv
 
@@ -39,8 +32,6 @@ __all__ = [
     "EvaluationReport",
     "GroupWithoutPositive",
     "score_baseline",
-    "score_nn1",
-    "score_nn2",
     "rank_candidates",
     "group_rows",
     "evaluate_ranking",
@@ -62,16 +53,6 @@ def score_baseline(
 ) -> float:
     """Tanimoto similarity between target and the combined precursor block."""
     return tanimoto(target, combine_fingerprints(precursors))
-
-
-def score_nn1(model: MlpModel, features: list[ReactionFeature]) -> np.ndarray:
-    """One-step neural scores of [target || precursors] features, in order."""
-    return forward(model, pack_features(features))
-
-
-def score_nn2(model: MlpModel, features: list[ReactionFeature]) -> np.ndarray:
-    """Two-step neural scores of [target || step1 || step2] features, in order."""
-    return forward(model, pack_features(features))
 
 
 def _tie_key(candidate) -> tuple:
@@ -156,20 +137,22 @@ def group_rows(rows: list[DatasetRow]) -> list[tuple[DatasetRow, list[DatasetRow
     return units
 
 
-def row_scorer(kind: str, fingerprinter: Fingerprinter, model: MlpModel | None = None):
+def row_scorer(kind: str, fp: Fingerprinter, model: MlpModel | None = None):
     """Batch scorer over DatasetRows for 'baseline', 'nn1pr' or 'nn2pr': it
     maps a list of rows to their scores, in order, after fingerprinting
-    the rows' molecules in one batch.
+    the rows' molecules in one batch with ``fp``.
 
-    On two-step rows the baseline compares the target with both step blocks
-    combined, and the one-step model scores the most recent step (the
-    [step1 || step2] pair), using no information about the target.
+    On two-step rows the baseline compares the target with both steps'
+    precursors combined, and the one-step model scores the most recent step
+    (the [step1 || step2] pair), using no information about the target.
     """
     if kind == "baseline":
-        return lambda rows: [
-            score_baseline(f.block(0), [f.block(k) for k in range(1, f.blocks)])
-            for f in fingerprinter.features([((row.target_key,), *row.steps) for row in rows])
-        ]
+        def baseline(rows: list[DatasetRow]) -> list[float]:
+            fp.memoize((key, None) for row in rows for key in row.molecule_keys)
+            return [score_baseline(fp.of_key(r.target_key), [fp.of_keys(r.molecule_keys[1:])])
+                    for r in rows]
+
+        return baseline
     if kind not in ("nn1pr", "nn2pr"):
         raise ValueError(f"unknown scorer kind {kind!r}")
     if model is None:
@@ -182,8 +165,7 @@ def row_scorer(kind: str, fingerprinter: Fingerprinter, model: MlpModel | None =
             return row.steps
         return ((row.target_key,), *row.steps)
 
-    score = score_nn1 if kind == "nn1pr" else score_nn2
-    return lambda rows: score(model, fingerprinter.features([feature_row(row) for row in rows]))
+    return lambda rows: forward(model, fp.features([feature_row(row) for row in rows]))
 
 
 def evaluate_ranking(

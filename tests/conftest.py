@@ -41,6 +41,22 @@ def synth_negatives(synth_corpus):
     return negatives, stats
 
 
+def overflowing_weights(in_dim: int) -> bytes:
+    """A weight file load_weights accepts whose model scores every ranker
+    row NaN: each first-layer weight is 3e38, so the two or more bits a row
+    sets overflow every hidden unit to inf, and output weights of both
+    signs then add inf and -inf."""
+    import numpy as np
+
+    from retrobio.neural import RELU, SIGMOID, DenseLayer, MlpModel, save_weights
+
+    return save_weights(MlpModel((
+        DenseLayer(np.full((in_dim, 4), 3e38, np.float32), np.zeros(4, np.float32), RELU),
+        DenseLayer(np.array([[1], [-1], [1], [-1]], np.float32), np.zeros(1, np.float32),
+                   SIGMOID),
+    )))
+
+
 def permute_graph(mol: MolecularGraph, rng: random.Random) -> MolecularGraph:
     """Random atom/bond reordering of the same labeled graph."""
     order = list(range(len(mol.atoms)))

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +15,7 @@ from retrobio.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, main
 from retrobio.molgraph import parse_smiles
 from retrobio.neural import SIGMOID, LayerSpec, initialize, nn2pr_spec, save_weights
 
+from conftest import overflowing_weights
 from synthdata import write_corpus_files
 
 
@@ -429,6 +432,21 @@ class TestTrain:
         )
         assert not weights.exists() and not history.exists()
 
+    def test_diverged_training_prints_one_stderr_line(self, staged, tmp_path):
+        # In a process of its own, where numpy's overflow warnings would
+        # reach stderr ahead of the error line.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "retrobio.cli", "train", "--model", "nn1pr",
+             "--data", str(staged / "augment" / "onestep_train.tsv"),
+             "--out", str(tmp_path / "out.weights"), "--epochs", "3", "--lr", "1e38"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == EXIT_EMPTY
+        assert done.stderr.startswith("train: training diverged")
+        assert done.stderr.count("\n") == 1, done.stderr
+
     def test_history_has_one_row_per_epoch(self, staged):
         lines = (staged / "nn1_history.csv").read_text().splitlines()
         assert lines[0] == "epoch,loss,accuracy"
@@ -536,6 +554,20 @@ class TestEval:
         assert capsys.readouterr().err == f"error: {data}: {message}\n"
         assert not report.exists()
 
+    def test_overflowing_weights_exit_1_naming_file(self, staged, tmp_path, capsys):
+        weights = tmp_path / "nn1.weights"
+        weights.write_bytes(overflowing_weights(1024))
+        report, tsv = tmp_path / "report.json", tmp_path / "report.tsv"
+        assert main([
+            "eval", "--weights", str(weights),
+            "--data", str(staged / "augment" / "onestep_test.tsv"),
+            "--out", str(report), "--tsv", str(tsv),
+        ]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {weights}: the model scores a row NaN (its weights overflow float32)\n"
+        )
+        assert not report.exists() and not tsv.exists()
+
     def test_empty_dataset_exits_2(self, staged, tmp_path, capsys):
         data = tmp_path / "data.tsv"
         data.write_text("", encoding="utf-8")
@@ -569,6 +601,31 @@ class TestRetro:
         assert payload["gold_ranks"][0]["found"] is True
         assert payload["pathways"]
         assert (tmp_path / "paths.tsv").exists()
+
+    @pytest.mark.parametrize("model", ["nn1", "nn2"])
+    def test_overflowing_weights_exit_1_naming_file(
+        self, corpus_files, staged, tmp_path, capsys, model
+    ):
+        _, _, _, templates = corpus_files
+        good = {"nn1": (staged / "nn1.weights").read_bytes(),
+                "nn2": save_weights(initialize(nn2pr_spec(), np.random.default_rng(0)))}
+        weights = {name: tmp_path / f"{name}.weights" for name in good}
+        for name, path in weights.items():
+            path.write_bytes(
+                overflowing_weights({"nn1": 1024, "nn2": 1536}[name]) if name == model
+                else good[name]
+            )
+        report = tmp_path / "retro.json"
+        assert main([
+            "retro", "--target", "OCCCC(C)CCCC", "--templates", str(templates),
+            "--nn1", str(weights["nn1"]), "--nn2", str(weights["nn2"]),
+            "--max-steps", "2", "--out", str(report),
+        ]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {weights[model]}: the model scores a row NaN "
+            "(its weights overflow float32)\n"
+        )
+        assert not report.exists()
 
     def test_each_gold_molecule_is_parsed_once(
         self, corpus_files, staged, tmp_path, monkeypatch

@@ -388,6 +388,12 @@ class TestFingerprinterFeatures:
         ]
         return reaction_feature(blocks[0], blocks[1:])
 
+    @classmethod
+    def reference_bytes(cls, rows):
+        """The rows' features packed, little-endian."""
+        features = [cls.reference(row) for row in rows]
+        return [f.bits.to_bytes(f.width // 8, "little") for f in features]
+
     def rows(self):
         one_step = [((t,), s) for t in self.TARGETS for s in self.STEPS]
         two_step = [((t,), s1, s2) for t in self.TARGETS for s1 in self.STEPS
@@ -396,22 +402,33 @@ class TestFingerprinterFeatures:
         return one_step, two_step, step_pairs
 
     def test_rows_equal_hand_built_features(self):
-        for rows in self.rows():
+        for rows, nbytes in zip(self.rows(), (128, 192, 128)):
             features = fingerprint.Fingerprinter().features(rows)
-            assert features == [self.reference(row) for row in rows]
-        one_step, two_step, step_pairs = self.rows()
-        assert {f.width for f in fingerprint.Fingerprinter().features(one_step)} == {1024}
-        assert {f.width for f in fingerprint.Fingerprinter().features(two_step)} == {1536}
-        assert {f.width for f in fingerprint.Fingerprinter().features(step_pairs)} == {1024}
+            assert features.dtype == np.uint8
+            assert features.shape == (len(rows), nbytes)
+            assert [bytes(f) for f in features] == self.reference_bytes(rows)
+            assert np.array_equal(
+                np.unpackbits(features, axis=1, bitorder="little"),
+                np.array([self.reference(row).to_array() for row in rows]),
+            )
+
+    def test_rows_of_one_call_share_a_block_count(self):
+        one_step, two_step, _ = self.rows()
+        with pytest.raises(WidthMismatch):
+            fingerprint.Fingerprinter().features(one_step[:1] + two_step[:1])
+
+    def test_no_rows_give_an_empty_array(self):
+        features = fingerprint.Fingerprinter().features([])
+        assert features.dtype == np.uint8 and features.shape == (0, 0)
 
     def test_memoized_and_missing_keys_give_the_same_bits(self):
-        one_step, two_step, step_pairs = self.rows()
-        rows = one_step + two_step + step_pairs
         held = fingerprint.Fingerprinter()
         held.memoize((k, None) for k in self.TARGETS[:2] + ["CC=O", "O", "C.N"])
-        assert held.features(rows) == fingerprint.Fingerprinter().features(rows)
-        # Everything is held now, so a second call reads the memo only.
-        assert held.features(rows) == [self.reference(row) for row in rows]
+        for rows in self.rows():
+            assert np.array_equal(held.features(rows), fingerprint.Fingerprinter().features(rows))
+        # Everything is held now, so these calls read the memo only.
+        for rows in self.rows():
+            assert [bytes(f) for f in held.features(rows)] == self.reference_bytes(rows)
 
     def test_one_batch_per_call(self, monkeypatch):
         batches = []
@@ -422,10 +439,10 @@ class TestFingerprinterFeatures:
             return molecule_fingerprints(mols, *args)
 
         monkeypatch.setattr(fingerprint, "molecule_fingerprints", counting)
-        fp = fingerprint.Fingerprinter()
-        fp.memoize([("CCO", None)])
-        batches.clear()
-        one_step, two_step, step_pairs = self.rows()
-        fp.features(one_step + two_step + step_pairs)
-        distinct = {k for row in two_step for group in row for k in group}
-        assert batches == [len(distinct) - 1]
+        for rows in self.rows():
+            fp = fingerprint.Fingerprinter()
+            fp.memoize([("CCO", None)])
+            batches.clear()
+            fp.features(rows)
+            distinct = {k for row in rows for group in row for k in group}
+            assert batches == [len(distinct - {"CCO"})]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from retrobio.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, main
 from retrobio.neural import RELU, SIGMOID, LayerSpec, initialize, save_weights
 
+from conftest import overflowing_weights
 from synthdata import TEMPLATE_ROWS, build_corpus, write_corpus_files
 
 # SMILES-alphabet tokens, generic placeholders and bracket atoms the parser
@@ -162,7 +163,8 @@ GROUPS = _dataset_groups()
 WIDTHS = {"nn1pr": 1024, "nn2pr": 1536}
 ROW_FAULTS = ("label", "weight", "empty step", "smiles", "three steps")
 FAULTS = ROW_FAULTS + ("none", "mixed steps", "no positive", "no rows",
-                       "flipped byte", "truncated", "wrong width", "nan parameter")
+                       "flipped byte", "truncated", "wrong width", "nan parameter",
+                       "overflowing weights")
 
 
 def tiny_weights(in_dim: int, outputs: int = 1) -> bytes:
@@ -173,6 +175,7 @@ def tiny_weights(in_dim: int, outputs: int = 1) -> bytes:
 
 
 WEIGHTS = {kind: tiny_weights(width) for kind, width in WIDTHS.items()}
+OVERFLOWING = {kind: overflowing_weights(width) for kind, width in WIDTHS.items()}
 
 
 def dataset_text(draw, steps: int, fault: str | None) -> tuple[str, int | None]:
@@ -238,14 +241,18 @@ def eval_case(draw, fault: str):
     elif fault == "nan parameter":
         at = 12 + 13 + 4 * draw(st.integers(0, WIDTHS[kind] * 4 - 1))  # first-layer weights
         edit = (at, struct.pack("<f", math.nan), at + 4)
+    elif fault == "overflowing weights":
+        edit = "overflow"
     else:
         edit = None
     return kind, edit, text, line
 
 
-def weight_file(kind: str, edit: tuple | None) -> bytes:
-    """``kind``'s weight file with bytes [start, end) replaced, or a file of
-    another (input width, outputs)."""
+def weight_file(kind: str, edit: tuple | str | None) -> bytes:
+    """``kind``'s weight file with bytes [start, end) replaced, a file of
+    another (input width, outputs), or for "overflow" its overflowing one."""
+    if edit == "overflow":
+        return OVERFLOWING[kind]
     if edit is None or len(edit) == 2:
         return WEIGHTS[kind] if edit is None else tiny_weights(*edit)
     start, replacement, end = edit
@@ -253,7 +260,7 @@ def weight_file(kind: str, edit: tuple | None) -> bytes:
 
 
 class TestEvalFuzz:
-    # Twenty-three cases for each of the 13 faults, "none" among them: 299.
+    # Twenty-three cases for each of the 14 faults, "none" among them: 322.
     @pytest.mark.parametrize("fault", FAULTS)
     @given(draws=st.data())
     @settings(max_examples=23, deadline=None)
@@ -274,7 +281,9 @@ class TestEvalFuzz:
                 assert err == "" and report.is_file()
                 return
             assert not report.exists()
-            if fault in ROW_FAULTS:
+            if fault == "overflowing weights":
+                assert err.startswith(f"error: {weights_path}: "), err
+            elif fault in ROW_FAULTS:
                 assert err.startswith(f"error: {data}:{line}: "), err
             elif code == EXIT_EMPTY:
                 assert err == f"eval: test data {data} holds no rows\n"
@@ -516,8 +525,8 @@ RETRO_FAULTS = {
     "target": ("smiles",),
     "stop-set": ("smiles", "comment only"),
     "gold": ("field count", "smiles", "empty piece"),
-    "nn1": ("flipped byte", "truncated", "wrong width"),
-    "nn2": ("flipped byte", "truncated", "wrong width"),
+    "nn1": ("flipped byte", "truncated", "wrong width", "overflowing weights"),
+    "nn2": ("flipped byte", "truncated", "wrong width", "overflowing weights"),
     "config": ("no section", "no value", "duplicate key", "unknown key", "unknown section",
                "bad value", "percent"),
 }
@@ -598,6 +607,13 @@ def retro_case(draw, name: str | None, fault: str | None):
         rows[name] = []
     elif name == "target":
         target = draw(st.sampled_from(BAD_SMILES + ["", "C.."]))
+    elif fault == "overflowing weights":
+        # A two-level search that scores with both models: T05 matches
+        # every carbon of the target and of its precursors.
+        edits[name] = "overflow"
+        rows["templates"] = [list(TEMPLATE_FIELDS[4])]
+        target = "CCCCO"
+        config = "[retro]\nbeam = 3\nmax-steps = 2\n"
     elif name in edits:
         edits[name] = weight_edit(draw, "nn1pr" if name == "nn1" else "nn2pr", fault)
     elif name == "config":
@@ -616,7 +632,7 @@ RETRO_CASES = [(None, None)] + [
 
 
 class TestRetroFuzz:
-    # Twelve cases for each of the 25 faults and for no fault: 312 in all.
+    # Twelve cases for each of the 27 faults and for no fault: 336 in all.
     @pytest.mark.parametrize("name, fault", RETRO_CASES)
     @given(data=st.data(), with_nn2=st.booleans())
     @settings(max_examples=12, deadline=None)

@@ -32,7 +32,7 @@ EXPORTS = {
         "nn1pr_spec", "nn2pr_spec", "save_weights", "train",
     ),
     "ranking": (
-        "evaluate_ranking", "rank_candidates", "score_baseline", "score_nn1", "score_nn2",
+        "evaluate_ranking", "rank_candidates", "score_baseline",
     ),
     "pipeline": ("Pathway", "SearchConfig", "SearchNode", "run_retro"),
 }

@@ -7,9 +7,8 @@ import retrobio.pattern
 import retrobio.pipeline
 from retrobio.fingerprint import Fingerprinter, reaction_feature
 from retrobio.molgraph import canonicalize, parse_smiles
-from retrobio.neural import initialize, nn1pr_spec, nn2pr_spec
+from retrobio.neural import forward, initialize, nn1pr_spec, nn2pr_spec
 from retrobio.pattern import enumerate_precursors, parse_smarts_template
-from retrobio.ranking import score_nn1
 from retrobio.pipeline import (
     NodeBudgetExceeded,
     SearchConfig,
@@ -136,7 +135,7 @@ class TestExpand:
             feature = reaction_feature(
                 fp.of_key(child.parent.molecule_key), [fp.of_keys(child.precursor_keys)]
             )
-            assert child.step_score == score_nn1(nn1, [feature]).tolist()[0]
+            assert child.step_score == forward(nn1, feature.to_array())
 
 
 def node_fields(node: SearchNode) -> tuple:
@@ -168,12 +167,12 @@ class TestLevelKeyMemo:
     def expand(self, frontier, nn1):
         scored = []
 
-        def recording_score(model, features):
-            scored.extend(features)
-            return score_nn1(model, features)
+        def recording_forward(model, features):
+            scored.extend(map(bytes, features))
+            return forward(model, features)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(retrobio.pipeline, "score_nn1", recording_score)
+            mp.setattr(retrobio.pipeline, "forward", recording_forward)
             children, stats = expand_level(
                 frontier, make_templates(), nn1, SearchConfig(max_steps=3), Fingerprinter(), 0
             )

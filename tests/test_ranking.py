@@ -25,8 +25,6 @@ from retrobio.ranking import (
     rank_candidates,
     row_scorer,
     score_baseline,
-    score_nn1,
-    score_nn2,
     write_report_json,
     write_report_tsv,
 )
@@ -66,44 +64,41 @@ class TestScorers:
         fp = Fingerprinter()
         one = zero_model(nn1pr_spec())
         two = zero_model(nn2pr_spec())
-        step1 = reaction_feature(fp.of_key("CCO"), [fp.of_key("CC=O")])
-        step2 = reaction_feature(fp.of_key("CCO"), [fp.of_key("CC=O"), fp.of_key("CC")])
-        assert score_nn1(one, [step1, step1]).tolist() == [0.5, 0.5]
-        assert score_nn2(two, [step2]).tolist() == [0.5]
+        step1 = fp.features([(("CCO",), ("CC=O",))] * 2)
+        step2 = fp.features([(("CCO",), ("CC=O",), ("CC",))])
+        assert forward(one, step1).tolist() == [0.5, 0.5]
+        assert forward(two, step2).tolist() == [0.5]
 
     def test_scoring_deterministic(self):
         fp = Fingerprinter()
         model = initialize(nn1pr_spec(), np.random.default_rng(0))
-        feature = reaction_feature(fp.of_key("CCO"), [fp.of_key("CC=O")])
-        a = score_nn1(model, [feature])
-        b = score_nn1(model, [feature])
+        features = fp.features([(("CCO",), ("CC=O",))])
+        a = forward(model, features)
+        b = forward(model, features)
         assert np.array_equal(a, b)
 
     def test_batch_scores_equal_features_scored_alone(self):
         fp = Fingerprinter()
         model = initialize(nn1pr_spec(), np.random.default_rng(2))
         keys = ["C" * n + "O" for n in range(1, 8)] + ["OCC(O)CO", "CC(=O)O"]
-        features = [
-            reaction_feature(fp.of_key(t), [fp.of_key(p)]) for t in keys for p in keys
-        ]
-        batch = score_nn1(model, features)
-        assert len(batch) == len(features) > 64
+        rows = [((t,), (p,)) for t in keys for p in keys]
+        batch = forward(model, fp.features(rows))
+        assert len(batch) == len(rows) > 64
         assert np.array_equal(
-            batch, np.concatenate([score_nn1(model, [f]) for f in features])
+            batch, np.concatenate([forward(model, fp.features([r])) for r in rows])
         )
-        for f in features[:3]:
+        for (t,), (p,) in rows[:3]:
+            dense = reaction_feature(fp.of_key(t), [fp.of_key(p)]).to_array()
             assert np.array_equal(
-                score_nn1(model, [f]),
-                forward(model, f.to_array()[None, :]),
+                forward(model, fp.features([((t,), (p,))])),
+                forward(model, dense[None, :]),
             )
 
     def test_features_of_one_batch_share_a_width(self):
         fp = Fingerprinter()
         model = initialize(nn1pr_spec(), np.random.default_rng(0))
-        step1 = reaction_feature(fp.of_key("CCO"), [fp.of_key("CC=O")])
-        step2 = reaction_feature(fp.of_key("CCO"), [fp.of_key("CC=O"), fp.of_key("CC")])
         with pytest.raises(WidthMismatch):
-            score_nn1(model, [step1, step2])
+            forward(model, fp.features([(("CCO",), ("CC=O",)), (("CCO",), ("CC=O",), ("CC",))]))
 
 
 class TestRankCandidates:
