@@ -196,7 +196,8 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     the flag or the file and key; defaults are used as they are. A config
     section that is no command, or a key of the command's own section that
     it does not take, is an error; [DEFAULT] keys apply to every command and
-    are not checked."""
+    are not checked. So is a second output option naming a file another
+    one names."""
     schema = _SCHEMA[args.command]
     file_values: dict[str, str] = {}
     if args.config:
@@ -216,6 +217,7 @@ def _resolve_options(args: argparse.Namespace) -> dict:
             if name not in schema and name not in config.defaults():
                 raise CliError(f"{args.config}: [{args.command}] {name}: unknown key")
     options = {}
+    outputs: dict[Path, str] = {}  # resolved output path -> its option
     supplied = vars(args)
     for name, (kind, default, _, valid) in schema.items():
         attr = name.replace("-", "_")
@@ -235,6 +237,12 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         if valid and not valid[1](value):
             raise CliError(f"{source} must be {valid[0]}, got {value!r}")
         options[attr] = value
+        if kind is _output_path and value:
+            # Two outputs naming one file would keep only the one written last.
+            path = Path(value).resolve()
+            if path in outputs:
+                raise CliError(f"{outputs[path]} and {source} both name {path}")
+            outputs[path] = source
     return options
 
 
@@ -326,7 +334,7 @@ def cmd_augment(options: dict) -> int:
 
 
 def cmd_train(options: dict) -> int:
-    from .neural import TrainConfig, save_weights, train
+    from .neural import Diverged, TrainConfig, save_weights, train
 
     model_name = options["model"]
     data = _require_file(options["data"], "training data")
@@ -355,20 +363,19 @@ def cmd_train(options: dict) -> int:
         positive_weight=pos_weight,
     )
     spec = _model_spec(model_name)(options["dropout"])
-    with ds.naming_dataset(data):
-        model, history = train(
-            spec, features, labels, config, weights, history=bool(options["history"])
-        )
-    try:  # before --out is opened, so a failure leaves no file behind
-        blob = save_weights(model)
-    except ValueError as exc:
+    try:
+        with ds.naming_dataset(data):
+            model, history = train(
+                spec, features, labels, config, weights, history=bool(options["history"])
+            )
+    except Diverged as exc:
         raise EmptyResult(f"training diverged ({exc}); try a lower --lr") from exc
     print(
         f"train: {model_name} with {model.parameter_count} parameters, "
         f"{options['epochs']} epochs"
     )
     with open(options["out"], "wb") as fh:
-        fh.write(blob)
+        fh.write(save_weights(model))
     if options["history"]:
         history.save_csv(options["history"])
     return EXIT_OK

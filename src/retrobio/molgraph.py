@@ -461,6 +461,10 @@ def _read_chain(text: str, pattern: bool = False):
 _TWO_LETTER = {"Cl", "Br"}
 # Numbers are ASCII 0-9 only; ``str.isdigit`` also takes '²' and '１'.
 _DIGITS = frozenset("0123456789")
+# The token field of each bracket property, and the most digits it reads:
+# up to two of a charge, all the writer writes, and any number of a map.
+_PROPERTIES = {"H": "hydrogens", "D": "degree", "+": "charge", "-": "charge", ":": "map_index"}
+_MOST_DIGITS = {"H": 1, "D": 1, "+": 2, "-": 2}
 
 
 def _parse_atom(text: str, pos: int, pattern: bool = False) -> tuple[dict, int]:
@@ -515,52 +519,38 @@ def _parse_atom(text: str, pos: int, pattern: bool = False) -> tuple[dict, int]:
     width = 2 if element in _TWO_LETTER else 1
     if not bracket:
         return token, at + width
-    # Properties, in SMILES order: Hn, Dn, charge, :map. ``body[i]`` is
-    # ``text[pos + 1 + i]``, the offset each error names.
+    # Properties, in SMILES order: Hn, Dn, charge, :map, each at most once.
+    # ``body[i]`` is ``text[pos + 1 + i]``, the offset each error names.
     body = text[pos + 1 : end]
     i = width
     while i < len(body):
         c = body[i]
-        if c == "H":
-            i += 1
-            count = 1
-            if i < len(body) and body[i] in _DIGITS:
-                count = int(body[i])
-                i += 1
-            token["hydrogens"] = count
-        elif c == "D":
-            if not pattern:
-                raise MalformedBracketAtom("degree constraint outside a pattern", pos + 1 + i)
-            i += 1
-            if i >= len(body) or body[i] not in _DIGITS:
-                raise MalformedBracketAtom("'D' needs a digit", pos + 1 + i)
-            token["degree"] = int(body[i])
-            i += 1
-        elif c in "+-":
-            sign = 1 if c == "+" else -1
-            i += 1
-            if i < len(body) and body[i] in _DIGITS:
-                token["charge"] = sign * int(body[i])
-                i += 1
-            else:
-                magnitude = 1
-                while i < len(body) and body[i] == c:
-                    magnitude += 1
-                    i += 1
-                token["charge"] = sign * magnitude
-        elif c == ":":
-            i += 1
-            j = i
-            while j < len(body) and body[j] in _DIGITS:
-                j += 1
-            if j == i:
-                raise MalformedBracketAtom("':' needs a map number", pos + 1 + i)
-            token["map_index"] = int(body[i:j])
-            if token["map_index"] <= 0:
-                raise MalformedBracketAtom("map index must be positive", pos + 1 + i)
-            i = j
-        else:
+        field = _PROPERTIES.get(c)
+        if field is None:
             raise MalformedBracketAtom(f"unsupported bracket token {c!r}", pos + 1 + i)
+        if token[field] is not None:
+            raise MalformedBracketAtom(f"{field.replace('_', ' ')} written twice", pos + 1 + i)
+        if c == "D" and not pattern:
+            raise MalformedBracketAtom("degree constraint outside a pattern", pos + 1 + i)
+        i = j = i + 1
+        most = _MOST_DIGITS.get(c, len(body))
+        while j < len(body) and j - i < most and body[j] in _DIGITS:
+            j += 1
+        if j == i and c in "D:":
+            raise MalformedBracketAtom(
+                "'D' needs a digit" if c == "D" else "':' needs a map number", pos + 1 + i
+            )
+        value = int(body[i:j]) if j > i else 1
+        if j == i and c in "+-":  # a sign without digits, perhaps repeated
+            while j < len(body) and body[j] == c:
+                j += 1
+            value = j - i + 1
+            if value > 99:
+                raise MalformedBracketAtom("charge magnitude above 99", pos + i)
+        if c == ":" and value <= 0:
+            raise MalformedBracketAtom("map index must be positive", pos + 1 + i)
+        token[field] = -value if c == "-" else value
+        i = j
     return token, end + 1
 
 

@@ -11,12 +11,12 @@ ADAM_BETA2 = 0.999 and ADAM_EPSILON = 1e-8.
 
 Training is bit-reproducible given (seed, data order): initialization,
 epoch shuffles and dropout masks all derive from one seeded generator.
-Training rows may stay packed, one bit per feature; only the rows in use,
-a batch or a slice of the history pass, are unpacked to float32.
-Each step trains only the first-layer rows that some training row
-reaches and runs Adam in cache-sized blocks; both leave every weight bit
-as the whole-array update would (``train`` says why), and the tests keep
-that whole-array loop as the reference.
+Inputs are the packed rows of ``Fingerprinter.features``, one bit per
+feature; only the rows in use, a block, a batch or a history slice, are
+unpacked to float32. Each step trains only the first-layer rows that some
+training row reaches and runs Adam in cache-sized blocks; both leave every
+weight bit as the whole-array update would (``train`` says why), and the
+tests keep that whole-array loop as the reference.
 Weight files are an exact little-endian binary format (magic "NNPR"), so
 save/load round-trips models bit-identically.
 """
@@ -50,6 +50,7 @@ __all__ = [
     "TruncatedFile",
     "DimChainBroken",
     "NaNScore",
+    "Diverged",
     "nn1pr_spec",
     "nn2pr_spec",
     "initialize",
@@ -116,6 +117,11 @@ class NaNScore(FloatingPointError):
     def __init__(self, model: MlpModel):
         super().__init__("the model scores a row NaN (its weights overflow float32)")
         self.model = model
+
+
+class Diverged(FloatingPointError):
+    """Training overflowed float32; the fault is the learning rate's, not
+    the data's."""
 
 
 @dataclass(frozen=True)
@@ -256,31 +262,25 @@ def _forward_full(
     return h, activations, masks
 
 
-def _is_packed(arr: np.ndarray, dim: int) -> bool:
-    """Whether the rows of ``arr`` are packed bits for a model of input width
-    ``dim``: uint8 rows of dim/8 bytes, little-endian bit order. Any other
-    rows must be ``dim`` wide, or DimensionMismatch is raised."""
-    packed = arr.dtype == np.uint8 and arr.shape[1] * 8 == dim
-    if not packed and arr.shape[1] != dim:
-        raise DimensionMismatch(f"input width {arr.shape[1]} != model input {dim}")
-    return packed
+def _require_packed(arr: np.ndarray, dim: int) -> None:
+    """Raise DimensionMismatch unless ``arr`` is no rows or packed rows for
+    input width ``dim``: uint8, dim/8 bytes each, little-endian bit order."""
+    if arr.ndim != 2 or arr.dtype != np.uint8 or len(arr) and arr.shape[1] * 8 != dim:
+        raise DimensionMismatch(f"{arr.dtype} inputs of shape {arr.shape} are not "
+                                f"packed rows of {dim // 8} bytes")
 
 
-def _input_rows(arr: np.ndarray, index, packed: bool) -> np.ndarray:
-    """Rows ``index`` of ``arr`` as model inputs: packed rows unpacked to
-    uint8 0/1, dense rows as they are."""
-    rows = arr[index]
-    return np.unpackbits(rows, axis=1, bitorder="little") if packed else rows
+def _unpacked(arr: np.ndarray, index) -> np.ndarray:
+    return np.unpackbits(arr[index], axis=1, bitorder="little")
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
-    """Score inputs of shape (d,) or (n, d), or packed bits: uint8 rows of
-    d/8 bytes in little-endian bit order, unpacked one block at a time.
+    """Score packed rows, an (n, d/8) uint8 array in little-endian bit order,
+    unpacked one block at a time; any other array raises DimensionMismatch.
 
-    Returns one score per row, or a float for a 1-D input, strictly inside
-    (0, 1); a model with other than one output raises DimensionMismatch,
-    and a row scored NaN raises NaNScore.
+    Returns n scores strictly inside (0, 1); a model with other than one
+    output raises DimensionMismatch, and a row scored NaN raises NaNScore.
     Rows run in zero-padded blocks of BLOCK_ROWS, so every matrix product
     has one shape and a row's score has the same bits whatever the other
     rows are, their order or the row's block. Dropout is off.
@@ -288,19 +288,18 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     dim = model.input_dim
     if model.layers[-1].out_dim != 1:
         raise DimensionMismatch(f"model has {model.layers[-1].out_dim} outputs, expected 1")
-    arr = np.atleast_2d(inputs)
-    packed = _is_packed(arr, dim)
+    _require_packed(inputs, dim)
     block = np.zeros((BLOCK_ROWS, dim), dtype=model.layers[0].weights.dtype)
-    out = np.empty(len(arr), dtype=block.dtype)
-    for lo in range(0, len(arr), BLOCK_ROWS):
-        rows = _input_rows(arr, slice(lo, lo + BLOCK_ROWS), packed)
+    out = np.empty(len(inputs), dtype=block.dtype)
+    for lo in range(0, len(inputs), BLOCK_ROWS):
+        rows = _unpacked(inputs, slice(lo, lo + BLOCK_ROWS))
         block[: len(rows)] = rows
         block[len(rows) :] = 0
         scores, _, _ = _forward_full(model, block, None)
         out[lo : lo + len(rows)] = np.clip(scores[: len(rows), 0], LOSS_EPS, 1.0 - LOSS_EPS)
     if np.isnan(out).any():
         raise NaNScore(model)
-    return float(out[0]) if np.ndim(inputs) == 1 else out
+    return out
 
 
 def bce_loss(prediction: float, label: int, weight: float = 1.0) -> float:
@@ -368,9 +367,8 @@ def _backward(
 
     With ``rows``, the first layer's weight gradient covers only those
     input rows, in that order: another row whose inputs are all zero has
-    the exact gradient 0. Not so when the delta reaching the first layer
-    holds an inf or NaN, since 0 * inf is NaN; then the gradient covers
-    every row, which the caller sees from its height.
+    the exact gradient 0, while the delta reaching the first layer is
+    finite (0 * inf is NaN); one that is not raises Diverged.
     """
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
     delta = delta_out
@@ -390,8 +388,11 @@ def _backward(
                 act_out = np.where(masks[k] > 0, h_out / safe, 0)
             delta = delta * act_out * (1.0 - act_out)
         inputs = activations[k]
-        if k == 0 and rows is not None and np.isfinite(delta).all():
-            inputs = inputs[:, rows]
+        if k == 0:
+            if not np.isfinite(delta).all():
+                raise Diverged("a first-layer delta is not finite")
+            if rows is not None:
+                inputs = inputs[:, rows]
         grads[k] = (inputs.T @ delta, delta.sum(axis=0))
         if k:
             delta = delta @ layer.weights.T
@@ -445,17 +446,17 @@ def train(
     returns the trained model and, with ``history``, the per-epoch loss
     and accuracy on the training data (an empty history without).
 
-    ``features`` are dense rows, or packed bits as ``forward`` takes them;
-    packed rows stay packed, and only the rows in use, a batch or a history
-    slice, are unpacked, so the same rows give the same weight bits either
-    way. The history scores the training rows in unpadded slices of
-    HISTORY_ROWS, starting at every multiple of it: a matrix product's bits
-    can depend on its row count, so that slicing is part of what the
-    history is.
+    ``features`` are packed rows, as ``forward`` takes them; only a batch
+    or a history slice is unpacked at a time. The history scores the
+    training rows in unpadded slices of HISTORY_ROWS, starting at every
+    multiple of it: a matrix product's bits can depend on its row count, so
+    that slicing is part of what the history is.
 
     The run is bit-reproducible for a fixed (seed, data order); epochs=0
-    returns the bare initialization with an empty history. Overflow is
-    silent: ``save_weights`` refuses the weights a diverged run leaves.
+    returns the bare initialization with an empty history. A run that
+    overflows float32 raises Diverged at the first step whose first-layer
+    delta is not finite, before the step updates a weight, or at the end if
+    a weight or bias is not finite.
 
     Only the first-layer rows that some training row reaches (a feature
     column that is ever nonzero) can move: every other row has the exact
@@ -464,10 +465,7 @@ def train(
     and its weights are not touched, which leaves every weight bit as the
     full update would. The forward pass still multiplies by the whole
     first layer, because a product over the reached columns alone sums in
-    another order. If the delta reaching the first layer is ever not
-    finite, its product with a zero input is NaN, not 0, and from that step
-    on every row is trained, with the moments of the rows not kept until
-    then restored as the zeros they were.
+    another order.
     """
     if spec[-1].out_dim != 1 or spec[-1].activation != SIGMOID:
         raise ValueError(
@@ -475,15 +473,13 @@ def train(
         )
     x = np.asarray(features)
     y = np.asarray(labels, dtype=np.float32).reshape(-1)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+    _require_packed(x, spec[0].in_dim)
+    if x.shape[0] != y.shape[0]:
         raise DimensionMismatch("features and labels disagree in length")
     if x.shape[0] == 0:
         raise EmptyDataset("training data is empty")
     if len(np.unique(y)) < 2:
         raise SingleClassDataset("training data needs both classes")
-    packed = _is_packed(x, spec[0].in_dim)
-    if not packed:
-        x = x.astype(np.float32, copy=False)
     w = (
         np.ones_like(y)
         if sample_weights is None
@@ -498,13 +494,8 @@ def train(
     # The layers' own arrays are the parameters, updated in place, so
     # ``model`` is always the current model.
     params = [a for l in model.layers for a in (l.weights, l.biases)]
-    # The first-layer rows trained, in order; None while that is every row.
-    if packed:
-        reach = np.flatnonzero(
-            np.unpackbits(np.bitwise_or.reduce(x, axis=0), bitorder="little")
-        )
-    else:
-        reach = np.flatnonzero(x.any(axis=0))
+    # The first-layer rows trained, in order; None when that is every row.
+    reach = np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(x, axis=0), bitorder="little"))
     reach = None if len(reach) == spec[0].in_dim else reach
     shapes = [a.shape for a in params]
     if reach is not None:
@@ -517,7 +508,7 @@ def train(
         order = rng.permutation(n)
         for lo in range(0, n, config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            xb = _input_rows(x, batch, packed).astype(np.float32, copy=False)
+            xb = _unpacked(x, batch).astype(np.float32)
             yb, wb = y[batch], w[batch]
             out, acts, masks = _forward_full(model, xb, rng)
             delta = _bce_output_delta(out[:, 0], yb, wb)[:, None] / len(batch)
@@ -526,12 +517,6 @@ def train(
                 for pair in _backward(model, acts, masks, delta.astype(np.float32), reach)
                 for g in pair
             ]
-            if reach is not None and len(grads[0]) != len(reach):
-                for moments in (m, v):
-                    full = np.zeros_like(params[0])
-                    full[reach] = moments[0]
-                    moments[0] = full
-                reach = None
             step += 1
             for k, (p, g, mk, vk) in enumerate(zip(params, grads, m, v)):
                 _adam_step(p, g, mk, vk, config.learning_rate, step, None if k else reach)
@@ -541,8 +526,7 @@ def train(
             del out, acts, masks, grads, delta, xb
             scores = np.empty(n, dtype=np.float32)
             for lo in range(0, n, HISTORY_ROWS):
-                rows = _input_rows(x, slice(lo, lo + HISTORY_ROWS), packed)
-                rows = rows.astype(np.float32, copy=False)
+                rows = _unpacked(x, slice(lo, lo + HISTORY_ROWS)).astype(np.float32)
                 out = _forward_full(model, rows, None)[0]
                 del rows  # before the next slice is unpacked
                 scores[lo : lo + len(out)] = out[:, 0]
@@ -553,6 +537,8 @@ def train(
             )
             record.loss.append(float(losses.mean()))
             record.accuracy.append(float(((scores >= 0.5) == (y == 1.0)).mean()))
+    for k, layer in enumerate(model.layers):
+        _require_finite(k, (layer.weights, layer.biases), Diverged)
     return model, record
 
 
@@ -652,12 +638,12 @@ def save_weights(model: MlpModel) -> bytes:
     return b"".join(chunks)
 
 
-def _require_finite(k: int, arrays) -> None:
+def _require_finite(k: int, arrays, error: type[Exception] = ValueError) -> None:
     # min and max propagate NaN and expose +-inf without the temporary
     # array np.isfinite(w) would allocate; initial=0 admits empty layers.
     extremes = [f(a, initial=0) for a in arrays for f in (np.min, np.max)]
     if not np.isfinite(extremes).all():
-        raise ValueError(f"layer {k}: a weight or bias is NaN or infinite")
+        raise error(f"layer {k}: a weight or bias is NaN or infinite")
 
 
 def load_weights(source: bytes | BinaryIO) -> MlpModel:

@@ -216,7 +216,7 @@ def expand_level(
     features = fingerprinter.features(
         [((child.parent.molecule_key,), child.precursor_keys) for child, _ in candidates]
     )
-    scores = forward(nn1, features).tolist() if candidates else []
+    scores = forward(nn1, features).tolist()
     children: list[SearchNode] = []
     for (child, cycle), score in zip(candidates, scores):
         if score < config.prune_threshold:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from retrobio.neural import SIGMOID, LayerSpec, initialize, nn2pr_spec, save_wei
 
 from conftest import overflowing_weights
 from synthdata import write_corpus_files
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -418,19 +421,30 @@ class TestTrain:
         assert capsys.readouterr().err == f"train: training data {data} holds no rows\n"
         assert not weights.exists()
 
-    def test_diverged_training_exits_2_writing_nothing(self, staged, tmp_path, capsys):
+    def test_diverged_training_exits_2_writing_nothing(self, tmp_path, capsys, monkeypatch):
+        steps = []
+        adam_step = retrobio.neural._adam_step
+
+        def counting(param, grad, m, v, learning_rate, step, rows=None):
+            steps.append(step)
+            adam_step(param, grad, m, v, learning_rate, step, rows)
+
+        monkeypatch.setattr(retrobio.neural, "_adam_step", counting)
         weights, history = tmp_path / "out.weights", tmp_path / "history.csv"
         assert main([
             "train", "--model", "nn1pr",
-            "--data", str(staged / "augment" / "onestep_train.tsv"),
+            "--data", str(GOLDEN / "augment" / "onestep_train.tsv"),
             "--out", str(weights), "--history", str(history),
-            "--epochs", "3", "--lr", "1e38",
+            "--epochs", "30", "--lr", "1e38",
         ]) == EXIT_EMPTY
         assert capsys.readouterr().err == (
-            "train: training diverged (layer 0: a weight or bias is NaN or infinite); "
+            "train: training diverged (a first-layer delta is not finite); "
             "try a lower --lr\n"
         )
         assert not weights.exists() and not history.exists()
+        # The first update at this rate overflows the second step's forward
+        # pass; training stops there, 29 epochs early.
+        assert set(steps) == {1}
 
     def test_diverged_training_prints_one_stderr_line(self, staged, tmp_path):
         # In a process of its own, where numpy's overflow warnings would
@@ -906,6 +920,24 @@ class TestOutputPaths:
         assert err.startswith(f"error: {option}: cannot write {bad}: "), err
         assert not out.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    @pytest.mark.parametrize("command, option", [
+        ("train", "--history"), ("eval", "--tsv"), ("retro", "--pathways-tsv"),
+    ])
+    def test_two_outputs_naming_one_file_exit_1_writing_nothing(
+        self, staged, corpus_files, tmp_path, capsys, monkeypatch, command, option
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read before the output paths were checked")
+
+        monkeypatch.setattr(cli, "load_templates", refuse)
+        monkeypatch.setattr(cli.ds, "read_examples_tsv", refuse)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        argv = self.argv(command, staged, corpus_files, out, [option, "./out"])
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: --out and {option} both name {out.resolve()}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["train", "eval", "retro"])
     def test_out_in_missing_directory_exits_1_before_reading(

@@ -296,13 +296,15 @@ class TestEvalFuzz:
 # --- train ------------------------------------------------------------------
 
 # The faults per input. "dataset" is the --data file, an "option" fault is
-# a bad value of that option given as a flag or in the config file, and
-# "out" and "history" are output paths.
+# a bad value of that option given as a flag or in the config file, "out"
+# and "history" are output paths, and "training" is a learning rate that
+# overflows float32.
 TRAIN_FAULTS = {
     "dataset": ROW_FAULTS + ("mixed steps", "one class", "no rows", "nn2pr on one step"),
     "option": ("epochs", "batch", "lr", "dropout", "pos-weight"),
     "out": ("missing directory", "file as directory"),
-    "history": ("missing directory", "file as directory"),
+    "history": ("missing directory", "file as directory", "names the out file"),
+    "training": ("diverging lr",),
 }
 BAD_OPTIONS = {
     "epochs": ["-1", "1.5", "ten"],
@@ -330,6 +332,8 @@ def train_case(draw, name: str | None, fault: str | None):
         "pos-weight": draw(st.sampled_from(["", "auto", "2"])),
     }
     config = "[train]\nseed = 3\n"
+    if fault == "diverging lr":
+        options.update(epochs="30", lr=draw(st.sampled_from(["1e38", "3e38", "1e37"])))
     if name == "option":
         bad = draw(st.sampled_from(BAD_OPTIONS[fault]))
         if draw(st.booleans()):
@@ -341,7 +345,7 @@ def train_case(draw, name: str | None, fault: str | None):
 
 
 class TestTrainFuzz:
-    # Sixteen cases for each of the 18 faults and for no fault: 304 in all.
+    # Sixteen cases for each of the 20 faults and for no fault: 336 in all.
     @pytest.mark.parametrize("name, fault", TRAIN_CASES)
     @given(data=st.data(), with_history=st.booleans())
     @settings(max_examples=16, deadline=None)
@@ -353,7 +357,9 @@ class TestTrainFuzz:
             dataset.write_text(text, encoding="utf-8")
             config.write_text(config_text, encoding="utf-8")
             outputs = {"out": Path(tmp, "w.nnpr"), "history": Path(tmp, "h.csv")}
-            if name in outputs:
+            if fault == "names the out file":
+                outputs[name] = outputs["out"]
+            elif name in outputs:
                 parent = Path(tmp, "missing") if fault == "missing directory" else dataset
                 outputs[name] = parent / outputs[name].name
             argv = ["--config", str(config), "train", "--model", kind,
@@ -381,11 +387,18 @@ class TestTrainFuzz:
                 assert err.startswith(f"error: {dataset}: "), err
             elif name == "option":
                 assert err.startswith((f"error: --{fault}", f"error: {config}: [train] {fault}")), err
+            elif name == "training":
+                assert err.startswith("train: training diverged ("), err
+                assert err.endswith("); try a lower --lr\n"), err
+            elif fault == "names the out file":
+                path = outputs["out"].resolve()
+                assert err == f"error: --out and --history both name {path}\n", err
             else:
                 path = outputs[name]
                 assert err == (f"error: --{name}: cannot write {path}: "
                                f"{path.parent} is not a directory\n")
-            assert code == (EXIT_EMPTY if fault in ("no rows", "nn2pr on one step") else EXIT_INPUT)
+            empty = ("no rows", "nn2pr on one step", "diverging lr")
+            assert code == (EXIT_EMPTY if fault in empty else EXIT_INPUT)
 
 
 # --- augment ----------------------------------------------------------------

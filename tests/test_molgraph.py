@@ -141,6 +141,16 @@ ATOM_TOKENS = {
     "c1ccccc1": (Atom("C", aromatic=True, hydrogens=1), PatternAtom("C", True)),
     "Cl": (Atom("Cl", hydrogens=1), PatternAtom("Cl", False)),
     "[Br-]": (Atom("Br", charge=-1), PatternAtom("Br", False, charge=-1)),
+    "[C+10]": (Atom("C", charge=10), PatternAtom("C", False, charge=10)),
+    "[C-99]": (Atom("C", charge=-99), PatternAtom("C", False, charge=-99)),
+    "[C+100]": ((MalformedBracketAtom, 5), (MalformedBracketAtom, 5)),
+    # A property written twice is an error at the repeat.
+    "[N+-]": ((MalformedBracketAtom, 3), (MalformedBracketAtom, 3)),
+    "[O-2-]": ((MalformedBracketAtom, 4), (MalformedBracketAtom, 4)),
+    "[CH2H3]": ((MalformedBracketAtom, 4), (MalformedBracketAtom, 4)),
+    "[CHH]": ((MalformedBracketAtom, 3), (MalformedBracketAtom, 3)),
+    "[C:1:2]": ((MalformedBracketAtom, 4), (MalformedBracketAtom, 4)),
+    "[CD2D3]": ((MalformedBracketAtom, 2), (MalformedBracketAtom, 4)),
 }
 
 SMILES_ALPHABET = "CNOPSFIBrlcnops*()[]=#-:.%0123456789+HD>"
@@ -174,6 +184,22 @@ class TestAtomTokens:
         with pytest.raises(SmilesSyntaxError) as info:
             parse(text)
         assert 0 <= info.value.offset < len(text)
+
+    @pytest.mark.parametrize("sign", "+-")
+    def test_every_charge_read_is_written_back(self, sign):
+        # The writer writes |charge| > 1 as a sign and its digits, so the
+        # reader takes up to two digits and refuses a magnitude above 99 in
+        # any form: a canonical key always parses again.
+        for magnitude in range(100):
+            forms = [f"[C{sign}{magnitude}]", f"[C{sign}{magnitude:02d}]"]
+            forms += [f"[C{sign * magnitude}]"] if magnitude else []
+            for text in forms:
+                key = canonicalize(parse_smiles(text))
+                assert parse_smiles(key).atoms[0].charge == int(f"{sign}{magnitude}")
+                assert canonicalize(parse_smiles(key)) == key
+        for text in (f"[C{sign}100]", f"[C{sign * 100}]"):
+            with pytest.raises(MalformedBracketAtom):
+                parse_smiles(text)
 
     @given(st.text(SMILES_ALPHABET, max_size=24))
     @settings(max_examples=300, deadline=None)

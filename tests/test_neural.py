@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,17 @@ from retrobio.neural import (
     train,
 )
 
-from train_oracle import CASES, same_as_reference
+from train_oracle import CASES, DIVERGING, reference_train, same_as_reference
+
+
+def pack(bits) -> np.ndarray:
+    """0/1 rows as the packed rows ``forward`` and ``train`` take."""
+    return np.packbits(np.asarray(bits, np.uint8), axis=1, bitorder="little")
+
+
+def random_rows(rng, n, width, density=0.5) -> np.ndarray:
+    """``n`` packed rows of ``width`` random bits."""
+    return pack(rng.random((n, width)) < density)
 
 
 def zero_model(dims, activations):
@@ -63,9 +74,10 @@ def weight_sources(blob, tmp_path):
         yield fh
 
 
-def history_point(model, x, y, slice_rows):
-    """(loss, accuracy) of ``model`` on unweighted rows ``x``, scored by
+def history_point(model, packed, y, slice_rows):
+    """(loss, accuracy) of ``model`` on unweighted packed rows, scored by
     ``_forward_full`` in unpadded slices of ``slice_rows`` rows."""
+    x = np.unpackbits(packed, axis=1, bitorder="little").astype(np.float32)
     out = np.concatenate([
         nn._forward_full(model, x[lo : lo + slice_rows], None)[0][:, 0]
         for lo in range(0, len(x), slice_rows)
@@ -77,10 +89,11 @@ def history_point(model, x, y, slice_rows):
 
 
 def separable_toy(n=200, seed=5):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, 2)).astype(np.float32)
-    y = (x[:, 0] + x[:, 1] > 0).astype(np.float32)
-    return x, y
+    """Packed 8-bit rows labelled by the majority of their first three bits,
+    a linearly separable rule."""
+    bits = np.random.default_rng(seed).random((n, 8)) < 0.5
+    y = (bits[:, :3].sum(axis=1) >= 2).astype(np.float32)
+    return pack(bits), y
 
 
 class TestArchitectures:
@@ -111,38 +124,56 @@ class TestArchitectures:
 
 class TestForward:
     def test_zero_network_outputs_half(self):
-        model = zero_model([4, 3, 1], [RELU, SIGMOID])
-        assert forward(model, np.zeros(4)) == 0.5
+        model = zero_model([8, 3, 1], [RELU, SIGMOID])
+        assert forward(model, pack(np.zeros((1, 8)))).tolist() == [0.5]
 
     def test_hand_built_sigmoid(self):
-        model = MlpModel(
-            (DenseLayer(np.array([[1.0], [1.0]], np.float32),
-                        np.zeros(1, np.float32), SIGMOID),)
-        )
-        score = forward(model, np.array([1.0, 0.0]))
+        weights = np.zeros((8, 1), np.float32)
+        weights[:2] = 1.0
+        model = MlpModel((DenseLayer(weights, np.zeros(1, np.float32), SIGMOID),))
+        (score,) = forward(model, pack([[1, 0, 0, 0, 0, 0, 0, 0]]))
         assert score == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-6)
 
     def test_inference_deterministic(self):
         model = initialize(nn1pr_spec(), np.random.default_rng(3))
-        x = np.random.default_rng(4).random(1024).astype(np.float32)
-        assert forward(model, x) == forward(model, x)
+        x = random_rows(np.random.default_rng(4), 1, 1024)
+        assert np.array_equal(forward(model, x), forward(model, x))
 
     def test_dimension_mismatch(self):
         model = initialize(nn1pr_spec(), np.random.default_rng(0))
+        with pytest.raises(nn.DimensionMismatch, match=r"shape \(1, 13\) are not packed rows of 128 bytes"):
+            forward(model, np.zeros((1, 13), np.uint8))
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros((2, 1024), np.float32),  # dense
+        np.zeros((2, 128), np.float32),  # dense, at the packed width
+        np.zeros((2, 1024), np.uint8),  # unpacked bits
+        np.zeros(128, np.uint8),  # one packed row, 1-D
+        np.zeros(1024, np.float32),  # one dense row, 1-D
+    ])
+    def test_only_packed_rows_are_taken(self, rows):
+        model = initialize(nn1pr_spec(), np.random.default_rng(0))
         with pytest.raises(nn.DimensionMismatch):
-            forward(model, np.zeros(100))
+            forward(model, rows)
+        with pytest.raises(nn.DimensionMismatch):
+            train(nn1pr_spec(), rows, np.arange(len(rows)) % 2, TrainConfig(epochs=1))
 
     def test_more_than_one_output_is_rejected(self):
-        model = zero_model([4, 2], [SIGMOID])
-        for x in (np.zeros(4), np.zeros((3, 4))):
+        model = zero_model([8, 2], [SIGMOID])
+        for x in (np.zeros((1, 1), np.uint8), np.zeros((3, 1), np.uint8)):
             with pytest.raises(nn.DimensionMismatch, match="2 outputs"):
                 forward(model, x)
 
     def test_scores_strictly_inside_unit_interval(self):
+        # Weights this large saturate the sigmoid at exactly 0 or 1.
         rng = np.random.default_rng(0)
-        model = initialize((LayerSpec(8, 4, RELU), LayerSpec(4, 1, SIGMOID)), rng)
-        scores = forward(model, (rng.random((100, 8)) * 50).astype(np.float32))
+        model = initialize((LayerSpec(16, 4, RELU), LayerSpec(4, 1, SIGMOID)), rng)
+        for layer in model.layers:
+            layer.weights[...] *= 1000
+        scores = forward(model, random_rows(rng, 100, 16))
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
+        clipped = np.float32([nn.LOSS_EPS, 1.0 - nn.LOSS_EPS])
+        assert np.isin(scores, clipped).any()
 
     def test_train_mode_applies_dropout(self):
         rng = np.random.default_rng(1)
@@ -175,26 +206,26 @@ class TestRowStability:
     def test_row_scored_in_a_batch_equals_row_alone(self, kind, n, density, seed):
         model = ranker(kind)
         rng = np.random.default_rng(seed)
-        x = (rng.random((n, model.input_dim)) < density).astype(np.float32)
+        x = random_rows(rng, n, model.input_dim, density)
         scores = forward(model, x)
         perm = rng.permutation(n)
         assert np.array_equal(forward(model, x[perm]), scores[perm])
         for i in {0, n - 1, *rng.integers(0, n, 6).tolist()}:
             assert np.array_equal(forward(model, x[i : i + 1]), scores[i : i + 1])
-            assert forward(model, x[i]) == scores[i]
-        packed = np.packbits(x.astype(np.uint8), axis=1, bitorder="little")
-        assert np.array_equal(forward(model, packed), scores)
 
-    def test_real_valued_rows_in_every_block_position(self):
+    def test_rows_in_every_block_position(self):
         model = ranker("nn1")
-        x = np.random.default_rng(8).normal(size=(130, 1024)).astype(np.float32)
+        x = random_rows(np.random.default_rng(8), 130, 1024)
         scores = forward(model, x)
         for shift in (1, 63, 64, 65):
-            padded = np.concatenate([np.ones((shift, 1024), np.float32), x])
+            padded = np.concatenate([np.full((shift, 128), 0xFF, np.uint8), x])
             assert np.array_equal(forward(model, padded)[shift:], scores)
 
     def test_empty_batch(self):
-        assert forward(ranker("nn1"), np.zeros((0, 1024), np.float32)).shape == (0,)
+        # (0, 0) is what ``Fingerprinter.features`` gives for no rows.
+        for width in (128, 0):
+            scores = forward(ranker("nn1"), np.zeros((0, width), np.uint8))
+            assert scores.shape == (0,) and scores.dtype == np.float32
 
 
 class TestLoss:
@@ -215,7 +246,7 @@ class TestLoss:
 class TestTrain:
     def test_separable_data_reaches_high_accuracy(self):
         x, y = separable_toy()
-        spec = (LayerSpec(2, 8, RELU), LayerSpec(8, 1, SIGMOID))
+        spec = (LayerSpec(8, 8, RELU), LayerSpec(8, 1, SIGMOID))
         _, history = train(
             spec, x, y, TrainConfig(epochs=200, batch_size=16, seed=11), history=True
         )
@@ -223,7 +254,7 @@ class TestTrain:
 
     def test_zero_epochs_returns_initialization(self):
         x, y = separable_toy()
-        spec = (LayerSpec(2, 8, RELU), LayerSpec(8, 1, SIGMOID))
+        spec = (LayerSpec(8, 8, RELU), LayerSpec(8, 1, SIGMOID))
         model, history = train(spec, x, y, TrainConfig(epochs=0, seed=11))
         reference = initialize(spec, np.random.Generator(np.random.PCG64(11)))
         assert save_weights(model) == save_weights(reference)
@@ -231,25 +262,25 @@ class TestTrain:
 
     def test_same_seed_gives_identical_weight_bytes(self):
         x, y = separable_toy()
-        spec = (LayerSpec(2, 8, RELU, 0.2), LayerSpec(8, 1, SIGMOID))
+        spec = (LayerSpec(8, 8, RELU, 0.2), LayerSpec(8, 1, SIGMOID))
         config = TrainConfig(epochs=25, batch_size=32, seed=9)
         a, _ = train(spec, x, y, config)
         b, _ = train(spec, x, y, config)
         assert save_weights(a) == save_weights(b)
 
     def test_empty_dataset_rejected(self):
-        spec = (LayerSpec(2, 4, RELU), LayerSpec(4, 1, SIGMOID))
+        spec = (LayerSpec(8, 4, RELU), LayerSpec(4, 1, SIGMOID))
         with pytest.raises(EmptyDataset):
-            train(spec, np.zeros((0, 2), np.float32), np.zeros(0), TrainConfig())
+            train(spec, np.zeros((0, 1), np.uint8), np.zeros(0), TrainConfig())
 
     def test_single_class_rejected(self):
-        spec = (LayerSpec(2, 4, RELU), LayerSpec(4, 1, SIGMOID))
+        spec = (LayerSpec(8, 4, RELU), LayerSpec(4, 1, SIGMOID))
         with pytest.raises(SingleClassDataset):
-            train(spec, np.zeros((5, 2), np.float32), np.ones(5), TrainConfig())
+            train(spec, np.zeros((5, 1), np.uint8), np.ones(5), TrainConfig())
 
     def test_positive_weight_changes_training(self):
         x, y = separable_toy()
-        spec = (LayerSpec(2, 8, RELU), LayerSpec(8, 1, SIGMOID))
+        spec = (LayerSpec(8, 8, RELU), LayerSpec(8, 1, SIGMOID))
         a, _ = train(spec, x, y, TrainConfig(epochs=5, seed=1))
         b, _ = train(spec, x, y, TrainConfig(epochs=5, seed=1, positive_weight=10.0))
         assert save_weights(a) != save_weights(b)
@@ -269,8 +300,9 @@ class TestTrain:
 
         monkeypatch.setattr(nn, "forward", blocked)
         rng = np.random.default_rng(3)
-        x = (rng.random((150, 64)) < 0.3).astype(np.float32)
-        y = (x[:, :8].sum(axis=1) > 2).astype(np.float32)
+        bits = rng.random((150, 64)) < 0.3
+        y = (bits[:, :8].sum(axis=1) > 2).astype(np.float32)
+        x = pack(bits)
         spec = (LayerSpec(64, 16, RELU, 0.2), LayerSpec(16, 1, SIGMOID))
         model, history = train(
             spec, x, y, TrainConfig(epochs=3, batch_size=32, seed=2), history=True
@@ -293,12 +325,12 @@ class TestTrain:
 
         monkeypatch.setattr(nn, "_forward_full", counting)
         rng = np.random.default_rng(n)
-        x = (rng.random((n, 64)) < 0.3).astype(np.float32)
-        y = (x[:, :8].sum(axis=1) > 2).astype(np.float32)
+        bits = rng.random((n, 64)) < 0.3
+        y = (bits[:, :8].sum(axis=1) > 2).astype(np.float32)
+        x = pack(bits)
         spec = (LayerSpec(64, 16, RELU, 0.2), LayerSpec(16, 1, SIGMOID))
-        packed = np.packbits(x.astype(np.uint8), axis=1, bitorder="little")
         model, history = train(
-            spec, packed, y, TrainConfig(epochs=2, batch_size=128, seed=2), history=True
+            spec, x, y, TrainConfig(epochs=2, batch_size=128, seed=2), history=True
         )
         assert scored == ([512] * (n // 512) + [n % 512]) * 2
         assert (history.loss[-1], history.accuracy[-1]) == history_point(model, x, y, 512)
@@ -308,7 +340,7 @@ class TestTrain:
         # unpacked, so the traced peak stays below the float32 matrix.
         n, width = 2048, 1536
         rng = np.random.default_rng(6)
-        packed = np.packbits(rng.random((n, width)) < 0.05, axis=1, bitorder="little")
+        packed = random_rows(rng, n, width, 0.05)
         y = (rng.random(n) < 0.4).astype(np.float32)
         spec = (LayerSpec(width, 16, RELU, 0.2), LayerSpec(16, 1, SIGMOID))
         tracemalloc.start()
@@ -321,7 +353,7 @@ class TestTrain:
 
     def test_history_only_on_request(self):
         x, y = separable_toy()
-        spec = (LayerSpec(2, 8, RELU, 0.2), LayerSpec(8, 1, SIGMOID))
+        spec = (LayerSpec(8, 8, RELU, 0.2), LayerSpec(8, 1, SIGMOID))
         config = TrainConfig(epochs=4, batch_size=32, seed=3)
         plain, none = train(spec, x, y, config)
         tracked, history = train(spec, x, y, config, history=True)
@@ -331,7 +363,7 @@ class TestTrain:
 
     def test_training_needs_sigmoid_output(self):
         x, y = separable_toy()
-        spec = (LayerSpec(2, 4, RELU), LayerSpec(4, 1, RELU))
+        spec = (LayerSpec(8, 4, RELU), LayerSpec(4, 1, RELU))
         with pytest.raises(ValueError):
             train(spec, x, y, TrainConfig(epochs=1))
 
@@ -339,7 +371,8 @@ class TestTrain:
 class TestTrainEqualsReference:
     """Training only the reached first-layer rows, with blocked Adam, gives
     the weight bytes and history of the whole-array loop in
-    ``tests/train_oracle.py``."""
+    ``tests/train_oracle.py``, or raises Diverged where that loop ends with
+    weights that are not finite."""
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_same_bytes(self, name):
@@ -361,6 +394,51 @@ class TestTrainEqualsReference:
         lines = done.stdout.splitlines()
         assert sorted(line.split("\t")[0] for line in lines) == sorted(CASES)
         assert [line for line in lines if not line.endswith("\tsame")] == []
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("name", sorted(DIVERGING))
+    def test_training_stops_at_the_first_non_finite_delta(self, name, monkeypatch):
+        # The reference trains on through the overflow; ``train`` makes an
+        # Adam step for every step before the reference's first non-finite
+        # first-layer delta, and none from that step on.
+        spec, x, y, config, weights = CASES[name]()
+        finite = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            reference_train(spec, x, y, config, weights, finite_deltas=finite)
+        first = finite.index(False) + 1
+        steps = []
+        adam_step = nn._adam_step
+
+        def counting(param, grad, m, v, learning_rate, step, rows=None):
+            steps.append(step)
+            adam_step(param, grad, m, v, learning_rate, step, rows)
+
+        monkeypatch.setattr(nn, "_adam_step", counting)
+        with pytest.raises(nn.Diverged, match="first-layer delta is not finite"):
+            train(spec, x, y, config, weights)
+        n_params = 2 * len(spec)
+        assert steps == [step for step in range(1, first) for _ in range(n_params)]
+
+    def test_weights_left_not_finite_raise_diverged(self, monkeypatch):
+        # No later delta checks the last step's update, so ``train`` checks
+        # the weights it would return.
+        adam_step = nn._adam_step
+
+        def overflowing(param, grad, m, v, learning_rate, step, rows=None):
+            adam_step(param, grad, m, v, learning_rate, step, rows)
+            param[-1] = np.inf
+
+        monkeypatch.setattr(nn, "_adam_step", overflowing)
+        x, y = separable_toy()
+        spec = (LayerSpec(8, 8, RELU), LayerSpec(8, 1, SIGMOID))
+        with pytest.raises(nn.Diverged, match="layer 0: a weight or bias is NaN or infinite"):
+            train(spec, x, y, TrainConfig(epochs=1, batch_size=len(y)))
+
+    def test_diverged_is_no_value_error(self):
+        # So ``dataset.naming_dataset`` does not blame the data file for it.
+        assert not issubclass(nn.Diverged, ValueError)
 
 
 def random_model(spec, rng):
@@ -413,7 +491,7 @@ class TestGradientCheck:
 class TestWeightFiles:
     def test_round_trip_scores_identical(self, tmp_path):
         model = initialize(nn1pr_spec(), np.random.default_rng(8))
-        xs = np.random.default_rng(9).random((100, 1024)).astype(np.float32)
+        xs = random_rows(np.random.default_rng(9), 100, 1024)
         blob = save_weights(model)
         for source in weight_sources(blob, tmp_path):
             clone = load_weights(source)

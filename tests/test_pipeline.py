@@ -135,7 +135,9 @@ class TestExpand:
             feature = reaction_feature(
                 fp.of_key(child.parent.molecule_key), [fp.of_keys(child.precursor_keys)]
             )
-            assert child.step_score == forward(nn1, feature.to_array())
+            packed = feature.bits.to_bytes(feature.width // 8, "little")
+            row = np.frombuffer(packed, np.uint8)[None, :]
+            assert forward(nn1, row).tolist() == [child.step_score]
 
 
 def node_fields(node: SearchNode) -> tuple:

@@ -88,10 +88,11 @@ class TestScorers:
             batch, np.concatenate([forward(model, fp.features([r])) for r in rows])
         )
         for (t,), (p,) in rows[:3]:
-            dense = reaction_feature(fp.of_key(t), [fp.of_key(p)]).to_array()
+            feature = reaction_feature(fp.of_key(t), [fp.of_key(p)])
+            packed = feature.bits.to_bytes(feature.width // 8, "little")
             assert np.array_equal(
                 forward(model, fp.features([((t,), (p,))])),
-                forward(model, dense[None, :]),
+                forward(model, np.frombuffer(packed, np.uint8)[None, :]),
             )
 
     def test_features_of_one_batch_share_a_width(self):
