@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -80,6 +81,33 @@ def _output_path(text: str) -> str:
     return text
 
 
+def _input_path(text: str) -> str:
+    """A file the command reads ('' for none), as given: no output may name it."""
+    return text
+
+
+def _file_key(path: Path) -> object:
+    """Equal for two paths naming one file: its device and inode, as
+    os.path.samefile compares them, where it exists (so a link is caught),
+    else its resolved path."""
+    try:
+        stat = path.stat()
+    except OSError:  # it does not exist (yet)
+        return path.resolve()
+    return stat.st_dev, stat.st_ino
+
+
+# The files ingest and augment write under --out-dir (augment writes the
+# two-step sets only with --pathways).
+_DIR_OUTPUTS = {
+    "ingest": ("mono_reactions.tsv", "corpus_stats.json"),
+    "augment": (
+        "onestep_train.tsv", "onestep_test.tsv", "twostep_train.tsv",
+        "twostep_test.tsv", "augment_stats.json",
+    ),
+}
+
+
 # Valid values: (rule shown in --help and errors, test). Every test is a
 # comparison, so NaN fails it.
 _AT_LEAST_0 = ("at least 0", lambda v: v >= 0)
@@ -94,15 +122,15 @@ _NOT_NAN = ("a number, not NaN", lambda v: v == v)
 # or None). A default of None marks a required option.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "ingest": {
-        "reactions": (str, None, "reactions TSV (id, ecs, reactants, products)", None),
-        "compounds": (str, "", "compound table TSV (id, raw_smiles|UNRESOLVED)", None),
+        "reactions": (_input_path, None, "reactions TSV (id, ecs, reactants, products)", None),
+        "compounds": (_input_path, "", "compound table TSV (id, raw_smiles|UNRESOLVED)", None),
         "out-dir": (str, None, "output directory", None),
     },
     "augment": {
-        "corpus": (str, None, "mono-product corpus TSV from ingest", None),
-        "templates": (str, None, "template TSV", None),
+        "corpus": (_input_path, None, "mono-product corpus TSV from ingest", None),
+        "templates": (_input_path, None, "template TSV", None),
         "out-dir": (str, None, "output directory", None),
-        "pathways": (str, "", "optional pathways TSV for two-step chains", None),
+        "pathways": (_input_path, "", "optional pathways TSV for two-step chains", None),
         "seed": (int, 0, "random seed", _AT_LEAST_0),
         "neg-fraction": (float, 1.0, "fraction of negatives kept (seeded)", _IN_0_1),
         "test-fraction": (float, 0.1, "group fraction reserved for testing", _IN_OPEN_0_1),
@@ -110,7 +138,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "train": {
         "model": (str, None, "model to train", ("nn1pr or nn2pr", lambda v: v in _MODELS)),
-        "data": (str, None, "training dataset TSV", None),
+        "data": (_input_path, None, "training dataset TSV", None),
         "out": (_output_path, None, "output weight file", None),
         "history": (_output_path, "", "optional per-epoch loss/accuracy CSV", None),
         "epochs": (int, 30, "training epochs", _AT_LEAST_0),
@@ -121,22 +149,22 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "pos-weight": (_pos_weight, "", "positive class weight: a number or 'auto'", None),
     },
     "eval": {
-        "weights": (str, None, "trained weight file", None),
-        "data": (str, None, "test dataset TSV", None),
+        "weights": (_input_path, None, "trained weight file", None),
+        "data": (_input_path, None, "test dataset TSV", None),
         "out": (_output_path, None, "JSON report path", None),
         "tsv": (_output_path, "", "optional per-group rank TSV", None),
     },
     "retro": {
         "target": (str, None, "target SMILES", None),
-        "templates": (str, None, "template TSV", None),
-        "nn1": (str, None, "one-step ranker weight file", None),
-        "nn2": (str, "", "optional two-step ranker weight file", None),
+        "templates": (_input_path, None, "template TSV", None),
+        "nn1": (_input_path, None, "one-step ranker weight file", None),
+        "nn2": (_input_path, "", "optional two-step ranker weight file", None),
         "out": (_output_path, None, "JSON search report path", None),
         "max-steps": (int, 3, "maximum backward steps", _AT_LEAST_1),
         "beam": (int, 10, "beam width per level", _AT_LEAST_1),
         "prune": (float, 0.0, "one-step score pruning threshold", _NOT_NAN),
-        "stop-set": (str, "", "file of stop-set SMILES, one per line", None),
-        "gold": (str, "", "gold pathway TSV (product, precursors per step)", None),
+        "stop-set": (_input_path, "", "file of stop-set SMILES, one per line", None),
+        "gold": (_input_path, "", "gold pathway TSV (product, precursors per step)", None),
         "pathways-tsv": (_output_path, "", "optional reconstructed-pathway TSV", None),
         "max-nodes": (int, 100000, "node budget", _AT_LEAST_1),
         "threads": (int, 1, "accepted and not used: the search runs serially", _AT_LEAST_1),
@@ -196,8 +224,8 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     the flag or the file and key; defaults are used as they are. A config
     section that is no command, or a key of the command's own section that
     it does not take, is an error; [DEFAULT] keys apply to every command and
-    are not checked. So is a second output option naming a file another
-    one names."""
+    are not checked. So is an output naming a file that another output or
+    an input, the config file included, names."""
     schema = _SCHEMA[args.command]
     file_values: dict[str, str] = {}
     if args.config:
@@ -217,7 +245,8 @@ def _resolve_options(args: argparse.Namespace) -> dict:
             if name not in schema and name not in config.defaults():
                 raise CliError(f"{args.config}: [{args.command}] {name}: unknown key")
     options = {}
-    outputs: dict[Path, str] = {}  # resolved output path -> its option
+    inputs = [("--config", Path(args.config))] if args.config else []  # (option, path)
+    outputs: list[tuple[str, Path]] = []
     supplied = vars(args)
     for name, (kind, default, _, valid) in schema.items():
         attr = name.replace("-", "_")
@@ -237,12 +266,22 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         if valid and not valid[1](value):
             raise CliError(f"{source} must be {valid[0]}, got {value!r}")
         options[attr] = value
-        if kind is _output_path and value:
-            # Two outputs naming one file would keep only the one written last.
-            path = Path(value).resolve()
-            if path in outputs:
-                raise CliError(f"{outputs[path]} and {source} both name {path}")
-            outputs[path] = source
+        if kind is _input_path and value:
+            inputs.append((source, Path(value)))
+        elif kind is _output_path and value:
+            outputs.append((source, Path(value)))
+        elif name == "out-dir":
+            outputs += [(source, Path(value, file)) for file in _DIR_OUTPUTS[args.command]]
+    # An output naming an input would destroy it, and two outputs naming one
+    # file would keep only the one written last.
+    named: dict[object, str] = {}  # _file_key -> the first option naming it
+    for source, path in inputs:
+        named.setdefault(_file_key(path), source)
+    for source, path in outputs:
+        key = _file_key(path)
+        if key in named:
+            raise CliError(f"{named[key]} and {source} both name {path.resolve()}")
+        named[key] = source
     return options
 
 
@@ -496,6 +535,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # After each BLAS call, OpenBLAS keeps its idle workers spinning for
+        # 2**OPENBLAS_THREAD_TIMEOUT cycles (default 2**28, about 134 ms at
+        # 2 GHz), so at 2 threads a second core burns through featurization,
+        # ranking and exit. 2**23 (about 4 ms) outlasts the usual gap between
+        # the products of a training step (about 2 ms), so the workers seldom
+        # sleep inside the loop, where waking them would cost wall time.
+        # OpenBLAS reads the variable once, when numpy loads it; a value the
+        # caller set wins.
+        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "23")
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed the usage or the help

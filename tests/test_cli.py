@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -939,6 +940,85 @@ class TestOutputPaths:
         assert capsys.readouterr().err == f"error: --out and {option} both name {out.resolve()}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("via", ["same path", "symlink"])
+    @pytest.mark.parametrize("command, input_option, output_option", [
+        ("train", "--data", "--out"), ("train", "--data", "--history"),
+        ("eval", "--weights", "--out"), ("eval", "--data", "--tsv"),
+        ("retro", "--templates", "--out"), ("retro", "--nn1", "--pathways-tsv"),
+    ])
+    def test_output_naming_an_input_exits_1_writing_nothing(
+        self, staged, corpus_files, tmp_path, capsys, command, input_option, output_option, via
+    ):
+        argv = self.argv(command, staged, corpus_files, tmp_path / "out", [])
+        at = argv.index(input_option) + 1
+        original = Path(argv[at])
+        copy = tmp_path / original.name
+        shutil.copyfile(original, copy)
+        argv[at] = str(copy)
+        target = copy
+        if via == "symlink":
+            target = tmp_path / "link"
+            target.symlink_to(copy)
+        if output_option == "--out":
+            argv[argv.index("--out") + 1] = str(target)
+        else:
+            argv += [output_option, str(target)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {input_option} and {output_option} both name {copy.resolve()}\n"
+        )
+        assert copy.read_bytes() == original.read_bytes()
+        assert sorted(tmp_path.iterdir()) == sorted({copy, target})
+
+    @pytest.mark.parametrize("command, input_option, name", [
+        ("ingest", "--reactions", "mono_reactions.tsv"),
+        ("ingest", "--compounds", "corpus_stats.json"),
+        ("augment", "--corpus", "onestep_test.tsv"),
+        ("augment", "--templates", "augment_stats.json"),
+        ("augment", "--pathways", "twostep_train.tsv"),
+    ])
+    def test_out_dir_file_naming_an_input_exits_1_writing_nothing(
+        self, staged, corpus_files, tmp_path, capsys, command, input_option, name
+    ):
+        _, reactions, pathways, templates = corpus_files
+        compounds = tmp_path / "compounds.tsv"
+        compounds.write_text("# no compounds\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        options = {
+            "ingest": {"--reactions": reactions, "--compounds": compounds},
+            "augment": {"--corpus": staged / "ingest" / "mono_reactions.tsv",
+                        "--templates": templates, "--pathways": pathways},
+        }[command]
+        original = options[input_option]
+        options[input_option] = out_dir / name
+        shutil.copyfile(original, out_dir / name)
+        argv = [command, "--out-dir", str(out_dir)]
+        argv += [str(part) for option in options.items() for part in option]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {input_option} and --out-dir both name {(out_dir / name).resolve()}\n"
+        )
+        assert (out_dir / name).read_bytes() == Path(original).read_bytes()
+        assert [p.name for p in out_dir.iterdir()] == [name]
+
+    def test_output_naming_the_config_file_exits_1_writing_nothing(
+        self, staged, corpus_files, tmp_path, capsys
+    ):
+        config = tmp_path / "config.ini"
+        config.write_text("[train]\nepochs = 1\n", encoding="utf-8")
+        argv = self.argv("train", staged, corpus_files, config, [])
+        assert main(["--config", str(config), *argv]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: --config and --out both name {config.resolve()}\n"
+        )
+        assert config.read_text(encoding="utf-8") == "[train]\nepochs = 1\n"
+
+    def test_out_dir_files_checked_are_the_files_written(self, staged):
+        for command in ("ingest", "augment"):
+            written = sorted(path.name for path in (staged / command).iterdir())
+            assert written == sorted(cli._DIR_OUTPUTS[command])
+
     @pytest.mark.parametrize("command", ["train", "eval", "retro"])
     def test_out_in_missing_directory_exits_1_before_reading(
         self, staged, corpus_files, tmp_path, capsys, monkeypatch, command
@@ -1025,7 +1105,8 @@ class TestConfigFile:
 
 
 # One bad value for every option whose schema entry can refuse a value:
-# a rule, or a converter other than str.
+# a rule, or a converter other than str and _input_path (which give the text
+# as it is).
 BAD_VALUES = {
     ("augment", "seed"): "-1",
     ("augment", "neg-fraction"): "nan",
@@ -1058,7 +1139,7 @@ class TestOptions:
             (command, name)
             for command, options in cli._SCHEMA.items()
             for name, (kind, _, _, valid) in options.items()
-            if valid or kind is not str
+            if valid or kind not in (str, cli._input_path)
         }
 
     @pytest.mark.parametrize("source", ["flag", "config"])

@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import retrobio
+import retrobio.cli
 from synthdata import write_corpus_files
 
 # Every name ``retrobio`` exports, by the module that defines it.
@@ -83,31 +85,44 @@ NUMPY_BACKED = {
 }
 
 
-def modules_loaded_by(argv, directory):
-    """The modules a fresh interpreter has loaded after running the command
-    ``argv``, which must exit 0; this interpreter has loaded every module
-    already."""
+def fresh_run(argv, directory, **environ):
+    """Run the command ``argv`` in a fresh interpreter, which must exit 0,
+    with ``environ`` added to this process's environment less any
+    OPENBLAS_THREAD_TIMEOUT. Give the modules it has loaded after the
+    command and the OPENBLAS_THREAD_TIMEOUT it held when numpy was first
+    imported, or None if numpy never was; this interpreter has loaded every
+    module already."""
     tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"), **environ)
+    if "OPENBLAS_THREAD_TIMEOUT" not in environ:
+        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
     child = (
-        "import sys\n"
+        "import json, os, sys\n"
+        "seen = []\n"
+        "class NumpySpy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+        "sys.meta_path.insert(0, NumpySpy())\n"
         "import retrobio.cli\n"
         "code = retrobio.cli.main(sys.argv[2:])\n"
-        "open(sys.argv[1], 'w').write('\\n'.join(sorted(sys.modules)))\n"
+        "modules = sorted(sys.modules)\n"
+        "open(sys.argv[1], 'w').write(json.dumps([modules, seen]))\n"
         "sys.exit(code)\n"
     )
-    modules = directory / "modules.txt"
+    result = directory / "fresh_run.json"
     done = subprocess.run(
-        [sys.executable, "-c", child, str(modules), *map(str, argv)],
+        [sys.executable, "-c", child, str(result), *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    return set(modules.read_text().split())
+    modules, seen = json.loads(result.read_text())
+    return set(modules), (seen[0] if seen else None)
 
 
 def test_augment_loads_no_numpy(tmp_path):
     reactions, pathways, templates = write_corpus_files(tmp_path / "corpus", max_length=5)
-    loaded = modules_loaded_by(
+    loaded, timeout = fresh_run(
         [
             "augment", "--corpus", reactions, "--templates", templates,
             "--pathways", pathways, "--out-dir", tmp_path / "out", "--threads", "2",
@@ -116,6 +131,7 @@ def test_augment_loads_no_numpy(tmp_path):
     )
     assert {"retrobio.cli", "retrobio.dataset", "retrobio.pattern"} <= loaded
     assert not NUMPY_BACKED & loaded
+    assert timeout is None  # numpy's import was never tried
     assert (tmp_path / "out" / "onestep_train.tsv").is_file()
 
 
@@ -123,11 +139,76 @@ def test_ingest_of_word_sharing_products_loads_no_numpy(tmp_path):
     # Every product of the synthetic corpus shares an atom word with its
     # reactants, so no reaction needs a fingerprint.
     reactions, _, _ = write_corpus_files(tmp_path / "corpus", max_length=5)
-    loaded = modules_loaded_by(
+    loaded, timeout = fresh_run(
         ["ingest", "--reactions", reactions, "--out-dir", tmp_path / "out"], tmp_path
     )
     assert {"retrobio.cli", "retrobio.dataset", "retrobio.molgraph"} <= loaded
     assert not NUMPY_BACKED & loaded
+    assert timeout is None
     stats = json.loads((tmp_path / "out" / "corpus_stats.json").read_text())
     assert stats["disjoint_product_reactions"] == 0
     assert stats["mono_reactions"] > 0
+
+
+GOLDEN_AUGMENT = Path(__file__).resolve().parent / "golden" / "augment"
+
+
+class TestBlasWorkerTimeout:
+    """``cli.main`` shortens the OpenBLAS worker's busy-wait before a command
+    loads numpy, unless the caller chose a value or numpy is loaded already."""
+
+    @staticmethod
+    def argv(command, directory):
+        from retrobio.neural import initialize, nn1pr_spec, save_weights
+
+        data = GOLDEN_AUGMENT / "onestep_test.tsv"
+        if command == "train":
+            return ["train", "--model", "nn1pr", "--epochs", "1", "--data", data,
+                    "--out", directory / "out"]
+        weights = directory / "nn1.weights"
+        weights.write_bytes(save_weights(initialize(nn1pr_spec(), np.random.default_rng(0))))
+        if command == "eval":
+            return ["eval", "--weights", weights, "--data", data, "--out", directory / "out"]
+        _, _, templates = write_corpus_files(directory / "corpus", max_length=5)
+        return ["retro", "--target", "OCCCO", "--templates", templates, "--nn1", weights,
+                "--max-steps", "1", "--out", directory / "out"]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "retro"])
+    def test_numpy_loads_with_the_default(self, tmp_path, command):
+        loaded, timeout = fresh_run(self.argv(command, tmp_path), tmp_path)
+        assert "numpy" in loaded
+        assert timeout == "23"
+
+    def test_exported_value_is_kept(self, tmp_path):
+        argv = self.argv("train", tmp_path)
+        assert fresh_run(argv, tmp_path, OPENBLAS_THREAD_TIMEOUT="28")[1] == "28"
+
+    def test_caller_that_loaded_numpy_keeps_its_environment(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+        assert "numpy" in sys.modules
+        retrobio.cli.main(["ingest"])  # exits 1: no --reactions
+        assert "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+
+    def test_timeout_changes_no_bits(self, tmp_path):
+        written = {}
+        for timeout in ("4", "30"):
+            out = tmp_path / timeout
+            out.mkdir()
+            runs = (
+                ["train", "--model", "nn1pr", "--epochs", "3", "--data",
+                 GOLDEN_AUGMENT / "onestep_train.tsv", "--out", out / "nn1.weights",
+                 "--history", out / "history.csv"],
+                ["eval", "--weights", out / "nn1.weights", "--data",
+                 GOLDEN_AUGMENT / "onestep_test.tsv", "--out", out / "report.json",
+                 "--tsv", out / "ranks.tsv"],
+            )
+            for argv in runs:
+                _, seen = fresh_run(
+                    argv, out, OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=timeout
+                )
+                assert seen == timeout
+            written[timeout] = {
+                name: (out / name).read_bytes()
+                for name in ("nn1.weights", "history.csv", "report.json", "ranks.tsv")
+            }
+        assert written["4"] == written["30"]
