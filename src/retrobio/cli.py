@@ -7,6 +7,10 @@ through an INI-style config file (one section per subcommand, keys named
 like the long flags, no others); explicit flags override file values.
 ``_SCHEMA`` is where an option's type, default and valid values live.
 
+Every path is checked with the options, before any input is read, and
+``_staging`` renames a command's outputs into place only once it has written
+them all: an exit other than 0 writes no output.
+
 Exit codes: 0 success, 1 input error, 2 empty or degenerate result,
 3 internal invariant violation.
 """
@@ -18,7 +22,7 @@ import configparser
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 # Only numpy-free modules are imported here, so augment never loads numpy
@@ -68,21 +72,26 @@ def _pos_weight(text: str) -> str | float:
 
 def _output_path(text: str) -> str:
     """'' (no output) as given, else a path that can be written: its
-    directory exists and it is no directory itself. Checked with the
-    options, before any input is read, so a command that cannot write one
-    output writes none."""
-    if not text:
-        return text
-    path = Path(text)
-    if path.is_dir():
+    directory exists and it is no directory itself."""
+    if text and Path(text).is_dir():
         raise ValueError(f"cannot write {text}: it is a directory")
-    if not path.parent.is_dir():
-        raise ValueError(f"cannot write {text}: {path.parent} is not a directory")
+    if text and not Path(text).parent.is_dir():
+        raise ValueError(f"cannot write {text}: {Path(text).parent} is not a directory")
     return text
 
 
 def _input_path(text: str) -> str:
-    """A file the command reads ('' for none), as given: no output may name it."""
+    """A file the command reads ('' for none), as given; no output may name it."""
+    if text and not os.path.isfile(text):
+        raise ValueError(f"file not found: {text}")
+    return text
+
+
+def _out_dir(text: str) -> str:
+    """A directory to write into, as given: what exists of it is a directory."""
+    existing = next(path for path in (Path(text), *Path(text).parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"cannot write into {text}: {existing} is not a directory")
     return text
 
 
@@ -124,12 +133,12 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "ingest": {
         "reactions": (_input_path, None, "reactions TSV (id, ecs, reactants, products)", None),
         "compounds": (_input_path, "", "compound table TSV (id, raw_smiles|UNRESOLVED)", None),
-        "out-dir": (str, None, "output directory", None),
+        "out-dir": (_out_dir, None, "output directory", None),
     },
     "augment": {
         "corpus": (_input_path, None, "mono-product corpus TSV from ingest", None),
         "templates": (_input_path, None, "template TSV", None),
-        "out-dir": (str, None, "output directory", None),
+        "out-dir": (_out_dir, None, "output directory", None),
         "pathways": (_input_path, "", "optional pathways TSV for two-step chains", None),
         "seed": (int, 0, "random seed", _AT_LEAST_0),
         "neg-fraction": (float, 1.0, "fraction of negatives kept (seeded)", _IN_0_1),
@@ -232,7 +241,7 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         config = configparser.ConfigParser()
         try:
             if not config.read(args.config, encoding="utf-8"):
-                raise CliError(f"config file not found: {args.config}")
+                raise CliError(f"--config: file not found: {args.config}")
             for section in config.sections():
                 if section not in _SCHEMA:
                     raise CliError(f"{args.config}: unknown section [{section}]")
@@ -270,7 +279,7 @@ def _resolve_options(args: argparse.Namespace) -> dict:
             inputs.append((source, Path(value)))
         elif kind is _output_path and value:
             outputs.append((source, Path(value)))
-        elif name == "out-dir":
+        elif kind is _out_dir:
             outputs += [(source, Path(value, file)) for file in _DIR_OUTPUTS[args.command]]
     # An output naming an input would destroy it, and two outputs naming one
     # file would keep only the one written last.
@@ -285,52 +294,57 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     return options
 
 
-def _require_file(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"{what} not found: {path}")
-    return p
+@contextmanager
+def _staging():
+    """Yield ``stage(target)``: the path ``.<name>.<pid>.tmp`` beside the file
+    ``target`` names, to write it to. A normal end renames every staged file
+    over its target, here and nowhere else; any other removes them all."""
+    staged: list[tuple[str, str]] = []  # (staged path, target)
+
+    def stage(target) -> str:
+        head, name = os.path.split(os.path.realpath(target))
+        staged.append((os.path.join(head, f".{name}.{os.getpid()}.tmp"), os.path.join(head, name)))
+        return staged[-1][0]
+
+    try:
+        yield stage
+        for path, target in staged:
+            os.replace(path, target)
+        staged.clear()
+    finally:
+        for path, _ in staged:
+            with suppress(FileNotFoundError):
+                os.remove(path)
 
 
 def _load_templates(path: str) -> list:
-    templates = load_templates(_require_file(path, "template file"))
+    templates = load_templates(path)
     if not templates:
         raise EmptyResult(f"template file {path} holds no templates")
     return templates
 
 
-def cmd_ingest(options: dict) -> int:
-    reactions = ds.read_reactions_tsv(
-        _require_file(options["reactions"], "reactions file"), unique_ids=True
-    )
-    table_entries = (
-        ds.read_compounds_tsv(_require_file(options["compounds"], "compounds file"))
-        if options["compounds"]
-        else []
-    )
+def cmd_ingest(options: dict, stage) -> str:
+    reactions = ds.read_reactions_tsv(options["reactions"], unique_ids=True)
+    table_entries = ds.read_compounds_tsv(options["compounds"]) if options["compounds"] else []
     monos, stats = ds.clean_reactions(reactions, table_entries)
     if not monos:
         raise EmptyResult(f"reactions file {options['reactions']} holds no usable reactions")
     ds.flag_disjoint_products(monos, stats)
     out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    ds.write_reactions_tsv(out_dir / "mono_reactions.tsv", monos)
-    write_json(out_dir / "corpus_stats.json", stats.to_dict())
-    print(
-        f"ingest: {stats.reactions_in} reactions in, "
-        f"{stats.reactions_dropped} dropped, "
-        f"{stats.mono_reactions} mono-product reactions, "
-        f"{stats.unique_products} unique products"
+    ds.write_reactions_tsv(stage(out_dir / "mono_reactions.tsv"), monos)
+    write_json(stage(out_dir / "corpus_stats.json"), stats.to_dict())
+    return (
+        f"ingest: {stats.reactions_in} reactions in, {stats.reactions_dropped} dropped, "
+        f"{stats.mono_reactions} mono-product reactions, {stats.unique_products} unique products"
     )
-    return EXIT_OK
 
 
-def cmd_augment(options: dict) -> int:
-    corpus = ds.read_reactions_tsv(_require_file(options["corpus"], "corpus file"))
+def cmd_augment(options: dict, stage) -> str:
+    corpus = ds.read_reactions_tsv(options["corpus"])
     templates = _load_templates(options["templates"])
-    pathways = None  # read, like every input, before the first output is written
-    if options["pathways"]:
-        pathways = ds.read_pathways_tsv(_require_file(options["pathways"], "pathways file"))
+    pathways = ds.read_pathways_tsv(options["pathways"]) if options["pathways"] else None
     positives, stats = ds.clean_reactions(corpus, [])
     if not positives:
         raise EmptyResult(f"corpus file {options['corpus']} holds no usable reactions")
@@ -340,43 +354,38 @@ def cmd_augment(options: dict) -> int:
     combined = ds.subsample_negatives(
         [p.row() for p in positives] + negatives, options["neg_fraction"], options["seed"]
     )
-    train_set, test_set = ds.split_train_test(
-        combined, options["test_fraction"], options["seed"]
-    )
-    out_dir = Path(options["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ds.write_examples_tsv(out_dir / "onestep_train.tsv", train_set)
-    ds.write_examples_tsv(out_dir / "onestep_test.tsv", test_set)
-
+    train_set, test_set = ds.split_train_test(combined, options["test_fraction"], options["seed"])
+    sets = {"onestep": (train_set, test_set)}
+    summary = []
     if pathways is not None:
         chains = ds.extract_chains(pathways, positives)
         chain_negatives = ds.make_pathway_pairs(chains, negatives)
-        chain_train, chain_test = ds.split_train_test(
-            [c.row() for c in chains] + chain_negatives,
-            options["test_fraction"],
-            options["seed"],
+        sets["twostep"] = ds.split_train_test(
+            [c.row() for c in chains] + chain_negatives, options["test_fraction"], options["seed"]
         )
-        ds.write_examples_tsv(out_dir / "twostep_train.tsv", chain_train)
-        ds.write_examples_tsv(out_dir / "twostep_test.tsv", chain_test)
-        print(
+        summary.append(
             f"augment: {len(chains)} positive chains, "
             f"{len(chain_negatives)} negative chains"
         )
-
-    write_json(out_dir / "augment_stats.json", stats.to_dict())
-    print(
+    out_dir = Path(options["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (train_rows, test_rows) in sets.items():
+        ds.write_examples_tsv(stage(out_dir / f"{name}_train.tsv"), train_rows)
+        ds.write_examples_tsv(stage(out_dir / f"{name}_test.tsv"), test_rows)
+    write_json(stage(out_dir / "augment_stats.json"), stats.to_dict())
+    summary.append(
         f"augment: {len(positives)} positives, "
         f"{stats.negatives_generated} negatives generated, "
         f"{len(train_set)} train rows, {len(test_set)} test rows"
     )
-    return EXIT_OK
+    return "\n".join(summary)
 
 
-def cmd_train(options: dict) -> int:
+def cmd_train(options: dict, stage) -> str:
     from .neural import Diverged, TrainConfig, save_weights, train
 
     model_name = options["model"]
-    data = _require_file(options["data"], "training data")
+    data = options["data"]
     rows = ds.read_examples_tsv(data)
     if not rows:
         raise EmptyResult(f"training data {data} holds no rows")
@@ -409,34 +418,32 @@ def cmd_train(options: dict) -> int:
             )
     except Diverged as exc:
         raise EmptyResult(f"training diverged ({exc}); try a lower --lr") from exc
-    print(
+    Path(stage(options["out"])).write_bytes(save_weights(model))
+    if options["history"]:
+        history.save_csv(stage(options["history"]))
+    return (
         f"train: {model_name} with {model.parameter_count} parameters, "
         f"{options['epochs']} epochs"
     )
-    with open(options["out"], "wb") as fh:
-        fh.write(save_weights(model))
-    if options["history"]:
-        history.save_csv(options["history"])
-    return EXIT_OK
 
 
-def _load_model(path: str, what: str, input_dim: int | None = None):
+def _load_model(path: str, what: str, kind: str = ""):
     """Load a weight file into an ``MlpModel``; every error, an output width
-    other than 1 and an input width other than ``input_dim`` when given name
-    the file."""
+    other than 1 and an input width other than model ``kind``'s when given
+    name the file."""
     from .neural import load_weights
 
-    with open(_require_file(path, what), "rb") as fh:
+    with open(path, "rb") as fh:
         try:
             model = load_weights(fh)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
     if model.layers[-1].out_dim != 1:
         raise CliError(f"{path}: {what} has {model.layers[-1].out_dim} outputs, expected 1")
-    if input_dim is not None and model.input_dim != input_dim:
+    if kind and model.input_dim != _model_width(kind):
         raise CliError(
             f"{path}: {what} has input width {model.input_dim}, "
-            f"expected {input_dim}"
+            f"expected {_model_width(kind)}"
         )
     return model
 
@@ -453,13 +460,13 @@ def _naming_weights(*models):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def cmd_eval(options: dict) -> int:
+def cmd_eval(options: dict, stage) -> str:
     from .fingerprint import Fingerprinter
     from .ranking import evaluate_ranking, group_rows, row_scorer
     from .ranking import write_report_json, write_report_tsv
 
     model = _load_model(options["weights"], "weight file")
-    data = _require_file(options["data"], "test data")
+    data = options["data"]
     rows = ds.read_examples_tsv(data)
     if not rows:
         raise EmptyResult(f"test data {data} holds no rows")
@@ -476,35 +483,25 @@ def cmd_eval(options: dict) -> int:
         baseline_report = evaluate_ranking(
             row_scorer("baseline", fingerprinter), units, scorer_name="baseline"
         )
-    write_report_json(options["out"], [model_report, baseline_report])
+    write_report_json(stage(options["out"]), [model_report, baseline_report])
     if options["tsv"]:
-        write_report_tsv(options["tsv"], model_report)
-    for report in (model_report, baseline_report):
-        top10 = report.coverage.at(10)
-        print(f"eval: {report.scorer_name} top-10 coverage {top10:.3f}")
-    return EXIT_OK
+        write_report_tsv(stage(options["tsv"]), model_report)
+    return "\n".join(
+        f"eval: {report.scorer_name} top-10 coverage {report.coverage.at(10):.3f}"
+        for report in (model_report, baseline_report)
+    )
 
 
-def cmd_retro(options: dict) -> int:
+def cmd_retro(options: dict, stage) -> str:
     from .pipeline import SearchConfig, read_gold_tsv, read_stop_set, run_retro
 
     templates = _load_templates(options["templates"])
-    nn1 = _load_model(options["nn1"], "nn1 weight file", _model_width("nn1pr"))
-    nn2 = (
-        _load_model(options["nn2"], "nn2 weight file", _model_width("nn2pr"))
-        if options["nn2"]
-        else None
-    )
-    stop_set = frozenset()
-    if options["stop_set"]:
-        stop_set = read_stop_set(_require_file(options["stop_set"], "stop-set file"))
-        if not stop_set:
-            raise EmptyResult(f"stop-set file {options['stop_set']} holds no SMILES")
-    gold = (
-        read_gold_tsv(_require_file(options["gold"], "gold pathway file"))
-        if options["gold"]
-        else None
-    )
+    nn1 = _load_model(options["nn1"], "nn1 weight file", "nn1pr")
+    nn2 = _load_model(options["nn2"], "nn2 weight file", "nn2pr") if options["nn2"] else None
+    stop_set = read_stop_set(options["stop_set"]) if options["stop_set"] else frozenset()
+    if options["stop_set"] and not stop_set:
+        raise EmptyResult(f"stop-set file {options['stop_set']} holds no SMILES")
+    gold = read_gold_tsv(options["gold"]) if options["gold"] else None
     config = SearchConfig(
         max_steps=options["max_steps"],
         beam_width=options["beam"],
@@ -514,15 +511,14 @@ def cmd_retro(options: dict) -> int:
     )
     with _naming_weights((nn1, options["nn1"]), (nn2, options["nn2"])):
         report = run_retro(options["target"], templates, nn1, nn2, config, gold_steps=gold)
-    report.save_json(options["out"])
+    report.save_json(stage(options["out"]))
     if options["pathways_tsv"]:
-        report.save_pathways_tsv(options["pathways_tsv"])
-    print(
+        report.save_pathways_tsv(stage(options["pathways_tsv"]))
+    return (
         f"retro: {len(report.pathways)} pathways, "
         f"{sum(level['generated'] for level in report.levels)} candidates "
         f"generated, budget_exceeded={report.budget_exceeded}"
     )
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -551,7 +547,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         options = _resolve_options(args)
-        return _COMMANDS[args.command](options)
+        with _staging() as stage:
+            summary = _COMMANDS[args.command](options, stage)
+        print(summary)
+        return EXIT_OK
     except EmptyResult as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_EMPTY

@@ -1,6 +1,8 @@
+import errno
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -13,7 +15,7 @@ import pytest
 import retrobio.neural
 import retrobio.pipeline
 from retrobio import cli
-from retrobio.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_OK, main
+from retrobio.cli import EXIT_EMPTY, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from retrobio.molgraph import parse_smiles
 from retrobio.neural import SIGMOID, LayerSpec, initialize, nn2pr_spec, save_weights
 
@@ -128,11 +130,15 @@ class TestIngest:
         assert err == f"ingest: reactions file {reactions} holds no usable reactions\n"
         assert not (tmp_path / "out").exists()
 
-    def test_missing_file_exits_1(self, tmp_path):
+    def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main([
             "ingest", "--reactions", str(tmp_path / "nope.tsv"),
             "--out-dir", str(tmp_path / "out"),
         ]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: --reactions: file not found: {tmp_path / 'nope.tsv'}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_short_row_exits_1_naming_file_and_line(self, tmp_path, capsys):
         reactions = tmp_path / "reactions.tsv"
@@ -1034,6 +1040,112 @@ class TestOutputPaths:
             f"error: --out: cannot write {out}: {out.parent} is not a directory\n"
         )
 
+    @pytest.mark.parametrize("command", ["ingest", "augment"])
+    @pytest.mark.parametrize("fault", ["file", "under a file"])
+    def test_out_dir_not_a_directory_exits_1_before_reading(
+        self, staged, corpus_files, tmp_path, capsys, monkeypatch, command, fault
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read before the output paths were checked")
+
+        monkeypatch.setattr(cli, "load_templates", refuse)
+        for reader in ("read_reactions_tsv", "read_pathways_tsv"):
+            monkeypatch.setattr(cli.ds, reader, refuse)
+        _, reactions, pathways, templates = corpus_files
+        file = tmp_path / "file"
+        file.write_text("kept\n")
+        out_dir = file if fault == "file" else file / "sub" / "out"
+        argv = {
+            "ingest": ["ingest", "--reactions", str(reactions)],
+            "augment": ["augment", "--corpus", str(staged / "ingest" / "mono_reactions.tsv"),
+                        "--templates", str(templates), "--pathways", str(pathways)],
+        }[command]
+        assert main([*argv, "--out-dir", str(out_dir)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: --out-dir: cannot write into {out_dir}: {file} is not a directory\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert file.read_text() == "kept\n"
+
+
+class TestCommit:
+    """A command writes each output to a staged file beside it, and renames
+    them into place only once it has written them all: any other ending
+    leaves every output as it was and no staged file behind."""
+
+    @staticmethod
+    def eval_argv(staged, out):
+        return ["eval", "--weights", str(staged / "nn1.weights"),
+                "--data", str(staged / "augment" / "onestep_test.tsv"), "--out", str(out)]
+
+    @pytest.mark.parametrize("error", [
+        OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt(),
+    ], ids=["no space", "interrupt"])
+    def test_failed_history_write_leaves_no_output(
+        self, staged, tmp_path, capsys, monkeypatch, error
+    ):
+        def fail(history, path):
+            Path(path).write_text("epoch,loss,accuracy\n")
+            raise error
+
+        monkeypatch.setattr(retrobio.neural.TrainingHistory, "save_csv", fail)
+        argv = ["train", "--model", "nn1pr", "--epochs", "1",
+                "--data", str(staged / "augment" / "onestep_test.tsv"),
+                "--out", str(tmp_path / "w.nnpr"), "--history", str(tmp_path / "h.csv")]
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+            assert capsys.readouterr() == ("", "")
+        else:
+            assert main(argv) == EXIT_INPUT
+            assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_every_previous_output(
+        self, staged, corpus_files, tmp_path, capsys, monkeypatch
+    ):
+        _, _, pathways, templates = corpus_files
+        out = tmp_path / "out"
+        shutil.copytree(staged / "augment", out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        write = cli.ds.write_examples_tsv
+
+        def fail_at_fourth_row(path, rows):
+            write(path, rows[:3] + [None] if "onestep_test" in str(path) else rows)
+
+        monkeypatch.setattr(cli.ds, "write_examples_tsv", fail_at_fourth_row)
+        assert main([
+            "augment", "--corpus", str(staged / "ingest" / "mono_reactions.tsv"),
+            "--templates", str(templates), "--pathways", str(pathways),
+            "--out-dir", str(out), "--seed", "3",
+        ]) == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error: ")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_new_output_mode_follows_the_umask(self, staged, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            open(tmp_path / "plain", "w").close()
+            assert main(self.eval_argv(staged, tmp_path / "report.json")) == EXIT_OK
+        finally:
+            os.umask(umask)
+        modes = {stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+        assert modes == {0o640}
+
+    def test_output_through_a_link_rewrites_its_file(self, staged, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "report.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(self.eval_argv(staged, link)) == EXIT_OK
+        assert main(self.eval_argv(staged, tmp_path / "direct.json")) == EXIT_OK
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == (tmp_path / "direct.json").read_bytes()
+        assert sorted(path.name for path in tmp_path.rglob("*")) == [
+            "direct.json", "link.json", "real", "report.json",
+        ]
+
 
 class TestConfigFile:
     def test_file_supplies_defaults_flags_override(self, corpus_files, tmp_path):
@@ -1096,18 +1208,29 @@ class TestConfigFile:
     ):
         config = tmp_path / "config.ini"
         config.write_bytes(content)
+        inputs = tmp_path / "t", tmp_path / "w"
+        for path in inputs:
+            path.touch()
         flags = {
             "ingest": ["--out-dir", "out"],
-            "retro": ["--target", "CCO", "--templates", "t", "--nn1", "w", "--out", "o"],
+            "retro": ["--target", "CCO", "--templates", str(inputs[0]), "--nn1", str(inputs[1]),
+                      "--out", "o"],
         }[command]
         assert main(["--config", str(config), command, *flags]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {config}: {names}")
 
 
 # One bad value for every option whose schema entry can refuse a value:
-# a rule, or a converter other than str and _input_path (which give the text
-# as it is).
+# a rule, or a converter other than str (which gives the text as it is).
+MISSING = "no-such-directory/input"
 BAD_VALUES = {
+    ("ingest", "reactions"): MISSING,
+    ("ingest", "compounds"): MISSING,
+    ("ingest", "out-dir"): os.devnull,
+    ("augment", "corpus"): MISSING,
+    ("augment", "templates"): MISSING,
+    ("augment", "pathways"): MISSING,
+    ("augment", "out-dir"): os.path.join(os.devnull, "out"),
     ("augment", "seed"): "-1",
     ("augment", "neg-fraction"): "nan",
     ("augment", "test-fraction"): "1",
@@ -1119,10 +1242,18 @@ BAD_VALUES = {
     ("train", "dropout"): "1",
     ("train", "seed"): "-1",
     ("train", "pos-weight"): "-1",
+    ("train", "data"): MISSING,
     ("train", "out"): ".",
     ("train", "history"): "no-such-directory/history.csv",
+    ("eval", "weights"): MISSING,
+    ("eval", "data"): MISSING,
     ("eval", "out"): "no-such-directory/report.json",
     ("eval", "tsv"): ".",
+    ("retro", "templates"): MISSING,
+    ("retro", "nn1"): MISSING,
+    ("retro", "nn2"): MISSING,
+    ("retro", "stop-set"): MISSING,
+    ("retro", "gold"): MISSING,
     ("retro", "out"): ".",
     ("retro", "pathways-tsv"): "no-such-directory/pathways.tsv",
     ("retro", "max-steps"): "0",
@@ -1139,7 +1270,7 @@ class TestOptions:
             (command, name)
             for command, options in cli._SCHEMA.items()
             for name, (kind, _, _, valid) in options.items()
-            if valid or kind not in (str, cli._input_path)
+            if valid or kind is not str
         }
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -1160,10 +1291,11 @@ class TestOptions:
         ):
             monkeypatch.setattr(cli.ds, reader, refuse)
         argv = [command]
-        for name, (_, default, _, _) in cli._SCHEMA[command].items():
+        for name, (kind, default, _, _) in cli._SCHEMA[command].items():
             if default is None and name != option:
                 path = tmp_path / name
-                path.touch()
+                if kind is cli._input_path:
+                    path.touch()
                 argv += [f"--{name}", {"model": "nn1pr", "target": "CCO"}.get(name, str(path))]
         bad = BAD_VALUES[command, option]
         if source == "flag":

@@ -95,6 +95,20 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def tree(directory) -> set[str]:
+    """Every path under ``directory``, relative to it, hidden ones included:
+    a staged output left behind shows here."""
+    return {str(path.relative_to(directory)) for path in Path(directory).rglob("*")}
+
+
+def missing_error(option: str, path) -> str:
+    return f"error: {option}: file not found: {path}\n"
+
+
+def clash_error(input_option: str, output_option: str, path) -> str:
+    return f"error: {input_option} and {output_option} both name {Path(path).resolve()}\n"
+
+
 def assert_names_file_and_line(err: str, files: dict[str, str]) -> None:
     """``err`` is one error line naming one of ``files`` (path -> text) and
     a line of it."""
@@ -129,8 +143,34 @@ class TestIngestFuzz:
                 assert not out.exists()
             else:
                 assert err == ""
-                assert (out / "mono_reactions.tsv").is_file()
-                assert (out / "corpus_stats.json").is_file()
+                assert tree(out) == {"mono_reactions.tsv", "corpus_stats.json"}
+
+    # Twenty cases for each of the 3 path faults: 60 in all.
+    @pytest.mark.parametrize("fault", ["missing reactions", "missing compounds", "names an input"])
+    @given(reactions=reactions_text(), compounds=compounds_text(), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_path_fault_exits_1_naming_the_options(self, fault, reactions, compounds, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "out")
+            inputs = {"--reactions": Path(tmp, "reactions.tsv"),
+                      "--compounds": Path(tmp, "compounds.tsv")}
+            if fault == "names an input":
+                option = data.draw(st.sampled_from(sorted(inputs)))
+                out.mkdir()
+                inputs[option] = out / data.draw(st.sampled_from(
+                    ["mono_reactions.tsv", "corpus_stats.json"]))
+                expected = clash_error(option, "--out-dir", inputs[option])
+            else:
+                option = f"--{fault.split()[1]}"
+                expected = missing_error(option, inputs[option])
+            for (name, path), text in zip(inputs.items(), (reactions, compounds)):
+                if not (fault.startswith("missing") and name == option):
+                    path.write_text(text, encoding="utf-8")
+            before = tree(tmp)
+            argv = ["ingest", "--out-dir", str(out)]
+            argv += [part for name, path in inputs.items() for part in (name, str(path))]
+            assert run(argv) == (EXIT_INPUT, expected)
+            assert tree(tmp) == before
 
 
 # --- eval -------------------------------------------------------------------
@@ -164,7 +204,8 @@ WIDTHS = {"nn1pr": 1024, "nn2pr": 1536}
 ROW_FAULTS = ("label", "weight", "empty step", "smiles", "three steps")
 FAULTS = ROW_FAULTS + ("none", "mixed steps", "no positive", "no rows",
                        "flipped byte", "truncated", "wrong width", "nan parameter",
-                       "overflowing weights")
+                       "overflowing weights", "missing weights", "missing data",
+                       "names an input")
 
 
 def tiny_weights(in_dim: int, outputs: int = 1) -> bytes:
@@ -260,7 +301,7 @@ def weight_file(kind: str, edit: tuple | str | None) -> bytes:
 
 
 class TestEvalFuzz:
-    # Twenty-three cases for each of the 14 faults, "none" among them: 322.
+    # Twenty-three cases for each of the 17 faults, "none" among them: 391.
     @pytest.mark.parametrize("fault", FAULTS)
     @given(draws=st.data())
     @settings(max_examples=23, deadline=None)
@@ -271,6 +312,17 @@ class TestEvalFuzz:
             weights_path.write_bytes(weight_file(kind, edit))
             data.write_text(text, encoding="utf-8")
             report = Path(tmp, "report.json")
+            inputs = {"--weights": weights_path, "--data": data}
+            expected = None
+            if fault == "names an input":
+                option = draws.draw(st.sampled_from(sorted(inputs)))
+                report = inputs[option]
+                expected = clash_error(option, "--out", report)
+            elif fault.startswith("missing"):
+                option = f"--{fault.split()[1]}"
+                inputs[option].unlink()
+                expected = missing_error(option, inputs[option])
+            before = tree(tmp)
             code, err = run([
                 "eval", "--weights", str(weights_path), "--data", str(data),
                 "--out", str(report),
@@ -278,10 +330,12 @@ class TestEvalFuzz:
             assert code in (EXIT_OK, EXIT_INPUT, EXIT_EMPTY), err
             if code == EXIT_OK:
                 assert fault in ("none", "flipped byte"), err
-                assert err == "" and report.is_file()
+                assert err == "" and tree(tmp) == before | {"report.json"}
                 return
-            assert not report.exists()
-            if fault == "overflowing weights":
+            assert tree(tmp) == before
+            if expected is not None:
+                assert err == expected
+            elif fault == "overflowing weights":
                 assert err.startswith(f"error: {weights_path}: "), err
             elif fault in ROW_FAULTS:
                 assert err.startswith(f"error: {data}:{line}: "), err
@@ -295,14 +349,17 @@ class TestEvalFuzz:
 
 # --- train ------------------------------------------------------------------
 
-# The faults per input. "dataset" is the --data file, an "option" fault is
-# a bad value of that option given as a flag or in the config file, "out"
-# and "history" are output paths, and "training" is a learning rate that
-# overflows float32.
+# The faults per input. "dataset" is the --data file and "config" the
+# --config file, an "option" fault is a bad value of that option given as a
+# flag or in the config file, "out" and "history" are output paths, and
+# "training" is a learning rate that overflows float32. "names an input"
+# points --out or --history at --data or --config.
 TRAIN_FAULTS = {
-    "dataset": ROW_FAULTS + ("mixed steps", "one class", "no rows", "nn2pr on one step"),
+    "dataset": ROW_FAULTS + ("mixed steps", "one class", "no rows", "nn2pr on one step",
+                             "missing file"),
+    "config": ("missing file",),
     "option": ("epochs", "batch", "lr", "dropout", "pos-weight"),
-    "out": ("missing directory", "file as directory"),
+    "out": ("missing directory", "file as directory", "names an input"),
     "history": ("missing directory", "file as directory", "names the out file"),
     "training": ("diverging lr",),
 }
@@ -345,7 +402,7 @@ def train_case(draw, name: str | None, fault: str | None):
 
 
 class TestTrainFuzz:
-    # Sixteen cases for each of the 20 faults and for no fault: 336 in all.
+    # Sixteen cases for each of the 23 faults and for no fault: 384 in all.
     @pytest.mark.parametrize("name, fault", TRAIN_CASES)
     @given(data=st.data(), with_history=st.booleans())
     @settings(max_examples=16, deadline=None)
@@ -356,8 +413,19 @@ class TestTrainFuzz:
             dataset, config = Path(tmp, "train.tsv"), Path(tmp, "train.ini")
             dataset.write_text(text, encoding="utf-8")
             config.write_text(config_text, encoding="utf-8")
+            inputs = {"--data": dataset, "--config": config}
             outputs = {"out": Path(tmp, "w.nnpr"), "history": Path(tmp, "h.csv")}
-            if fault == "names the out file":
+            expected = None
+            if fault == "missing file":
+                option = {"dataset": "--data", "config": "--config"}[name]
+                inputs[option].unlink()
+                expected = missing_error(option, inputs[option])
+            elif fault == "names an input":
+                option = data.draw(st.sampled_from(sorted(inputs)))
+                output = data.draw(st.sampled_from(["out", "history"][:1 + with_history]))
+                outputs[output] = inputs[option]
+                expected = clash_error(option, f"--{output}", inputs[option])
+            elif fault == "names the out file":
                 outputs[name] = outputs["out"]
             elif name in outputs:
                 parent = Path(tmp, "missing") if fault == "missing directory" else dataset
@@ -367,16 +435,19 @@ class TestTrainFuzz:
             if with_history:
                 argv += ["--history", str(outputs["history"])]
             argv += [f"--{option}={value}" for option, value in options.items()]
+            before = tree(tmp)
             code, err = run(argv)
             assert code in (EXIT_OK, EXIT_INPUT, EXIT_EMPTY), err
             if code == EXIT_OK:
                 assert name is None, err
-                assert err == "" and outputs["out"].is_file()
-                assert outputs["history"].is_file() == with_history
+                assert err == ""
+                assert tree(tmp) == before | {"w.nnpr", *["h.csv"][:with_history]}
                 return
-            assert {p.name for p in Path(tmp).iterdir()} == {"train.tsv", "train.ini"}, err
+            assert tree(tmp) == before, err
             assert err.count("\n") == 1, err
-            if fault in ROW_FAULTS:
+            if expected is not None:
+                assert err == expected
+            elif fault in ROW_FAULTS:
                 assert err.startswith(f"error: {dataset}:{line}: "), err
             elif fault == "no rows":
                 assert err == f"train: training data {dataset} holds no rows\n"
@@ -424,9 +495,12 @@ BAD_SMILES = ["C(C", "CCxO", "C1CC", "C=", "[Cx]"]
 # command exits 2 when no corpus row is left, and every other fault names
 # its file: with the line of the row at fault, or the file left without rows.
 AUGMENT_FAULTS = {
-    "corpus": ("field count", "emptied side", "bad smiles", "every row unusable"),
-    "templates": ("direction", "diameter", "smarts", "repeated id", "comment only"),
-    "pathways": ("field count",),
+    "corpus": ("field count", "emptied side", "bad smiles", "every row unusable",
+               "missing file"),
+    "templates": ("direction", "diameter", "smarts", "repeated id", "comment only",
+                  "missing file"),
+    "pathways": ("field count", "missing file"),
+    "out-dir": ("names an input",),
 }
 EMPTY_MESSAGES = {
     "corpus": "corpus file {} holds no usable reactions",
@@ -492,7 +566,7 @@ AUGMENT_CASES = [(None, None)] + [
 
 
 class TestAugmentFuzz:
-    # Twenty-seven cases for each of the 10 faults and for no fault: 297 in all.
+    # Twenty-seven cases for each of the 14 faults and for no fault: 405 in all.
     @pytest.mark.parametrize("name, fault", AUGMENT_CASES)
     @given(data=st.data(), with_pathways=st.booleans())
     @settings(max_examples=27, deadline=None)
@@ -501,13 +575,23 @@ class TestAugmentFuzz:
         with_pathways = with_pathways or name == "pathways"
         with tempfile.TemporaryDirectory() as tmp:
             paths = {file: Path(tmp, f"{file}.tsv") for file in texts}
-            for file, text in texts.items():
-                paths[file].write_text(text, encoding="utf-8")
             out = Path(tmp, "out")
+            if fault == "names an input":
+                clashing = data.draw(st.sampled_from(["corpus", "templates", "pathways"][
+                    :2 + with_pathways]))
+                out.mkdir()
+                paths[clashing] = out / data.draw(st.sampled_from([
+                    "onestep_train.tsv", "onestep_test.tsv", "twostep_train.tsv",
+                    "twostep_test.tsv", "augment_stats.json",
+                ]))
+            for file, text in texts.items():
+                if not (fault == "missing file" and file == name):
+                    paths[file].write_text(text, encoding="utf-8")
             argv = ["augment", "--corpus", str(paths["corpus"]),
                     "--templates", str(paths["templates"]), "--out-dir", str(out)]
             if with_pathways:
                 argv += ["--pathways", str(paths["pathways"])]
+            before = tree(tmp)
             code, err = run(argv)
             assert code == expected, err
             if code == EXIT_OK:
@@ -517,8 +601,12 @@ class TestAugmentFuzz:
                 assert err == ""
                 assert {p.name for p in out.iterdir()} == outputs
                 return
-            assert not out.exists(), err
-            if code == EXIT_EMPTY:
+            assert tree(tmp) == before, err
+            if fault == "missing file":
+                assert err == missing_error(f"--{name}", paths[name])
+            elif fault == "names an input":
+                assert err == clash_error(f"--{clashing}", "--out-dir", paths[clashing])
+            elif code == EXIT_EMPTY:
                 assert err == f"augment: {EMPTY_MESSAGES[name].format(paths[name])}\n"
             else:
                 assert err.startswith(f"error: {paths[name]}:{line}: "), err
@@ -534,14 +622,15 @@ CONFIG = "[retro]\nbeam = 3\nmax-steps = 1\n"
 # The faults per input. "target" is the --target text; the others are files.
 RETRO_FAULTS = {
     "templates": ("field count", "direction", "diameter", "smarts", "repeated id",
-                  "comment only"),
+                  "comment only", "missing file"),
     "target": ("smiles",),
-    "stop-set": ("smiles", "comment only"),
-    "gold": ("field count", "smiles", "empty piece"),
-    "nn1": ("flipped byte", "truncated", "wrong width", "overflowing weights"),
-    "nn2": ("flipped byte", "truncated", "wrong width", "overflowing weights"),
+    "stop-set": ("smiles", "comment only", "missing file"),
+    "gold": ("field count", "smiles", "empty piece", "missing file"),
+    "nn1": ("flipped byte", "truncated", "wrong width", "overflowing weights", "missing file"),
+    "nn2": ("flipped byte", "truncated", "wrong width", "overflowing weights", "missing file"),
     "config": ("no section", "no value", "duplicate key", "unknown key", "unknown section",
-               "bad value", "percent"),
+               "bad value", "percent", "missing file"),
+    "out": ("names an input",),
 }
 CONFIG_FAULTS = {
     "no section": "beam = 3\n",
@@ -591,7 +680,9 @@ def retro_case(draw, name: str | None, fault: str | None):
     config = CONFIG
     edits = {"nn1": None, "nn2": None}
     line = None
-    if fault == "long pattern":
+    if fault in ("missing file", "names an input"):
+        pass  # the inputs stay valid; the check removes or names one
+    elif fault == "long pattern":
         # One template whose lhs is a chain longer than the recursion limit,
         # on a chain target it matches whole, in part or not at all.
         n = draw(st.integers(1000, 1100))
@@ -645,7 +736,7 @@ RETRO_CASES = [(None, None)] + [
 
 
 class TestRetroFuzz:
-    # Twelve cases for each of the 27 faults and for no fault: 336 in all.
+    # Twelve cases for each of the 34 faults and for no fault: 420 in all.
     @pytest.mark.parametrize("name, fault", RETRO_CASES)
     @given(data=st.data(), with_nn2=st.booleans())
     @settings(max_examples=12, deadline=None)
@@ -670,6 +761,16 @@ class TestRetroFuzz:
             for file, kind in (("nn1", "nn1pr"), ("nn2", "nn2pr")):
                 paths[file].write_bytes(weight_file(kind, edits[file]))
             report = Path(tmp, "report.json")
+            expected = None
+            if fault == "missing file":
+                paths[name].unlink()
+                expected = missing_error(f"--{name}", paths[name])
+            elif fault == "names an input":
+                clashing = data.draw(st.sampled_from(
+                    sorted(set(paths) - {"nn2"}) + ["nn2"][:with_nn2]))
+                report = paths[clashing]
+                expected = clash_error(f"--{clashing}", "--out", report)
+            before = tree(tmp)
             argv = ["--config", str(paths["config"]), "retro", "--target", target,
                     "--templates", str(paths["templates"]), "--nn1", str(paths["nn1"]),
                     "--stop-set", str(paths["stop-set"]), "--gold", str(paths["gold"]),
@@ -680,11 +781,13 @@ class TestRetroFuzz:
             assert code in (EXIT_OK, EXIT_INPUT, EXIT_EMPTY), err
             if code == EXIT_OK:
                 assert name is None or fault in ("flipped byte", "long pattern"), err
-                assert err == "" and report.is_file()
+                assert err == "" and tree(tmp) == before | {"report.json"}
                 return
-            assert not report.exists()
+            assert tree(tmp) == before
             assert err.count("\n") == 1, err
-            if code == EXIT_EMPTY:
+            if expected is not None:
+                assert err == expected
+            elif code == EXIT_EMPTY:
                 assert err == RETRO_EMPTY[name].format(paths[name])
             elif line is not None:
                 assert err.startswith(f"error: {paths[name]}:{line}: "), err
