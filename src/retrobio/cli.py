@@ -8,8 +8,9 @@ like the long flags, no others); explicit flags override file values.
 ``_SCHEMA`` is where an option's type, default and valid values live.
 
 Every path is checked with the options, before any input is read, and
-``_staging`` renames a command's outputs into place only once it has written
-them all: an exit other than 0 writes no output.
+``_staging`` renames a command's outputs into place, one at a time, only
+once it has written them all: a run that fails before then replaces no
+output it staged.
 
 Exit codes: 0 success, 1 input error, 2 empty or degenerate result,
 3 internal invariant violation.
@@ -21,6 +22,7 @@ import argparse
 import configparser
 import math
 import os
+import stat
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
@@ -73,15 +75,18 @@ def _pos_weight(text: str) -> str | float:
 def _output_path(text: str) -> str:
     """'' (no output) as given, else a path that can be written: its
     directory exists and it is no directory itself."""
-    if text and Path(text).is_dir():
+    if not text:
+        return text
+    path = Path(text)
+    if path.is_dir():
         raise ValueError(f"cannot write {text}: it is a directory")
-    if text and not Path(text).parent.is_dir():
-        raise ValueError(f"cannot write {text}: {Path(text).parent} is not a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"cannot write {text}: {path.parent} is not a directory")
     return text
 
 
 def _input_path(text: str) -> str:
-    """A file the command reads ('' for none), as given; no output may name it."""
+    """A file the command reads ('' for none), as given: no output may name it."""
     if text and not os.path.isfile(text):
         raise ValueError(f"file not found: {text}")
     return text
@@ -294,25 +299,55 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     return options
 
 
+def _replaceable(target, real: str) -> bool:
+    """Whether a file made beside ``real``, the file ``target`` names, can be
+    renamed over it: ``target`` (``real`` may not exist, as for /dev/stdout
+    on a pipe) is missing, or a regular file in a directory where this
+    process may make entries and, under a sticky bit, replace this one."""
+    head = os.path.dirname(real)
+    try:
+        file, folder = os.stat(target), os.stat(head)
+    except FileNotFoundError:
+        return True
+    sticky = folder.st_mode & stat.S_ISVTX
+    return (
+        stat.S_ISREG(file.st_mode)
+        and os.access(head, os.W_OK | os.X_OK)
+        and not (sticky and os.geteuid() not in (0, file.st_uid, folder.st_uid))
+    )
+
+
 @contextmanager
 def _staging():
-    """Yield ``stage(target)``: the path ``.<name>.<pid>.tmp`` beside the file
-    ``target`` names, to write it to. A normal end renames every staged file
-    over its target, here and nowhere else; any other removes them all."""
-    staged: list[tuple[str, str]] = []  # (staged path, target)
+    """Yield ``stage(target)``, the path to write the output ``target`` to.
+
+    A new or regular file is staged as ``.retrobio.<pid>.<n>.tmp`` in the
+    directory of the file ``target`` names. A normal end renames each staged
+    file over its target, one by one, here and nowhere else; any other end
+    removes them all. Any other target (a device such as /dev/null, a FIFO,
+    a file in a directory this process may not replace it in) is written in
+    place, as given. An error on a staged file names its target."""
+    staged: dict[str, tuple[str, str]] = {}  # staged path -> (real target, as given)
 
     def stage(target) -> str:
-        head, name = os.path.split(os.path.realpath(target))
-        staged.append((os.path.join(head, f".{name}.{os.getpid()}.tmp"), os.path.join(head, name)))
-        return staged[-1][0]
+        real = os.path.realpath(target)
+        if not _replaceable(target, real):
+            return str(target)
+        path = os.path.join(os.path.dirname(real), f".retrobio.{os.getpid()}.{len(staged)}.tmp")
+        staged[path] = (real, str(target))
+        return path
 
     try:
         yield stage
-        for path, target in staged:
-            os.replace(path, target)
+        for path, (real, _) in staged.items():
+            os.replace(path, real)
         staged.clear()
+    except OSError as exc:
+        if exc.filename not in staged:
+            raise
+        raise OSError(exc.errno, exc.strerror, staged[exc.filename][1]) from exc
     finally:
-        for path, _ in staged:
+        for path in staged:
             with suppress(FileNotFoundError):
                 os.remove(path)
 
@@ -336,8 +371,10 @@ def cmd_ingest(options: dict, stage) -> str:
     ds.write_reactions_tsv(stage(out_dir / "mono_reactions.tsv"), monos)
     write_json(stage(out_dir / "corpus_stats.json"), stats.to_dict())
     return (
-        f"ingest: {stats.reactions_in} reactions in, {stats.reactions_dropped} dropped, "
-        f"{stats.mono_reactions} mono-product reactions, {stats.unique_products} unique products"
+        f"ingest: {stats.reactions_in} reactions in, "
+        f"{stats.reactions_dropped} dropped, "
+        f"{stats.mono_reactions} mono-product reactions, "
+        f"{stats.unique_products} unique products"
     )
 
 
@@ -354,14 +391,18 @@ def cmd_augment(options: dict, stage) -> str:
     combined = ds.subsample_negatives(
         [p.row() for p in positives] + negatives, options["neg_fraction"], options["seed"]
     )
-    train_set, test_set = ds.split_train_test(combined, options["test_fraction"], options["seed"])
+    train_set, test_set = ds.split_train_test(
+        combined, options["test_fraction"], options["seed"]
+    )
     sets = {"onestep": (train_set, test_set)}
     summary = []
     if pathways is not None:
         chains = ds.extract_chains(pathways, positives)
         chain_negatives = ds.make_pathway_pairs(chains, negatives)
         sets["twostep"] = ds.split_train_test(
-            [c.row() for c in chains] + chain_negatives, options["test_fraction"], options["seed"]
+            [c.row() for c in chains] + chain_negatives,
+            options["test_fraction"],
+            options["seed"],
         )
         summary.append(
             f"augment: {len(chains)} positive chains, "
@@ -427,10 +468,10 @@ def cmd_train(options: dict, stage) -> str:
     )
 
 
-def _load_model(path: str, what: str, kind: str = ""):
+def _load_model(path: str, what: str, input_dim: int | None = None):
     """Load a weight file into an ``MlpModel``; every error, an output width
-    other than 1 and an input width other than model ``kind``'s when given
-    name the file."""
+    other than 1 and an input width other than ``input_dim`` when given name
+    the file."""
     from .neural import load_weights
 
     with open(path, "rb") as fh:
@@ -440,10 +481,10 @@ def _load_model(path: str, what: str, kind: str = ""):
             raise CliError(f"{path}: {exc}") from exc
     if model.layers[-1].out_dim != 1:
         raise CliError(f"{path}: {what} has {model.layers[-1].out_dim} outputs, expected 1")
-    if kind and model.input_dim != _model_width(kind):
+    if input_dim is not None and model.input_dim != input_dim:
         raise CliError(
             f"{path}: {what} has input width {model.input_dim}, "
-            f"expected {_model_width(kind)}"
+            f"expected {input_dim}"
         )
     return model
 
@@ -496,8 +537,12 @@ def cmd_retro(options: dict, stage) -> str:
     from .pipeline import SearchConfig, read_gold_tsv, read_stop_set, run_retro
 
     templates = _load_templates(options["templates"])
-    nn1 = _load_model(options["nn1"], "nn1 weight file", "nn1pr")
-    nn2 = _load_model(options["nn2"], "nn2 weight file", "nn2pr") if options["nn2"] else None
+    nn1 = _load_model(options["nn1"], "nn1 weight file", _model_width("nn1pr"))
+    nn2 = (
+        _load_model(options["nn2"], "nn2 weight file", _model_width("nn2pr"))
+        if options["nn2"]
+        else None
+    )
     stop_set = read_stop_set(options["stop_set"]) if options["stop_set"] else frozenset()
     if options["stop_set"] and not stop_set:
         raise EmptyResult(f"stop-set file {options['stop_set']} holds no SMILES")

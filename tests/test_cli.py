@@ -1069,9 +1069,10 @@ class TestOutputPaths:
 
 
 class TestCommit:
-    """A command writes each output to a staged file beside it, and renames
-    them into place only once it has written them all: any other ending
-    leaves every output as it was and no staged file behind."""
+    """A command writes each new or regular output to a staged file beside
+    it, and renames them into place only once it has written them all: any
+    other ending leaves every such output as it was and no staged file
+    behind. Any other output is written in place."""
 
     @staticmethod
     def eval_argv(staged, out):
@@ -1079,26 +1080,31 @@ class TestCommit:
                 "--data", str(staged / "augment" / "onestep_test.tsv"), "--out", str(out)]
 
     @pytest.mark.parametrize("error", [
-        OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt(),
-    ], ids=["no space", "interrupt"])
+        lambda path: OSError(errno.ENOSPC, "No space left on device"),
+        lambda path: OSError(errno.ENOSPC, "No space left on device", path),
+        lambda path: KeyboardInterrupt(),
+    ], ids=["no space", "no space naming the staged file", "interrupt"])
     def test_failed_history_write_leaves_no_output(
         self, staged, tmp_path, capsys, monkeypatch, error
     ):
         def fail(history, path):
             Path(path).write_text("epoch,loss,accuracy\n")
-            raise error
+            raise error(path)
 
         monkeypatch.setattr(retrobio.neural.TrainingHistory, "save_csv", fail)
         argv = ["train", "--model", "nn1pr", "--epochs", "1",
                 "--data", str(staged / "augment" / "onestep_test.tsv"),
                 "--out", str(tmp_path / "w.nnpr"), "--history", str(tmp_path / "h.csv")]
-        if isinstance(error, KeyboardInterrupt):
+        if isinstance(error(""), KeyboardInterrupt):
             with pytest.raises(KeyboardInterrupt):
                 main(argv)
             assert capsys.readouterr() == ("", "")
         else:
             assert main(argv) == EXIT_INPUT
-            assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+            named = f": '{tmp_path / 'h.csv'}'" if error("").filename is not None else ""
+            assert capsys.readouterr() == (
+                "", f"error: [Errno 28] No space left on device{named}\n"
+            )
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_every_previous_output(
@@ -1108,10 +1114,11 @@ class TestCommit:
         out = tmp_path / "out"
         shutil.copytree(staged / "augment", out)
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        write = cli.ds.write_examples_tsv
+        write, calls = cli.ds.write_examples_tsv, []
 
-        def fail_at_fourth_row(path, rows):
-            write(path, rows[:3] + [None] if "onestep_test" in str(path) else rows)
+        def fail_at_fourth_row(path, rows):  # of the one-step test set, written second
+            calls.append(path)
+            write(path, rows[:3] + [None] if len(calls) == 2 else rows)
 
         monkeypatch.setattr(cli.ds, "write_examples_tsv", fail_at_fourth_row)
         assert main([
@@ -1145,6 +1152,39 @@ class TestCommit:
         assert sorted(path.name for path in tmp_path.rglob("*")) == [
             "direct.json", "link.json", "real", "report.json",
         ]
+
+    def test_device_output_is_written_in_place(self, staged, monkeypatch):
+        replace = os.replace
+
+        def replace_but_devnull(source, target):  # so a fault cannot break the device
+            assert os.path.realpath(target) != os.path.realpath(os.devnull)
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_but_devnull)
+        assert main(self.eval_argv(staged, os.devnull)) == EXIT_OK
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.parametrize("barrier", ["directory not writable", "sticky directory"])
+    def test_output_it_may_not_replace_is_written_in_place(
+        self, staged, tmp_path, monkeypatch, barrier
+    ):
+        assert main(self.eval_argv(staged, tmp_path / "direct.json")) == EXIT_OK
+        target = tmp_path / "report.json"
+        target.write_text("old\n")
+        inode = target.stat().st_ino
+        if barrier == "directory not writable":
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
+        else:  # the file and the directory belong to another user
+            tmp_path.chmod(0o1777)
+            monkeypatch.setattr(os, "geteuid", lambda: os.stat(tmp_path).st_uid + 1)
+        assert main(self.eval_argv(staged, target)) == EXIT_OK
+        assert target.stat().st_ino == inode
+        assert target.read_bytes() == (tmp_path / "direct.json").read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["direct.json", "report.json"]
+
+    def test_output_name_of_255_bytes(self, staged, tmp_path):
+        assert main(self.eval_argv(staged, tmp_path / ("r" * 250 + ".json"))) == EXIT_OK
+        assert [path.name for path in tmp_path.iterdir()] == ["r" * 250 + ".json"]
 
 
 class TestConfigFile:
