@@ -234,8 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_options(args: argparse.Namespace) -> dict:
     """Merge precedence: explicit flag > config file section > default.
 
-    Flag and config text are converted and checked alike, and an error names
-    the flag or the file and key; defaults are used as they are. A config
+    Flag and config text are converted and checked alike (an empty value
+    of a required option is refused), and an error names the flag or the
+    file and key; defaults are used as they are. A config
     section that is no command, or a key of the command's own section that
     it does not take, is an error; [DEFAULT] keys apply to every command and
     are not checked. So is an output naming a file that another output or
@@ -273,6 +274,8 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         else:
             options[attr] = default
             continue
+        if default is None and not text:
+            raise CliError(f"{source}: a required option may not be empty")
         try:
             value = kind(text)
         except ValueError as exc:

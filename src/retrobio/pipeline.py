@@ -130,7 +130,7 @@ class PathwayStep:
 class Pathway:
     steps: tuple[PathwayStep, ...]
     aggregate_score: float
-    aggregate_rank: int = 0
+    aggregate_rank: int
 
     def chain_is_valid(self) -> bool:
         """Step i's continuing precursor must be step i+1's product."""
@@ -250,23 +250,26 @@ def rank_level(
         ])
         for child, score in zip(children, forward(nn2, features).tolist()):
             child.nn2_score = score
-        ranked = rank_candidates([(c, c.nn2_score) for c in children])
-    else:
-        ranked = rank_candidates([(c, c.step_score) for c in children])
-    return [rc.candidate for rc in ranked[: config.beam_width]]
+    ranked = rank_candidates([
+        (c, c.step_score if c.nn2_score is None else c.nn2_score, c.precursor_keys)
+        for c in children
+    ])
+    return ranked[: config.beam_width]
 
 
 def reconstruct_pathways(
     nodes: list[SearchNode],
     stop_set: frozenset[str],
-    use_nn2: bool,
     max_depth: int,
 ) -> list[Pathway]:
     """Backtrack parent links from stop-set hits (or max-depth leaves).
 
-    Pathways are ranked by aggregate score (geometric mean of window
-    scores) with the canonical tie rule; duplicates by step identity
-    collapse.
+    Pathways are ranked by aggregate score: the geometric mean of the
+    two-step scores where the chain has them, else of its one-step scores.
+    Ties break on the steps' product and precursor keys. No two hits give
+    the same steps: a node's candidates are merged by precursor keys, so
+    two nodes with equal steps from the root are one node, and ``nodes``
+    holds each node once.
     """
     if stop_set:
         hits = [
@@ -274,8 +277,9 @@ def reconstruct_pathways(
         ]
     else:
         hits = [n for n in nodes if n.depth == max_depth]
-    seen: set[tuple] = set()
-    pathways = []
+    if not hits:
+        return []
+    scored = []
     for node in hits:
         chain: list[SearchNode] = []
         cur = node
@@ -283,7 +287,7 @@ def reconstruct_pathways(
             chain.append(cur)
             cur = cur.parent
         chain.reverse()  # depth 1 .. depth L
-        steps = [
+        steps = tuple(
             PathwayStep(
                 product_key=n.parent.molecule_key,
                 precursor_keys=n.precursor_keys,
@@ -292,28 +296,16 @@ def reconstruct_pathways(
                 step_score=n.step_score,
             )
             for n in chain
-        ]
-        identity = tuple(
-            (s.product_key, s.precursor_keys, s.template_id) for s in steps
         )
-        if identity in seen:
-            continue
-        seen.add(identity)
-        if use_nn2 and len(chain) >= 2:
-            scores = [n.nn2_score for n in chain[1:] if n.nn2_score is not None]
-        else:
-            scores = [n.step_score for n in chain]
+        scores = [n.nn2_score for n in chain[1:] if n.nn2_score is not None]
+        scores = scores or [n.step_score for n in chain]
         aggregate = math.exp(sum(math.log(s) for s in scores) / len(scores))
-        pathways.append(Pathway(tuple(steps), aggregate))
-    pathways.sort(
-        key=lambda p: (
-            -p.aggregate_score,
-            tuple((s.product_key, s.precursor_keys) for s in p.steps),
-        )
-    )
-    for position, pathway in enumerate(pathways, 1):
-        pathway.aggregate_rank = position
-    return pathways
+        key = tuple((s.product_key, s.precursor_keys) for s in steps)
+        scored.append(((steps, aggregate), aggregate, key))
+    return [
+        Pathway(steps, aggregate, rank)
+        for rank, (steps, aggregate) in enumerate(rank_candidates(scored), 1)
+    ]
 
 
 @dataclass
@@ -414,12 +406,15 @@ def gold_step_ranks(
                 [((product_key,), c.precursor_keys) for c in candidates]
             )
             scores = forward(nn1, features).tolist()
-            for rc in rank_candidates(list(zip(candidates, scores))):
-                if rc.candidate.precursor_keys == gold_key:
+            ranked = rank_candidates(
+                [(c, s, c.precursor_keys) for c, s in zip(candidates, scores)]
+            )
+            for rank, cand in enumerate(ranked, 1):
+                if cand.precursor_keys == gold_key:
                     entry["found"] = True
-                    entry["rank"] = rc.rank
+                    entry["rank"] = rank
                     entry["ec_numbers"] = sorted(
-                        {ec for _, ecs in rc.candidate.provenance for ec in ecs}
+                        {ec for _, ecs in cand.provenance for ec in ecs}
                     )
                     break
         out.append(entry)
@@ -470,9 +465,7 @@ def run_retro(
         report.levels.append(stats)
         survivors_all.extend(survivors)
         frontier = survivors
-    report.pathways = reconstruct_pathways(
-        survivors_all, config.stop_set, nn2 is not None, config.max_steps
-    )
+    report.pathways = reconstruct_pathways(survivors_all, config.stop_set, config.max_steps)
     if gold_steps:
         report.gold_ranks = gold_step_ranks(
             gold_steps, templates, nn1, fingerprinter, enumerated

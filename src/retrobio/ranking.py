@@ -6,9 +6,11 @@ baseline (similarity of the target to the OR-combined precursor block),
 the one-step neural ranker on the 1024-bit pair row, and the two-step
 neural ranker on the 1536-bit chain row. A neural score is
 ``neural.forward`` over the packed rows of ``Fingerprinter.features``; the
-baseline reads molecule fingerprints from the memo. Ranks are 1-based and
-contiguous; ties break on the canonical precursor key so shuffling the
-input never changes an assigned rank.
+baseline reads molecule fingerprints from the memo. A rank is a 1-based
+position in ``rank_candidates``' order: score descending, ties by a
+canonical key the caller gives. Shuffling the input never changes an
+assigned rank unless two items share both score and tie key: those keep
+their input order.
 
 Evaluation follows the rank-among-negatives protocol: each positive is
 mixed with the negatives of its group, every candidate is scored, and the
@@ -27,7 +29,6 @@ from .neural import MlpModel, forward
 from .tsv import write_json, write_tsv
 
 __all__ = [
-    "RankedCandidate",
     "CoverageCurve",
     "EvaluationReport",
     "GroupWithoutPositive",
@@ -55,33 +56,12 @@ def score_baseline(
     return tanimoto(target, combine_fingerprints(precursors))
 
 
-def _tie_key(candidate) -> tuple:
-    """Deterministic tie-break key: the canonical precursor identity."""
-    if isinstance(candidate, str):
-        return (candidate,)
-    if isinstance(candidate, DatasetRow):
-        return tuple(".".join(step) for step in candidate.steps)
-    return tuple(candidate.precursor_keys)
-
-
-@dataclass(frozen=True)
-class RankedCandidate:
-    candidate: object
-    score: float
-    rank: int  # 1-based, contiguous
-    rank_percent: float  # 100 * rank / total
-
-
-def rank_candidates(scored: list[tuple[object, float]]) -> list[RankedCandidate]:
-    """Sort by score descending, ties by canonical key ascending."""
+def rank_candidates(scored: list[tuple[object, float, tuple]]) -> list:
+    """The candidates of ``(candidate, score, tie key)`` triples in rank
+    order: score descending, ties by the tie key ascending."""
     if not scored:
         raise ValueError("cannot rank an empty candidate list")
-    ordered = sorted(scored, key=lambda cs: (-cs[1], _tie_key(cs[0])))
-    total = len(ordered)
-    return [
-        RankedCandidate(cand, score, i + 1, 100.0 * (i + 1) / total)
-        for i, (cand, score) in enumerate(ordered)
-    ]
+    return [cand for cand, _, _ in sorted(scored, key=lambda t: (-t[1], t[2]))]
 
 
 @dataclass(frozen=True)
@@ -183,11 +163,14 @@ def evaluate_ranking(
     distinct = list(dict.fromkeys(r for pos, negs in units for r in (pos, *negs)))
     score_of = dict(zip(distinct, [float(s) for s in scorer(distinct)]))
     for positive, negatives in units:
-        ranked = rank_candidates([(r, score_of[r]) for r in (positive, *negatives)])
-        entry = next(rc for rc in ranked if rc.candidate is positive)
+        ranked = rank_candidates([
+            (r, score_of[r], tuple(".".join(step) for step in r.steps))
+            for r in (positive, *negatives)
+        ])
+        rank = next(i for i, r in enumerate(ranked, 1) if r is positive)
         report.rows.append({
-            "group_key": positive.group_key, "rank": entry.rank, "total": len(ranked),
-            "rank_percent": entry.rank_percent, "score": entry.score,
+            "group_key": positive.group_key, "rank": rank, "total": len(ranked),
+            "rank_percent": 100.0 * rank / len(ranked), "score": score_of[positive],
         })
     ranks = [row["rank"] for row in report.rows]
     n = len(ranks)

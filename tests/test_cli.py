@@ -1303,6 +1303,14 @@ BAD_VALUES = {
     ("retro", "threads"): "-5",
 }
 
+# Every path option a command requires: an empty value names no file.
+REQUIRED_PATHS = sorted(
+    (command, name)
+    for command, options in cli._SCHEMA.items()
+    for name, (kind, default, _, _) in options.items()
+    if default is None and kind is not str
+)
+
 
 class TestOptions:
     def test_every_refusing_option_has_a_bad_value(self):
@@ -1318,6 +1326,26 @@ class TestOptions:
     def test_bad_value_exits_1_naming_it_before_reading_files(
         self, tmp_path, capsys, monkeypatch, command, option, source
     ):
+        names, err = self.refused(
+            tmp_path, capsys, monkeypatch, command, option, source, BAD_VALUES[command, option]
+        )
+        assert err.startswith((f"{names} must be ", f"{names}: ")), err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, option", REQUIRED_PATHS)
+    def test_empty_required_path_exits_1_naming_it_before_reading_files(
+        self, tmp_path, capsys, monkeypatch, command, option, source
+    ):
+        names, err = self.refused(tmp_path, capsys, monkeypatch, command, option, source, "")
+        assert err == f"{names}: a required option may not be empty\n"
+
+    @staticmethod
+    def refused(tmp_path, capsys, monkeypatch, command, option, source, bad):
+        """(option as the error names it, stderr) of a run with every other
+        required option given and ``option`` set to ``bad``, which must exit 1
+        having read and written no file, the working directory included."""
+        monkeypatch.chdir(tmp_path)
+
         def refuse(*args, **kwargs):
             raise AssertionError("a file was read before the options were checked")
 
@@ -1337,7 +1365,6 @@ class TestOptions:
                 if kind is cli._input_path:
                     path.touch()
                 argv += [f"--{name}", {"model": "nn1pr", "target": "CCO"}.get(name, str(path))]
-        bad = BAD_VALUES[command, option]
         if source == "flag":
             argv.append(f"--{option}={bad}")
             names = f"error: --{option}"
@@ -1348,10 +1375,9 @@ class TestOptions:
             names = f"error: {config}: [{command}] {option}"
         before = sorted(tmp_path.iterdir())
         assert main(argv) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith((f"{names} must be ", f"{names}: ")), err
         assert sorted(tmp_path.iterdir()) == before
         assert all(path.stat().st_size == 0 for path in before if path.name != "config.ini")
+        return names, capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -20,7 +20,8 @@ from retrobio.pipeline import (
     rank_level,
     run_retro,
 )
-from synthdata import make_templates
+from make_golden import SEARCH_TARGET
+from synthdata import make_templates, skeleton_smiles
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +452,26 @@ class TestRunRetro:
         assert payload["config"]["max_steps"] == 1
         assert isinstance(payload["levels"], list)
         assert isinstance(payload["pathways"], list)
+
+
+class TestOnePathwayPerLeaf:
+    """With no stop set, every survivor at max_steps gives one pathway and
+    no two pathways share their steps: a node's candidates are merged by
+    precursor keys, so equal steps from the root name one search node."""
+
+    @pytest.mark.parametrize(
+        "target, with_nn2",
+        [(SEARCH_TARGET, False), (skeleton_smiles(5)[-1], True)],
+        ids=["search_levels", "synthdata-nn2"],
+    )
+    def test_one_pathway_per_survivor(self, models, target, with_nn2):
+        nn1, nn2 = models
+        config = SearchConfig(max_steps=2, beam_width=10**9, prune_threshold=0.0)
+        report = run_retro(target, make_templates(), nn1, nn2 if with_nn2 else None, config)
+        assert report.levels[-1]["depth"] == config.max_steps
+        assert len(report.pathways) == report.levels[-1]["kept"] > 0
+        steps = {tuple((s.product_key, s.precursor_keys) for s in p.steps) for p in report.pathways}
+        assert len(steps) == len(report.pathways)
 
 
 class TestSearchWorkCounts:

@@ -102,43 +102,42 @@ class TestScorers:
             forward(model, fp.features([(("CCO",), ("CC=O",)), (("CCO",), ("CC=O",), ("CC",))]))
 
 
+def tied_by_name(scored):
+    """(name, score) pairs as rank_candidates triples whose tie key is the name."""
+    return [(name, score, (name,)) for name, score in scored]
+
+
 class TestRankCandidates:
     def test_unique_scores_sort_position(self):
-        ranked = rank_candidates([("a", 0.2), ("b", 0.9), ("c", 0.5)])
-        assert [(rc.candidate, rc.rank) for rc in ranked] == [
-            ("b", 1), ("c", 2), ("a", 3)
-        ]
+        ranked = rank_candidates(tied_by_name([("a", 0.2), ("b", 0.9), ("c", 0.5)]))
+        assert ranked == ["b", "c", "a"]
 
     def test_ties_follow_canonical_key_order(self):
-        ranked = rank_candidates([("z", 0.5), ("a", 0.5), ("m", 0.5)])
-        assert [rc.candidate for rc in ranked] == ["a", "m", "z"]
-        assert [rc.rank for rc in ranked] == [1, 2, 3]
+        ranked = rank_candidates(tied_by_name([("z", 0.5), ("a", 0.5), ("m", 0.5)]))
+        assert ranked == ["a", "m", "z"]
 
-    def test_positive_first_of_23(self):
-        scored = [("positive", 0.99)] + [(f"neg{i:02d}", 0.5) for i in range(22)]
-        ranked = rank_candidates(scored)
-        assert ranked[0].candidate == "positive"
-        assert ranked[0].rank == 1 and len(ranked) == 23
-        assert ranked[0].rank_percent == pytest.approx(100 / 23)
+    def test_ties_follow_the_given_key_not_the_candidate(self):
+        ranked = rank_candidates([("a", 0.5, ("y",)), ("b", 0.5, ("x",)), ("c", 0.7, ("z",))])
+        assert ranked == ["c", "b", "a"]
+
+    def test_equal_score_and_key_keep_input_order(self):
+        ranked = rank_candidates([("late", 0.5, ("k",)), ("early", 0.5, ("k",))])
+        assert ranked == ["late", "early"]
 
     def test_input_order_never_matters(self):
         rng = random.Random(13)
-        scored = [(f"c{i}", rng.choice([0.1, 0.5, 0.9])) for i in range(30)]
-        reference = [
-            (rc.candidate, rc.rank) for rc in rank_candidates(scored)
-        ]
+        scored = tied_by_name((f"c{i}", rng.choice([0.1, 0.5, 0.9])) for i in range(30))
+        reference = rank_candidates(scored)
         for _ in range(20):
             rng.shuffle(scored)
-            assert [
-                (rc.candidate, rc.rank) for rc in rank_candidates(scored)
-            ] == reference
+            assert rank_candidates(scored) == reference
 
     def test_score_rank_consistency(self):
         rng = random.Random(3)
-        scored = [(f"c{i}", rng.random()) for i in range(50)]
-        ranked = rank_candidates(scored)
+        score_of = {f"c{i}": rng.random() for i in range(50)}
+        ranked = rank_candidates(tied_by_name(score_of.items()))
         for a, b in zip(ranked, ranked[1:]):
-            assert a.score >= b.score
+            assert score_of[a] >= score_of[b]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -175,6 +174,25 @@ class TestEvaluate:
         fractions = [f for _, f in report.coverage.points]
         assert fractions == sorted(fractions)
         assert fractions[-1] <= 1.0
+
+    def test_positive_first_of_23(self):
+        units = self._units(n_groups=1, negatives=22)
+        report = evaluate_ranking(
+            lambda rows: [0.99 if r.is_positive else 0.5 for r in rows], units
+        )
+        [entry] = report.rows
+        assert entry["rank"] == 1 and entry["total"] == 23
+        assert entry["rank_percent"] == pytest.approx(100 / 23)
+
+    def test_ties_break_on_the_joined_step_keys(self):
+        # As key tuples ("C", "O") < ("C#N",); as joined text "C#N" < "C.O".
+        dotted, nitrile = (("C", "O"),), (("C#N",),)
+        assert dotted < nitrile
+        for positive, negative, rank in ((dotted, nitrile, 2), (nitrile, dotted, 1)):
+            unit = (DatasetRow("positive", "g", "CCO", positive),
+                    [DatasetRow("negative", "g", "CCO", negative)])
+            report = evaluate_ranking(lambda rows: [0.5] * len(rows), [unit])
+            assert report.rows[0]["rank"] == rank
 
     def test_group_without_positive(self):
         with pytest.raises(GroupWithoutPositive):
